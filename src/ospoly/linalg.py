@@ -141,17 +141,8 @@ class Echelon:
         self.rows[p] = vec
         return vec
 
-    def extend(self, vecs) -> None:
-        for v in vecs:
-            self.insert(v)
-
     def basis(self) -> list[Vec]:
         return [self.rows[p] for p in sorted(self.rows)]
-
-    def copy(self) -> "Echelon":
-        other = Echelon()
-        other.rows = {p: dict(r) for p, r in self.rows.items()}
-        return other
 
 
 class TrackedEchelon:

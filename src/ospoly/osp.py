@@ -602,7 +602,9 @@ def _dense_solve(cols, target):
         return []
     aug = [[cols[c][row] for c in range(m)] + [target[row]] for row in range(m)]
     for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
+        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError(f"singular system: no pivot in column {col}")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]

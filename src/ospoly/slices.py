@@ -24,6 +24,7 @@ elimination with the pivot rule "smallest monomial in graded-lex order".
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -199,7 +200,7 @@ def slice_basis(key: SliceKey) -> SubspaceBasis:
 # harmonic kernels
 
 
-def _image_index(cfg, polys) -> MonomialIndex:
+def _image_index(polys) -> MonomialIndex:
     monos = set()
     for p in polys:
         monos.update(p.terms)
@@ -212,7 +213,7 @@ def harmonic_space(key: SliceKey) -> SubspaceBasis:
     idx = MonomialIndex(slice_monomials(key))
     sig = key.cfg.signature
     images = [lower(SuperPolynomial.from_monomial(sig, m)) for m in idx.monomials]
-    img_idx = _image_index(key.cfg, images)
+    img_idx = _image_index(images)
     img_vecs = linalg.exact_int_columns([img_idx.vec_fraction(p) for p in images])
     combos = linalg.kernel(img_vecs)
     vectors = [idx.poly(sig, row) for row in combos]
@@ -240,55 +241,65 @@ def singular_vectors(
 
     Every returned vector is exactly annihilated (resp. mapped into the
     span): operator images are computed without truncation.
+
+    The ``modulo`` span is echelonized once per call, indexed by its own
+    monomials.  An image monomial outside that set is never a pivot, so it
+    passes through the reduction unchanged, and the remainder of an image
+    is its reduced-echelon remainder over all monomials involved (indices
+    order by ``sort_key``).  Each weight group stacks its reduced images
+    under rows keyed by (operator, monomial); the kernel is the canonical
+    echelon basis over the group's monomials, so row labels do not affect
+    the result.
     """
     cfg = key.cfg
     sig = cfg.signature
     ops = [rep_element(cfg, e) for e in osp_basis(cfg, part)]
+    # images of the first num_mod operators are taken modulo the span; the
+    # lowering operator appended for "H" must annihilate outright
+    num_mod = len(ops) if modulo else 0
     if within == "H":
         ops.append(delta_eta(cfg)[0])
-        mod_for = lambda oi: None if modulo is None or oi == len(ops) - 1 else modulo
-    elif within == "A":
-        mod_for = lambda oi: modulo
-    else:
+    elif within != "A":
         raise ValueError("within must be 'H' or 'A'")
 
-    monos = slice_monomials(key)
-    groups: dict = {}
-    for m in monos:
-        groups.setdefault(monomial_weight(cfg, m), []).append(m)
-
-    mod_ech = None
-    mod_monos: set = set()
     if modulo:
-        mod_monos = {m for p in modulo for m in p.terms}
+        mod_idx = MonomialIndex({m for p in modulo for m in p.terms})
+        mod_ech = linalg.span([mod_idx.vec(p) for p in modulo])
+
+    groups: dict = {}
+    for m in slice_monomials(key):
+        groups.setdefault(monomial_weight(cfg, m), []).append(m)
 
     out = []
     for w in sorted(groups, key=lambda w: (w.eps_so, w.eps_sp)):
-        group = groups[w]
-        src_idx = MonomialIndex(group)
-        stacked: list[dict[int, Fraction]] = [dict() for _ in group]
-        offset = 0
+        src_idx = MonomialIndex(groups[w])
+        rows: dict = {}
+        stacked: list[dict[int, Fraction]] = [{} for _ in src_idx.monomials]
         for oi, op in enumerate(ops):
-            images = [op(SuperPolynomial.from_monomial(sig, m)) for m in group]
-            mod = mod_for(oi)
-            if mod:
-                img_monos = {m for p in images for m in p.terms} | mod_monos
-                img_idx = MonomialIndex(img_monos)
-                ech = Echelon()
-                for p in mod:
-                    ech.insert(img_idx.vec(p))
-                reduced = [ech.reduce_fraction(img_idx.vec_fraction(p)) for p in images]
-            else:
-                img_monos = {m for p in images for m in p.terms}
-                img_idx = MonomialIndex(img_monos)
-                reduced = [img_idx.vec_fraction(p) for p in images]
-            for col, vec in enumerate(reduced):
-                for row_i, val in vec.items():
-                    stacked[col][offset + row_i] = val
-            offset += len(img_idx)
+            for col, m in enumerate(src_idx.monomials):
+                terms = op(SuperPolynomial.from_monomial(sig, m)).terms
+                if oi < num_mod:
+                    terms = _reduce_modulo(terms, mod_idx, mod_ech)
+                for mono, c in terms.items():
+                    stacked[col][rows.setdefault((oi, mono), len(rows))] = c
         combos = linalg.kernel(linalg.exact_int_columns(stacked))
         for row in combos:
             out.append(src_idx.poly(sig, row))
+    return out
+
+
+def _reduce_modulo(terms, mod_idx: MonomialIndex, mod_ech: Echelon) -> dict:
+    """Exact remainder of {monomial: coeff} modulo the echelonized span."""
+    out = {}
+    inside = {}
+    for m, c in terms.items():
+        i = mod_idx.index.get(m)
+        if i is None:
+            out[m] = c
+        else:
+            inside[i] = c
+    for i, c in mod_ech.reduce_fraction(inside).items():
+        out[mod_idx.monomials[i]] = c
     return out
 
 
@@ -349,8 +360,9 @@ def _dim_at_degree(idx: MonomialIndex, vectors, d: int) -> int:
     return len(linalg.restrict_to_zone(vecs, _degree_zone(idx, d)))
 
 
-def _monos_up_to(cfg, k, d) -> int:
-    return len(slice_monomials(SliceKey(cfg, k, d)))
+def _monos_up_to(idx: MonomialIndex, d: int) -> int:
+    """Slice monomials of total degree <= d (the index sorts by degree first)."""
+    return bisect_right(idx.monomials, d, key=lambda m: m.total_degree)
 
 
 def eta_image(cfg, k_source, source_degree, power=1, cap=None) -> list[SuperPolynomial]:
@@ -425,7 +437,7 @@ def verify_direct_sum(
         both.insert(r)
     sum_rows = [dict(r) for r in both.basis()]
     for d in range(0, D - margin + 1):
-        dim_a = _monos_up_to(cfg, k, d)
+        dim_a = _monos_up_to(idx, d)
         if dim_a == 0:
             continue
         zone = _degree_zone(idx, d)
@@ -459,24 +471,18 @@ def _stable_under_action(cfg, vectors, idx, D) -> tuple[bool, str | None]:
     return True, None
 
 
-def _generates_layer(cfg, seed_vec, top_vectors, bottom_vectors, key, margin):
+def _generates_layer(seed_vec, top_vectors, bottom_vectors, key, idx, margin):
     """Does <seed> + bottom cover top on the verified window levels?
 
     Returns (True, -1) or (False, first failing degree level).
     """
-    D = key.max_degree
-    idx = MonomialIndex(slice_monomials(key))
     gen = generate_submodule(key, [seed_vec], margin)
-    for d in range(0, D - margin + 1):
+    lhs_vecs = [idx.vec(p) for p in gen.vectors + bottom_vectors]
+    rhs_vecs = [idx.vec(p) for p in top_vectors]
+    for d in range(0, key.max_degree - margin + 1):
         zone = _degree_zone(idx, d)
-        lhs = linalg.restrict_to_zone(
-            [idx.vec(p) for p in gen.vectors + bottom_vectors], zone
-        )
-        rhs = linalg.restrict_to_zone([idx.vec(p) for p in top_vectors], zone)
-        lhs_ech = Echelon()
-        for r in lhs:
-            lhs_ech.insert(r)
-        for r in rhs:
+        lhs_ech = linalg.span(linalg.restrict_to_zone(lhs_vecs, zone))
+        for r in linalg.restrict_to_zone(rhs_vecs, zone):
             if not lhs_ech.contains(r):
                 return False, d
     return True, -1
@@ -592,24 +598,21 @@ def verify_composition_series(
     # otherwise it may be a window artifact.
     exact = slice_is_exact(cfg, k, D)
     miss = "fail" if exact else "inconclusive-window"
-    for (name_hi, hi_vecs), (name_lo, lo_vecs) in zip(
-        [(n_, v_) for n_, v_ in terms[:-1]], terms[1:]
-    ):
-        lo_polys = lo_vecs
-        sing = singular_vectors(key, "positive", "A", modulo=lo_polys or None)
-        hi_ech = Echelon()
-        for p in hi_vecs:
-            hi_ech.insert(idx.vec(p))
-        layer_sing = [
-            s for s in sing if hi_ech.contains(idx.vec(s))
-            and not _in_span(idx, lo_polys, s)
-        ]
+    for (name_hi, hi_vecs), (name_lo, lo_vecs) in zip(terms[:-1], terms[1:]):
+        sing = singular_vectors(key, "positive", "A", modulo=lo_vecs or None)
+        hi_ech = linalg.span([idx.vec(p) for p in hi_vecs])
+        lo_ech = linalg.span([idx.vec(p) for p in lo_vecs])
+        layer_sing = []
+        for s in sing:
+            v = idx.vec(s)
+            if hi_ech.contains(v) and not lo_ech.contains(v):
+                layer_sing.append(s)
         if not layer_sing:
             statuses.append(miss)
             rep.notes.append(f"no singular vector found for layer {name_hi}/{name_lo}")
             continue
         for s in layer_sing:
-            ok, bad_d = _generates_layer(cfg, s, hi_vecs, lo_polys, key, margin)
+            ok, bad_d = _generates_layer(s, hi_vecs, lo_vecs, key, idx, margin)
             if not ok:
                 statuses.append(miss)
                 rep.notes.append(
@@ -621,15 +624,6 @@ def verify_composition_series(
 
     rep.status = _combine(statuses)
     return rep
-
-
-def _in_span(idx, polys, p) -> bool:
-    if not polys:
-        return p.is_zero()
-    ech = Echelon()
-    for q in polys:
-        ech.insert(idx.vec(q))
-    return ech.contains(idx.vec(p))
 
 
 def slice_is_exact(cfg: RepConfig, k: int, max_degree: int) -> bool:
@@ -705,7 +699,7 @@ def verify_aprime_structure(
         for s in seeds:
             gen = generate_submodule(key, [s], margin)
             for d in range(0, D - margin + 1):
-                dim_a = _monos_up_to(work, k, d)
+                dim_a = _monos_up_to(idx, d)
                 if dim_a == 0:
                     continue
                 got = _dim_at_degree(idx, gen.vectors, d)
@@ -743,7 +737,7 @@ def verify_aprime_structure(
         both.insert(rr)
     sum_rows = [dict(r) for r in both.basis()]
     for d in range(0, D - margin + 1):
-        dim_a = _monos_up_to(work, k, d)
+        dim_a = _monos_up_to(idx, d)
         if dim_a == 0:
             continue
         zone = _degree_zone(idx, d)
@@ -806,7 +800,7 @@ def bigraded_harmonic(cfg: RepConfig, s: int, t: int) -> list[SuperPolynomial]:
         return []
     idx = MonomialIndex(monos)
     images = [lower(SuperPolynomial.from_monomial(sig, m)) for m in monos]
-    img_idx = _image_index(cfg, images)
+    img_idx = _image_index(images)
     combos = linalg.kernel(
         linalg.exact_int_columns([img_idx.vec_fraction(p) for p in images])
     )

@@ -22,6 +22,7 @@ from ospoly.osp import (
     unit,
     weight_of,
     weight_to_fundamental,
+    _dense_solve,
 )
 from ospoly.superpoly import SuperMonomial, SuperPolynomial, derive, theta_word
 
@@ -276,6 +277,15 @@ def test_weight_rendering_spin_convention():
     w = weight_of(cfg, theta_word(cfg.signature, [1, 2]))
     # (-1,-1 | 1,1) = -2 lam2 + nu2 under the declared conversion
     assert weight_to_fundamental(cfg, w) == "-2*lam2 + nu2"
+
+
+def test_dense_solve_names_singular_column():
+    F = Fraction
+    # columns (1, 1) and (0, 1): 3*(1, 1) - 2*(0, 1) = (3, 1)
+    assert _dense_solve([[F(1), F(1)], [F(0), F(1)]], [F(3), F(1)]) == [3, -2]
+    # columns (1, 0) and (2, 0) leave column 1 without a pivot
+    with pytest.raises(ValueError, match="column 1"):
+        _dense_solve([[F(1), F(0)], [F(2), F(0)]], [F(1), F(0)])
 
 
 # -- lowering/raising pair ----------------------------------------------

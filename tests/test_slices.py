@@ -4,8 +4,10 @@ Expected dimensions are frozen from the brute-force oracles in oracles.py
 (independent enumeration + dense rational nullspace).
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from ospoly.osp import (
     delta_eta,
     eta_polynomial,
     k_degree,
+    monomial_weight,
     osp_basis,
     rep_element,
     variable_k_weights,
@@ -39,6 +42,7 @@ from oracles import dense_nullspace, enumerate_slice
 
 A11_R0 = config_a(1, 1, 0)
 A11_R1 = config_a(1, 1, 1)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def oracle_slice_count(cfg, k, D):
@@ -222,6 +226,72 @@ def test_aprime_highest_weight_vector():
     assert "1 * x2 t1 t2" in reprs
 
 
+@pytest.mark.parametrize("within", ["A", "H"])
+def test_quotient_singular_vectors_match_dense_oracle(within):
+    """singular_vectors(..., modulo=...) against a dense rational oracle.
+
+    v lies in span(modulo) exactly when every vector of the dense nullspace
+    of the modulo matrix (its annihilator) vanishes on v; per weight group
+    the quotient singular space is the nullspace of those conditions on the
+    positive-operator images (plus lowering-operator annihilation for H).
+    """
+    cfg = config_a(2, 1, 1)
+    sig = cfg.signature
+    key = SliceKey(cfg, 2, 6)
+    modulo = eta_image(cfg, 0, 6, 1, cap=6)
+    sing = singular_vectors(key, "positive", within, modulo=modulo)
+    assert sing
+    assert singular_vectors(key, "positive", within, modulo=modulo[::-1]) == sing
+
+    pos_ops = [rep_element(cfg, e) for e in osp_basis(cfg, "positive")]
+    lower, _ = delta_eta(cfg)
+    monos = slice_monomials(key)
+    images = {
+        (op, m): op(SuperPolynomial.from_monomial(sig, m))
+        for op in pos_ops
+        for m in monos
+    }
+    coords = sorted(
+        {t for p in list(images.values()) + modulo for t in p.terms},
+        key=lambda m: m.sort_key(),
+    )
+    annihilator = [
+        dict(zip(coords, x))
+        for x in dense_nullspace(
+            [[p.terms.get(t, 0) for t in coords] for p in modulo], len(coords)
+        )
+    ]
+
+    def conditions(p):
+        return [sum(c * x[t] for t, c in p.terms.items()) for x in annihilator]
+
+    for s in sing:
+        for op in pos_ops:
+            assert not any(conditions(op(s))), (str(s), str(op))
+        if within == "H":
+            assert lower(s).is_zero()
+
+    groups = {}
+    for m in monos:
+        groups.setdefault(monomial_weight(cfg, m), []).append(m)
+    found = {}
+    for s in sing:
+        w = monomial_weight(cfg, next(iter(s.terms)))
+        found[w] = found.get(w, 0) + 1
+    for w, group in groups.items():
+        cols = [
+            sum((conditions(images[op, m]) for op in pos_ops), [])
+            for m in group
+        ]
+        if within == "H":
+            lows = [lower(SuperPolynomial.from_monomial(sig, m)) for m in group]
+            targets = {t for p in lows for t in p.terms}
+            for col, p in zip(cols, lows):
+                col.extend(p.terms.get(t, 0) for t in targets)
+        rows = [list(r) for r in zip(*cols)]
+        assert found.get(w, 0) == len(dense_nullspace(rows, len(group))), w
+
+
 # -- closures --------------------------------------------------------------
 
 
@@ -325,6 +395,19 @@ def test_series_fully_swapped_edge():
     cfg = config_a(2, 1, 1)  # r = m1-1 = 1: chain with the generated middle term
     rep = verify_composition_series(cfg, 2, 8, margin=4)
     assert rep.status == "pass", (rep.notes, rep.dims)
+
+
+@pytest.mark.parametrize(
+    "name, cfg, k, D, margin",
+    [
+        ("series_A211_k2_D12_m4", config_a(2, 1, 1), 2, 12, 4),
+        ("series_A311_k1_D6_m2", config_a(3, 1, 1), 1, 6, 2),
+    ],
+)
+def test_series_report_matches_golden(name, cfg, k, D, margin):
+    rep = verify_composition_series(cfg, k, D, margin)
+    got = json.dumps(rep.to_dict(), indent=1, sort_keys=True) + "\n"
+    assert got == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_aprime_irreducible_marked_case():
