@@ -7,20 +7,27 @@ matrix units; ``osp_basis`` returns those spanning sets (whole algebra, even
 part, odd part, Cartan, positive part, even positive part) for both even and
 odd m.
 
-Two families of actions on supercommutative polynomials are provided, both
-"swapped" variants of the canonical one:
+Both families of actions on supercommutative polynomials come from one
+move.  Canonically each gl index a names one variable v_a and E(i,j) acts as
+v_i d/dv_j; a "swapped" representation then exchanges multiplication by x
+with d/dx, and d/dx with -x, on a chosen set of bosonic variables:
 
-* family A on C[x_1..x_m; t_1..t_2n], where multiplication by x_i and
-  d/dx_i are exchanged (with a sign) for i in 1..r;
-* family A' on C[x_1..x_2n; t_1..t_m], where the exchange happens for the
-  bosonic indices in a chosen subset T of 1..2n.
+* family A on C[x_1..x_m; t_1..t_2n]: index a <= m names x_a, index m+p
+  names t_p, and the swapped variables are x_1..x_r;
+* family A' on C[x_1..x_2n; t_1..t_m]: index p <= m names t_p, index m+a
+  names x_a, and the swapped variables are the x_a with a in T, a subset of
+  1..2n.
 
+``_swapped`` and ``_role`` hold this data and ``_swap`` applies the rule;
+every realized operator, the grading and the weights are derived from them.
 ``rep_matrix_unit`` realizes a single E(i,j) as a SuperOperator; the induced
 map on osp is a representation, which the test-suite verifies exactly
 through the superbracket identity.  ``k_degree`` gives the integer grading
-each family preserves, ``delta_eta`` the pair of quadratic operators whose
-kernel/image decompose each graded piece, and ``weight_of`` the simultaneous
-Cartan eigenvalue vector in epsilon coordinates.
+each family preserves (a swapped variable of exponent e counts -e),
+``delta_eta`` the pair of quadratic operators whose kernel/image decompose
+each graded piece, and ``weight_of`` the simultaneous Cartan eigenvalue
+vector in epsilon coordinates (a swapped variable contributes -e-1 to its
+E(a,a) eigenvalue).
 
 Weights are stored as epsilon coordinates (one rational per Cartan basis
 element).  Rendering in terms of fundamental weights is best-effort via the
@@ -246,73 +253,64 @@ def superbracket(u: MatrixElement, v: MatrixElement) -> MatrixElement:
 
 
 # ---------------------------------------------------------------------------
-# the swapped polynomial actions
+# the swap rule: the one place that knows what distinguishes the families
+
+
+def _swapped(cfg: RepConfig) -> frozenset[int]:
+    """1-based indices of the swapped bosonic variables: {1..r} or T."""
+    if cfg.family == "A":
+        return frozenset(range(1, cfg.r + 1))
+    return cfg.T
+
+
+def _role(cfg: RepConfig, a: int) -> tuple[bool, int]:
+    """(is bosonic, 1-based variable index) of the variable gl index a acts on.
+
+    Family A puts the bosonic x_1..x_m on the indices 1..m and the fermionic
+    t_1..t_2n on m+1..m+2n; family A' puts t_1..t_m on 1..m and x_1..x_2n on
+    m+1..m+2n.
+    """
+    bosonic = (a <= cfg.m) == (cfg.family == "A")
+    return bosonic, a if a <= cfg.m else a - cfg.m
+
+
+def _canonical(cfg: RepConfig, a: int, mul: bool):
+    """Unswapped action of gl index a: multiply by its variable if mul, else
+    differentiate by it."""
+    bosonic, v = _role(cfg, a)
+    if bosonic:
+        return (MUL_X if mul else DER_X), v - 1
+    return (MUL_T if mul else DER_T), v - 1
+
+
+def _swap(cfg: RepConfig, coeff, chain) -> tuple:
+    """The atom coeff * chain with x -> d/dx, d/dx -> -x on swapped variables."""
+    swapped = _swapped(cfg)
+    out = []
+    for kind, v in chain:
+        if kind in (MUL_X, DER_X) and v + 1 in swapped:
+            if kind == DER_X:
+                coeff = -coeff
+            kind = DER_X if kind == MUL_X else MUL_X
+        out.append((kind, v))
+    return coeff, tuple(out)
 
 
 def rep_matrix_unit(cfg: RepConfig, i: int, j: int) -> SuperOperator:
-    """Operator realizing E(i,j) in the given configuration."""
+    """Operator realizing E(i,j) in the given configuration.
+
+    Canonically E(i,j) multiplies by the variable of index i after
+    differentiating by the variable of index j (``_role`` says which variable
+    an index names).  The swap rule then exchanges, on every swapped bosonic
+    variable, multiplication by x with d/dx and d/dx with -x.  A swapped
+    diagonal E(i,i) thus acts as -d/dx_i x_i = -x_i d/dx_i - 1.
+    """
     m, size = cfg.m, cfg.gl_size
     if not (1 <= i <= size and 1 <= j <= size):
         raise ValueError(f"index ({i},{j}) outside 1..{size}")
-    sig = cfg.signature
     parity = ODD if (i <= m) != (j <= m) else EVEN
-
-    def op(coeff, chain):
-        return SuperOperator(sig, [(Fraction(coeff), chain)], parity)
-
-    if cfg.family == "A":
-        r = cfg.r
-        swapped = lambda a: a <= r
-        if i <= m and j <= m:
-            if swapped(i) and swapped(j):
-                out = op(-1, ((MUL_X, j - 1), (DER_X, i - 1)))
-                if i == j:
-                    out = out + op(-1, ())
-                return out
-            if swapped(i):
-                return op(1, ((DER_X, i - 1), (DER_X, j - 1)))
-            if swapped(j):
-                return op(-1, ((MUL_X, i - 1), (MUL_X, j - 1)))
-            return op(1, ((MUL_X, i - 1), (DER_X, j - 1)))
-        if i <= m < j:
-            p = j - m
-            if swapped(i):
-                return op(1, ((DER_X, i - 1), (DER_T, p - 1)))
-            return op(1, ((MUL_X, i - 1), (DER_T, p - 1)))
-        if j <= m < i:
-            p = i - m
-            if swapped(j):
-                return op(-1, ((MUL_T, p - 1), (MUL_X, j - 1)))
-            return op(1, ((MUL_T, p - 1), (DER_X, j - 1)))
-        p, q = i - m, j - m
-        return op(1, ((MUL_T, p - 1), (DER_T, q - 1)))
-
-    # family Aprime: bosonic variables carry the symplectic indices.
-    T = cfg.T
-    if i <= m and j <= m:
-        return op(1, ((MUL_T, i - 1), (DER_T, j - 1)))
-    if i > m and j > m:
-        a, b = i - m, j - m
-        if a in T and b in T:
-            out = op(-1, ((MUL_X, b - 1), (DER_X, a - 1)))
-            if a == b:
-                out = out + op(-1, ())
-            return out
-        if a in T:
-            return op(1, ((DER_X, a - 1), (DER_X, b - 1)))
-        if b in T:
-            return op(-1, ((MUL_X, a - 1), (MUL_X, b - 1)))
-        return op(1, ((MUL_X, a - 1), (DER_X, b - 1)))
-    if i > m:  # E(m+a, p)
-        a, p = i - m, j
-        if a in T:
-            return op(1, ((DER_X, a - 1), (DER_T, p - 1)))
-        return op(1, ((MUL_X, a - 1), (DER_T, p - 1)))
-    # E(p, m+b)
-    p, b = i, j - m
-    if b in T:
-        return op(-1, ((MUL_T, p - 1), (MUL_X, b - 1)))
-    return op(1, ((MUL_T, p - 1), (DER_X, b - 1)))
+    atom = _swap(cfg, 1, (_canonical(cfg, i, True), _canonical(cfg, j, False)))
+    return SuperOperator(cfg.signature, [atom], parity)
 
 
 def rep_element(cfg: RepConfig, elem: MatrixElement) -> SuperOperator:
@@ -324,177 +322,107 @@ def rep_element(cfg: RepConfig, elem: MatrixElement) -> SuperOperator:
 
 
 def k_degree(cfg: RepConfig, mono) -> int:
-    """Integer grading preserved by the action.
-
-    Family A: fermionic count minus swapped bosonic degrees plus the rest.
-    Family A': fermionic count plus unswapped bosonic degrees minus swapped.
-    """
-    bos, mask = mono.bos, mono.mask
-    t = bin(mask).count("1")
-    if cfg.family == "A":
-        r = cfg.r
-        return t - sum(bos[:r]) + sum(bos[r:])
-    total = t
-    for idx, e in enumerate(bos, start=1):
-        total += -e if idx in cfg.T else e
-    return total
+    """Integer grading preserved by the action: fermionic count plus the
+    unswapped bosonic degrees minus the swapped ones."""
+    weights, ferm = variable_k_weights(cfg)
+    return ferm * bin(mono.mask).count("1") + sum(
+        w * e for w, e in zip(weights, mono.bos)
+    )
 
 
 def variable_k_weights(cfg: RepConfig) -> tuple[list[int], int]:
     """Per-bosonic-variable contribution to k_degree, and the fermionic one."""
-    if cfg.family == "A":
-        return [(-1 if i <= cfg.r else 1) for i in range(1, cfg.m + 1)], 1
-    return [(-1 if i in cfg.T else 1) for i in range(1, 2 * cfg.n + 1)], 1
+    swapped = _swapped(cfg)
+    nb = cfg.signature.num_bosonic
+    return [(-1 if i in swapped else 1) for i in range(1, nb + 1)], 1
 
 
 # ---------------------------------------------------------------------------
 # spanning sets
 
 
-def _pm(cfg, spec):
-    """Build sum_k coeff_k E(i_k, j_k) from ((coeff, i, j), ...)."""
-    out = None
-    for c, i, j in spec:
-        e = unit(cfg, i, j).scale(c)
-        out = e if out is None else out + e
-    return out
+def _root_element(cfg: RepConfig, a: int, b: int) -> MatrixElement:
+    """E(a,b) - eps(a) eps(b) E(b', a'), the osp element led by E(a,b).
+
+    The partner a' of an index is i <-> m1+i on the orthogonal pairs, the
+    unpaired 2*m1+1 (odd m) itself, and m+p <-> m+n+p on the symplectic
+    pairs; eps is -1 on m+n+1..m+2n and +1 elsewhere.
+    """
+    m1, n, m = cfg.m1, cfg.n, cfg.m
+
+    def partner(c):
+        if c <= 2 * m1:
+            return c + m1 if c <= m1 else c - m1
+        if c <= m:
+            return c
+        return c + n if c <= m + n else c - n
+
+    eps_ab = -1 if (a > m + n) != (b > m + n) else 1
+    return unit(cfg, a, b) + unit(cfg, partner(b), partner(a)).scale(-eps_ab)
 
 
 def osp_basis(cfg: RepConfig, part: str = "all") -> list[MatrixElement]:
     """Spanning set of the requested part of osp(m|2n).
 
     part: "all", "even", "odd", "cartan", "positive", "positive_even".
+    Each element is ``_root_element(a, b)``.  For odd m the unpaired row
+    u = 2*m1+1 only appends its own entries to the lists of even m.
     """
-    if cfg.m_parity == "even":
-        return _osp_basis_even(cfg, part)
-    return _osp_basis_odd(cfg, part)
-
-
-def _osp_basis_even(cfg, part):
-    m1, n = cfg.m1, cfg.n
-    m = 2 * m1
-    so_even, sp_even, odd = [], [], []
-    for i in range(1, m1 + 1):
-        for j in range(1, m1 + 1):
-            so_even.append(_pm(cfg, ((1, i, j), (-1, m1 + j, m1 + i))))
-    for i in range(1, m1 + 1):
-        for j in range(i + 1, m1 + 1):
-            so_even.append(_pm(cfg, ((1, i, m1 + j), (-1, j, m1 + i))))
-            so_even.append(_pm(cfg, ((1, m1 + i, j), (-1, m1 + j, i))))
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            sp_even.append(_pm(cfg, ((1, m + p, m + q), (-1, m + n + q, m + n + p))))
-    for p in range(1, n + 1):
-        for q in range(p, n + 1):
-            sp_even.append(_pm(cfg, ((1, m + p, m + n + q), (1, m + q, m + n + p))))
-            sp_even.append(_pm(cfg, ((1, m + n + p, m + q), (1, m + n + q, m + p))))
-    for i in range(1, m1 + 1):
-        for p in range(1, n + 1):
-            odd.append(_pm(cfg, ((1, i, m + p), (-1, m + n + p, m1 + i))))
-            odd.append(_pm(cfg, ((1, i, m + n + p), (1, m + p, m1 + i))))
-            odd.append(_pm(cfg, ((1, m1 + i, m + p), (-1, m + n + p, i))))
-            odd.append(_pm(cfg, ((1, m1 + i, m + n + p), (1, m + p, i))))
-    if part == "even":
-        return so_even + sp_even
-    if part == "odd":
-        return odd
-    if part == "all":
-        return so_even + sp_even + odd
+    m1, n, m = cfg.m1, cfg.n, cfg.m
+    u = m  # the unpaired row/column when m is odd
+    odd_m = cfg.m_parity == "odd"
     if part == "cartan":
-        h = [_pm(cfg, ((1, i, i), (-1, m1 + i, m1 + i))) for i in range(1, m1 + 1)]
-        h += [
-            _pm(cfg, ((1, m + j, m + j), (-1, m + n + j, m + n + j)))
-            for j in range(1, n + 1)
-        ]
-        return h
-    if part in ("positive", "positive_even"):
-        pos = []
+        leads = [(i, i) for i in range(1, m1 + 1)]
+        leads += [(m + j, m + j) for j in range(1, n + 1)]
+    elif part in ("all", "even", "odd"):
+        so_even, sp_even, odd = [], [], []
+        for i in range(1, m1 + 1):
+            for j in range(1, m1 + 1):
+                so_even.append((i, j))
         for i in range(1, m1 + 1):
             for j in range(i + 1, m1 + 1):
-                pos.append(_pm(cfg, ((1, i, j), (-1, m1 + j, m1 + i))))
-                pos.append(_pm(cfg, ((1, i, m1 + j), (-1, j, m1 + i))))
+                so_even += [(i, m1 + j), (m1 + i, j)]
+        if odd_m:
+            for i in range(1, m1 + 1):
+                so_even += [(i, u), (m1 + i, u)]
         for p in range(1, n + 1):
-            for q in range(p + 1, n + 1):
-                pos.append(_pm(cfg, ((1, m + p, m + q), (-1, m + n + q, m + n + p))))
+            for q in range(1, n + 1):
+                sp_even.append((m + p, m + q))
         for p in range(1, n + 1):
             for q in range(p, n + 1):
-                pos.append(_pm(cfg, ((1, m + p, m + n + q), (1, m + q, m + n + p))))
-        if part == "positive":
-            for i in range(1, m1 + 1):
-                for q in range(1, n + 1):
-                    pos.append(_pm(cfg, ((1, i, m + q), (-1, m + n + q, m1 + i))))
-                    pos.append(_pm(cfg, ((1, i, m + n + q), (1, m + q, m1 + i))))
-        return pos
-    raise ValueError(f"unknown part {part!r}")
-
-
-def _osp_basis_odd(cfg, part):
-    m1, n = cfg.m1, cfg.n
-    m = 2 * m1 + 1
-    u = m  # index of the unpaired row/column 2*m1+1
-    so_even, sp_even, odd = [], [], []
-    for i in range(1, m1 + 1):
-        for j in range(1, m1 + 1):
-            so_even.append(_pm(cfg, ((1, i, j), (-1, m1 + j, m1 + i))))
-    for i in range(1, m1 + 1):
-        for j in range(i + 1, m1 + 1):
-            so_even.append(_pm(cfg, ((1, i, m1 + j), (-1, j, m1 + i))))
-            so_even.append(_pm(cfg, ((1, m1 + i, j), (-1, m1 + j, i))))
-    for i in range(1, m1 + 1):
-        so_even.append(_pm(cfg, ((1, i, u), (-1, u, m1 + i))))
-        so_even.append(_pm(cfg, ((1, m1 + i, u), (-1, u, i))))
-    for p in range(1, n + 1):
-        for q in range(1, n + 1):
-            sp_even.append(_pm(cfg, ((1, m + p, m + q), (-1, m + n + q, m + n + p))))
-    for p in range(1, n + 1):
-        for q in range(p, n + 1):
-            sp_even.append(_pm(cfg, ((1, m + p, m + n + q), (1, m + q, m + n + p))))
-            sp_even.append(_pm(cfg, ((1, m + n + p, m + q), (1, m + n + q, m + p))))
-    for i in range(1, m1 + 1):
-        for p in range(1, n + 1):
-            odd.append(_pm(cfg, ((1, i, m + p), (-1, m + n + p, m1 + i))))
-            odd.append(_pm(cfg, ((1, i, m + n + p), (1, m + p, m1 + i))))
-            odd.append(_pm(cfg, ((1, m1 + i, m + p), (-1, m + n + p, i))))
-            odd.append(_pm(cfg, ((1, m1 + i, m + n + p), (1, m + p, i))))
-    for p in range(1, n + 1):
-        odd.append(_pm(cfg, ((1, u, m + p), (-1, m + n + p, u))))
-        odd.append(_pm(cfg, ((1, u, m + n + p), (1, m + p, u))))
-    if part == "even":
-        return so_even + sp_even
-    if part == "odd":
-        return odd
-    if part == "all":
-        return so_even + sp_even + odd
-    if part == "cartan":
-        h = [_pm(cfg, ((1, i, i), (-1, m1 + i, m1 + i))) for i in range(1, m1 + 1)]
-        h += [
-            _pm(cfg, ((1, m + j, m + j), (-1, m + n + j, m + n + j)))
-            for j in range(1, n + 1)
-        ]
-        return h
-    if part in ("positive", "positive_even"):
-        pos = []
+                sp_even += [(m + p, m + n + q), (m + n + p, m + q)]
         for i in range(1, m1 + 1):
-            for j in range(i + 1, m1 + 1):
-                pos.append(_pm(cfg, ((1, i, j), (-1, m1 + j, m1 + i))))
-                pos.append(_pm(cfg, ((1, i, m1 + j), (-1, j, m1 + i))))
-        for i in range(1, m1 + 1):
-            pos.append(_pm(cfg, ((1, i, u), (-1, u, m1 + i))))
-        for p in range(1, n + 1):
-            for q in range(p + 1, n + 1):
-                pos.append(_pm(cfg, ((1, m + p, m + q), (-1, m + n + q, m + n + p))))
-        for p in range(1, n + 1):
-            for q in range(p, n + 1):
-                pos.append(_pm(cfg, ((1, m + p, m + n + q), (1, m + q, m + n + p))))
-        if part == "positive":
-            for i in range(1, m1 + 1):
-                for q in range(1, n + 1):
-                    pos.append(_pm(cfg, ((1, i, m + q), (-1, m + n + q, m1 + i))))
-                    pos.append(_pm(cfg, ((1, i, m + n + q), (1, m + q, m1 + i))))
             for p in range(1, n + 1):
-                pos.append(_pm(cfg, ((1, u, m + n + p), (1, m + p, u))))
-        return pos
-    raise ValueError(f"unknown part {part!r}")
+                odd += [(i, m + p), (i, m + n + p)]
+                odd += [(m1 + i, m + p), (m1 + i, m + n + p)]
+        if odd_m:
+            for p in range(1, n + 1):
+                odd += [(u, m + p), (u, m + n + p)]
+        leads = {
+            "all": so_even + sp_even + odd, "even": so_even + sp_even, "odd": odd
+        }[part]
+    elif part in ("positive", "positive_even"):
+        leads = []
+        for i in range(1, m1 + 1):
+            for j in range(i + 1, m1 + 1):
+                leads += [(i, j), (i, m1 + j)]
+        if odd_m:
+            leads += [(i, u) for i in range(1, m1 + 1)]
+        for p in range(1, n + 1):
+            for q in range(p + 1, n + 1):
+                leads.append((m + p, m + q))
+        for p in range(1, n + 1):
+            for q in range(p, n + 1):
+                leads.append((m + p, m + n + q))
+        if part == "positive":
+            for i in range(1, m1 + 1):
+                for q in range(1, n + 1):
+                    leads += [(i, m + q), (i, m + n + q)]
+            if odd_m:
+                leads += [(u, m + n + p) for p in range(1, n + 1)]
+    else:
+        raise ValueError(f"unknown part {part!r}")
+    return [_root_element(cfg, a, b) for a, b in leads]
 
 
 # ---------------------------------------------------------------------------
@@ -533,22 +461,16 @@ def weight_of(cfg: RepConfig, p: SuperPolynomial) -> Weight | None:
 def monomial_weight(cfg: RepConfig, mono) -> Weight:
     """Weight of a single monomial (the Cartan acts diagonally on monomials)."""
     bos, mask = mono.bos, mono.mask
+    swapped = _swapped(cfg)
 
     def bos_eig(a: int) -> Fraction:
-        # eigenvalue of E(a,a) on the monomial, by variable role
-        if cfg.family == "A":
-            swapped = a <= cfg.r if a <= cfg.m else False
-            if a <= cfg.m:
-                e = bos[a - 1]
-                return Fraction(-e - 1) if swapped else Fraction(e)
-            pbit = 1 << (a - cfg.m - 1)
-            return Fraction(1 if mask & pbit else 0)
-        if a <= cfg.m:
-            pbit = 1 << (a - 1)
-            return Fraction(1 if mask & pbit else 0)
-        idx = a - cfg.m
-        e = bos[idx - 1]
-        return Fraction(-e - 1) if idx in cfg.T else Fraction(e)
+        # eigenvalue of E(a,a) on the monomial: the exponent e of its
+        # variable, or -e-1 for a swapped one (E(a,a) acts as -d/dx x)
+        bosonic, v = _role(cfg, a)
+        if not bosonic:
+            return Fraction(mask >> (v - 1) & 1)
+        e = bos[v - 1]
+        return Fraction(-e - 1) if v in swapped else Fraction(e)
 
     m1, n, m = cfg.m1, cfg.n, cfg.m
     so = tuple(bos_eig(i) - bos_eig(m1 + i) for i in range(1, m1 + 1))
@@ -565,21 +487,11 @@ def weight_to_fundamental(cfg: RepConfig, w: Weight) -> str:
     the solve needs non-integer multiples they are printed as fractions.
     """
     m1 = cfg.m1
-    cols: list[list[Fraction]] = []
-    if cfg.m_parity == "even":
-        for i in range(1, m1 + 1):
-            col = [Fraction(1)] * i + [Fraction(0)] * (m1 - i)
-            cols.append(col)
-        if m1 >= 2:
-            cols[m1 - 2] = [Fraction(1, 2)] * (m1 - 1) + [Fraction(-1, 2)]
-        if m1 >= 1:
-            cols[m1 - 1] = [Fraction(1, 2)] * m1
-    else:
-        for i in range(1, m1 + 1):
-            col = [Fraction(1)] * i + [Fraction(0)] * (m1 - i)
-            cols.append(col)
-        if m1 >= 1:
-            cols[m1 - 1] = [Fraction(1, 2)] * m1
+    cols = [[Fraction(1)] * i + [Fraction(0)] * (m1 - i) for i in range(1, m1 + 1)]
+    if cfg.m_parity == "even" and m1 >= 2:
+        cols[m1 - 2] = [Fraction(1, 2)] * (m1 - 1) + [Fraction(-1, 2)]
+    if m1 >= 1:
+        cols[m1 - 1] = [Fraction(1, 2)] * m1
     coeffs = _dense_solve(cols, list(w.eps_so))
     parts = []
     for i, c in enumerate(coeffs, start=1):
@@ -630,39 +542,24 @@ def _fmt_coeff(c: Fraction, name: str) -> str:
 def delta_eta(cfg: RepConfig) -> tuple[SuperOperator, SuperOperator]:
     """The grading-lowering operator and its raising partner.
 
-    Family A, even m: the swapped bosonic pairs contribute -x_i d/dx_{m1+i}
-    to the lowering operator and x_{m1+i} d/dx_i to the raising one; the
-    unswapped pairs contribute second derivatives / products; fermionic
-    pairs (t_j, t_{n+j}) always contribute derivative pairs / products.
-    Family A, odd m: same shape with every paired term weighted by 2 and the
-    unpaired variable contributing its square (of derivative / of itself);
-    the fermionic block is weighted by 2.
-    Family A': defined for the normal form T = {1..n}; bosonic pairs are
-    (x_i, x_{n+i}) all swapped, fermionic pairs (t_j, t_{m1+j}).
+    Canonically the pair is sum_(a,b) w d/dv_a d/dv_b and sum_(a,b) w v_a v_b
+    over the paired gl indices: the orthogonal pairs (i, m1+i), the
+    unpaired 2*m1+1 with itself (odd m, weight 1) and the symplectic pairs
+    (m+j, m+n+j); w is 2 for odd m and 1 otherwise.  The swap rule of
+    ``rep_matrix_unit`` then turns each swapped factor d/dx into -x and x
+    into d/dx, so a pair with one swapped variable x_a contributes
+    -w x_a d/dx_b to the lowering operator and w d/dx_a x_b to the raising
+    one.  Family A' is defined for even m and the normal form T = {1..n}
+    only; there the symplectic (bosonic) pairs come first.
     """
-    sig = cfg.signature
-    m1, n = cfg.m1, cfg.n
-    d_atoms, e_atoms = [], []
+    m1, n, m = cfg.m1, cfg.n, cfg.m
+    w = 2 if cfg.m_parity == "odd" else 1
+    orth = [(w, i, m1 + i) for i in range(1, m1 + 1)]
+    if cfg.m_parity == "odd":
+        orth.append((1, m, m))
+    symp = [(w, m + j, m + n + j) for j in range(1, n + 1)]
     if cfg.family == "A":
-        r = cfg.r
-        w = 2 if cfg.m_parity == "odd" else 1
-        for i in range(1, m1 + 1):
-            xi, xmi = i - 1, m1 + i - 1
-            if i <= r:
-                d_atoms.append((Fraction(-w), ((MUL_X, xi), (DER_X, xmi))))
-                e_atoms.append((Fraction(w), ((MUL_X, xmi), (DER_X, xi))))
-            else:
-                d_atoms.append((Fraction(w), ((DER_X, xi), (DER_X, xmi))))
-                e_atoms.append((Fraction(w), ((MUL_X, xi), (MUL_X, xmi))))
-        if cfg.m_parity == "odd":
-            xu = 2 * m1
-            d_atoms.append((Fraction(1), ((DER_X, xu), (DER_X, xu))))
-            e_atoms.append((Fraction(1), ((MUL_X, xu), (MUL_X, xu))))
-        wt = 2 if cfg.m_parity == "odd" else 1
-        for j in range(1, n + 1):
-            tj, tnj = j - 1, n + j - 1
-            d_atoms.append((Fraction(wt), ((DER_T, tj), (DER_T, tnj))))
-            e_atoms.append((Fraction(wt), ((MUL_T, tj), (MUL_T, tnj))))
+        pairs = orth + symp
     else:
         if cfg.m_parity == "odd":
             raise ValueError("no lowering/raising pair defined for odd Aprime")
@@ -671,15 +568,13 @@ def delta_eta(cfg: RepConfig) -> tuple[SuperOperator, SuperOperator]:
                 "lowering/raising pair defined only for the normal form T={1..n}; "
                 "use aprime_normalize first"
             )
-        for i in range(1, n + 1):
-            xi, xni = i - 1, n + i - 1
-            d_atoms.append((Fraction(-1), ((MUL_X, xi), (DER_X, xni))))
-            e_atoms.append((Fraction(1), ((MUL_X, xni), (DER_X, xi))))
-        for j in range(1, m1 + 1):
-            tj, tmj = j - 1, m1 + j - 1
-            d_atoms.append((Fraction(1), ((DER_T, tj), (DER_T, tmj))))
-            e_atoms.append((Fraction(1), ((MUL_T, tj), (MUL_T, tmj))))
-    return SuperOperator(sig, d_atoms, EVEN), SuperOperator(sig, e_atoms, EVEN)
+        pairs = symp + orth
+    sig = cfg.signature
+    lower, raise_ = [], []
+    for c, a, b in pairs:
+        lower.append(_swap(cfg, c, (_canonical(cfg, a, False), _canonical(cfg, b, False))))
+        raise_.append(_swap(cfg, c, (_canonical(cfg, a, True), _canonical(cfg, b, True))))
+    return SuperOperator(sig, lower, EVEN), SuperOperator(sig, raise_, EVEN)
 
 
 def eta_polynomial(cfg: RepConfig) -> SuperPolynomial:

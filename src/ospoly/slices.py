@@ -29,12 +29,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .linalg import Echelon, TrackedEchelon
+from .linalg import Echelon
 from .osp import (
     RepConfig,
     aprime_normalize,
     delta_eta,
-    eta_polynomial,
     k_degree,
     markers,
     monomial_weight,
@@ -207,17 +206,20 @@ def _image_index(polys) -> MonomialIndex:
     return MonomialIndex(monos)
 
 
-def harmonic_space(key: SliceKey) -> SubspaceBasis:
-    """Exact kernel of the lowering operator on the slice."""
-    lower, _ = delta_eta(key.cfg)
-    idx = MonomialIndex(slice_monomials(key))
-    sig = key.cfg.signature
+def _lowering_kernel(cfg: RepConfig, idx: MonomialIndex) -> list[SuperPolynomial]:
+    """Exact kernel of the lowering operator on the span of idx's monomials."""
+    lower, _ = delta_eta(cfg)
+    sig = cfg.signature
     images = [lower(SuperPolynomial.from_monomial(sig, m)) for m in idx.monomials]
     img_idx = _image_index(images)
     img_vecs = linalg.exact_int_columns([img_idx.vec_fraction(p) for p in images])
-    combos = linalg.kernel(img_vecs)
-    vectors = [idx.poly(sig, row) for row in combos]
-    return SubspaceBasis(key, idx, vectors)
+    return [idx.poly(sig, row) for row in linalg.kernel(img_vecs)]
+
+
+def harmonic_space(key: SliceKey) -> SubspaceBasis:
+    """Exact kernel of the lowering operator on the slice."""
+    idx = MonomialIndex(slice_monomials(key))
+    return SubspaceBasis(key, idx, _lowering_kernel(key.cfg, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +367,38 @@ def _monos_up_to(idx: MonomialIndex, d: int) -> int:
     return bisect_right(idx.monomials, d, key=lambda m: m.total_degree)
 
 
+def _check_direct_sum(rep, idx, first, second, margin, meet_note, level_dims):
+    """Do span(first) and span(second) meet trivially and fill the slice?
+
+    Both spans lie inside the true spaces they stand for, so a common vector
+    is a genuine witness: it fails the check and is recorded with meet_note.
+    The sum must fill the slice on each nonempty level d <= D - margin; a
+    degree-d element may decompose through higher-degree pieces, so the sum
+    is restricted to each level only after being assembled on the whole
+    window.  level_dims(zone, dimA, dimSum) gives the report entries of a
+    level besides its degree and status.  Sets rep.status; a report with no
+    verified level is inconclusive.
+    """
+    statuses = []
+    common = linalg.intersect(first, second)
+    if common:
+        statuses.append("fail")
+        for wrow in common[:2]:
+            rep.witnesses.append(str(idx.poly(rep.cfg.signature, wrow)))
+        rep.notes.append(meet_note)
+    sum_rows = linalg.span(first + second).basis()
+    for d in range(0, rep.max_degree - margin + 1):
+        dim_a = _monos_up_to(idx, d)
+        if dim_a == 0:
+            continue
+        zone = _degree_zone(idx, d)
+        filled = len(linalg.restrict_to_zone(sum_rows, zone))
+        status = "pass" if filled == dim_a else "inconclusive-window"
+        statuses.append(status)
+        rep.dims.append({"d": d, **level_dims(zone, dim_a, filled), "status": status})
+    rep.status = _combine(statuses) if statuses else "inconclusive-window"
+
+
 def eta_image(cfg, k_source, source_degree, power=1, cap=None) -> list[SuperPolynomial]:
     """Exact eta^power images of the harmonic space of grading k_source.
 
@@ -418,37 +452,16 @@ def verify_direct_sum(
     harmonic = harmonic_space(key)
     image = eta_span_of_slice(cfg, k - 2, D)
     h_vecs = [idx.vec(p) for p in harmonic.vectors]
+    # the kernel side is exact and the image side from below
     img_vecs = [idx.vec(p) for p in image if p.max_degree() <= D]
-    statuses = []
-    # trivial intersection on the whole window: the kernel side is exact and
-    # the image side sits inside the true raised space, so any common vector
-    # is a genuine witness against directness.
-    common = linalg.intersect(h_vecs, img_vecs)
-    if common:
-        statuses.append("fail")
-        for wrow in common[:2]:
-            rep.witnesses.append(str(idx.poly(cfg.signature, wrow)))
-        rep.notes.append("kernel meets the raised space")
-    # the sum must fill the slice level by level; a degree-d element may
-    # decompose through higher-degree pieces, so the sum is restricted to
-    # each level only after being assembled on the whole window.
-    both = Echelon()
-    for r in h_vecs + img_vecs:
-        both.insert(r)
-    sum_rows = [dict(r) for r in both.basis()]
-    for d in range(0, D - margin + 1):
-        dim_a = _monos_up_to(idx, d)
-        if dim_a == 0:
-            continue
-        zone = _degree_zone(idx, d)
-        filled = len(linalg.restrict_to_zone(sum_rows, zone))
-        dim_h = len(linalg.restrict_to_zone(h_vecs, zone))
-        status = "pass" if filled == dim_a else "inconclusive-window"
-        statuses.append(status)
-        rep.dims.append(
-            {"d": d, "dimA": dim_a, "dimH": dim_h, "dimSum": filled, "status": status}
-        )
-    rep.status = _combine(statuses) if statuses else "inconclusive-window"
+    _check_direct_sum(
+        rep, idx, h_vecs, img_vecs, margin, "kernel meets the raised space",
+        lambda zone, dim_a, filled: {
+            "dimA": dim_a,
+            "dimH": len(linalg.restrict_to_zone(h_vecs, zone)),
+            "dimSum": filled,
+        },
+    )
     if not rep.dims:
         rep.notes.append("slice empty on every verified level")
     return rep
@@ -457,9 +470,7 @@ def verify_direct_sum(
 def _stable_under_action(cfg, vectors, idx, D) -> tuple[bool, str | None]:
     """Check the span of vectors is action-stable on the window (exact images
     of in-window vectors that stay in-window must lie back in the span)."""
-    ech = Echelon()
-    for p in vectors:
-        ech.insert(idx.vec(p))
+    ech = linalg.span([idx.vec(p) for p in vectors])
     for e in osp_basis(cfg, "all"):
         op = rep_element(cfg, e)
         for p in vectors:
@@ -561,9 +572,7 @@ def verify_composition_series(
         )
         dims.append((name, rows))
     for (name_hi, rows_hi), (name_lo, rows_lo) in zip(dims, dims[1:]):
-        hi_ech = Echelon()
-        for rr in rows_hi:
-            hi_ech.insert(rr)
+        hi_ech = linalg.span(rows_hi)
         included = all(hi_ech.contains(rr) for rr in rows_lo)
         strict = len(rows_lo) < hi_ech.dim
         if not included:
@@ -633,9 +642,8 @@ def slice_is_exact(cfg: RepConfig, k: int, max_degree: int) -> bool:
     grading, so the graded piece is finite (total degree == k) and the
     action never leaves it; all windowed verdicts are then exact.
     """
-    if cfg.family == "A":
-        return cfg.r == 0 and max_degree >= k
-    return not cfg.T and max_degree >= k
+    weights, _ = variable_k_weights(cfg)
+    return all(w > 0 for w in weights) and max_degree >= k
 
 
 def verify_aprime_structure(
@@ -723,32 +731,13 @@ def verify_aprime_structure(
     )
     gen1 = generate_submodule(key, [word], margin)
     gen2 = generate_submodule(key, [pluecker * word], margin)
-    vecs1 = [idx.vec(p) for p in gen1.vectors]
-    vecs2 = [idx.vec(p) for p in gen2.vectors]
-    statuses = []
-    common = linalg.intersect(vecs1, vecs2)
-    if common:
-        statuses.append("fail")
-        for wrow in common[:2]:
-            rep.witnesses.append(str(idx.poly(sig, wrow)))
-        rep.notes.append("the two blocks meet nontrivially")
-    both = Echelon()
-    for rr in vecs1 + vecs2:
-        both.insert(rr)
-    sum_rows = [dict(r) for r in both.basis()]
-    for d in range(0, D - margin + 1):
-        dim_a = _monos_up_to(idx, d)
-        if dim_a == 0:
-            continue
-        zone = _degree_zone(idx, d)
-        filled = len(linalg.restrict_to_zone(sum_rows, zone))
-        status = "pass" if filled == dim_a else "inconclusive-window"
-        statuses.append(status)
-        rep.dims.append(
-            {"d": d, "dim_block1": gen1.dim, "dim_block2": gen2.dim,
-             "dimSum": filled, "dimA": dim_a, "status": status}
-        )
-    rep.status = _combine(statuses) if statuses else "inconclusive-window"
+    _check_direct_sum(
+        rep, idx, [idx.vec(p) for p in gen1.vectors], [idx.vec(p) for p in gen2.vectors],
+        margin, "the two blocks meet nontrivially",
+        lambda zone, dim_a, filled: {
+            "dim_block1": gen1.dim, "dim_block2": gen2.dim, "dimSum": filled, "dimA": dim_a
+        },
+    )
     return rep
 
 
@@ -793,15 +782,4 @@ def _exponents_with_sum(nvars, total):
 
 def bigraded_harmonic(cfg: RepConfig, s: int, t: int) -> list[SuperPolynomial]:
     """Exact kernel of the lowering operator on the finite (s, t) cell."""
-    lower, _ = delta_eta(cfg)
-    sig = cfg.signature
-    monos = bigraded_monomials(cfg, s, t)
-    if not monos:
-        return []
-    idx = MonomialIndex(monos)
-    images = [lower(SuperPolynomial.from_monomial(sig, m)) for m in monos]
-    img_idx = _image_index(images)
-    combos = linalg.kernel(
-        linalg.exact_int_columns([img_idx.vec_fraction(p) for p in images])
-    )
-    return [idx.poly(sig, row) for row in combos]
+    return _lowering_kernel(cfg, MonomialIndex(bigraded_monomials(cfg, s, t)))

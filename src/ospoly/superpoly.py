@@ -46,11 +46,6 @@ class VariableSignature(NamedTuple):
     num_bosonic: int
     num_fermionic: int
 
-    def check(self) -> "VariableSignature":
-        if self.num_bosonic < 0 or self.num_fermionic < 0:
-            raise ValueError("variable counts must be nonnegative")
-        return self
-
 
 class SuperMonomial(NamedTuple):
     """Canonical monomial: bosonic exponent tuple + fermionic bitset."""
@@ -349,25 +344,6 @@ class SuperOperator:
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def compose(self, other: "SuperOperator") -> "SuperOperator":
-        """Operator product self . other (other acts first)."""
-        if self.sig != other.sig:
-            raise ValueError("signature mismatch")
-        atoms = [
-            (ca * cb, chain_a + chain_b)
-            for ca, chain_a in self.atoms
-            for cb, chain_b in other.atoms
-        ]
-        return SuperOperator(self.sig, atoms, self.parity ^ other.parity)
-
-    def max_degree_shift(self) -> int:
-        """Upper bound on the total-degree shift of any atom."""
-        best = 0
-        for _, chain in self.atoms:
-            shift = sum(1 if k in (MUL_X, MUL_T) else -1 for k, _ in chain)
-            best = max(best, shift)
-        return best
-
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         return apply_operator(self, p)
 
@@ -376,10 +352,7 @@ class SuperOperator:
             return "0"
         parts = []
         for c, chain in self.atoms:
-            ops = " ".join(
-                f"{_ACTION_NAMES[k]}{i + 1}" if k in (MUL_X, MUL_T) else f"{_ACTION_NAMES[k]}{i + 1}"
-                for k, i in chain
-            )
+            ops = " ".join(f"{_ACTION_NAMES[k]}{i + 1}" for k, i in chain)
             parts.append(f"{c} * [{ops}]" if ops else f"{c} * [1]")
         return " + ".join(parts)
 

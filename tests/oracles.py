@@ -79,6 +79,19 @@ def dense_nullspace(rows, ncols):
     return basis
 
 
+def low_degree_monomials(sig, max_degree=2):
+    """Every monomial of total degree <= max_degree, in graded-lex order."""
+    from ospoly.superpoly import SuperMonomial
+
+    out = []
+    for mask in range(1 << sig.num_fermionic):
+        t = bin(mask).count("1")
+        for bos in product(range(max_degree + 1), repeat=sig.num_bosonic):
+            if sum(bos) + t <= max_degree:
+                out.append(SuperMonomial(bos, mask))
+    return sorted(out, key=lambda m: m.sort_key())
+
+
 def enumerate_bosonic(nvars, max_total):
     """All exponent tuples with sum <= max_total."""
     if nvars == 0:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -25,6 +26,7 @@ from ospoly.osp import (
     _dense_solve,
 )
 from ospoly.superpoly import SuperMonomial, SuperPolynomial, derive, theta_word
+from oracles import low_degree_monomials
 
 A11_R0 = config_a(1, 1, 0)
 A11_R1 = config_a(1, 1, 1)
@@ -142,43 +144,41 @@ def test_action_preserves_k_degree():
                 assert k_degree(cfg, mm) == k
 
 
-# -- representation property (smoke; full sweep in acceptance) -----------
+# -- representation property ---------------------------------------------
 
 
-def check_rep_property(cfg, seed=0, samples=12):
-    rng = random.Random(seed)
+def check_rep_property(cfg):
+    """[rho(u), rho(v)] = rho([u, v]) for every basis pair on every monomial
+    of total degree <= 2."""
     sig = cfg.signature
     basis = osp_basis(cfg, "all")
-    pairs = [(u, v) for u in basis for v in basis]
-    rng.shuffle(pairs)
-    for u, v in pairs[:60]:
-        ru, rv = rep_element(cfg, u), rep_element(cfg, v)
+    reps = [rep_element(cfg, u) for u in basis]
+    polys = [SuperPolynomial.from_monomial(sig, m) for m in low_degree_monomials(sig)]
+    images = [[r(p) for p in polys] for r in reps]
+    for (u, ru, u_imgs), (v, rv, v_imgs) in product(zip(basis, reps, images), repeat=2):
         rbr = rep_element(cfg, superbracket(u, v))
         sign = -1 if u.parity and v.parity else 1
-        for _ in range(samples):
-            bos = tuple(rng.randint(0, 2) for _ in range(sig.num_bosonic))
-            mask = rng.randrange(1 << sig.num_fermionic)
-            p = SuperPolynomial.from_monomial(sig, SuperMonomial(bos, mask))
-            lhs = ru(rv(p)) - rv(ru(p)).scale(sign)
-            assert lhs == rbr(p), f"{cfg.describe()} fails on {u} , {v}"
+        for p, u_p, v_p in zip(polys, u_imgs, v_imgs):
+            lhs = ru(v_p) - rv(u_p).scale(sign)
+            assert lhs == rbr(p), f"{cfg.describe()} fails on {u} , {v} at {p}"
 
 
 def test_rep_property_even_a():
-    check_rep_property(config_a(1, 1, 0), seed=1)
-    check_rep_property(config_a(1, 1, 1), seed=2)
-    check_rep_property(config_a(2, 1, 1), seed=3)
+    check_rep_property(config_a(1, 1, 0))
+    check_rep_property(config_a(1, 1, 1))
+    check_rep_property(config_a(2, 1, 1))
 
 
 def test_rep_property_even_aprime():
-    check_rep_property(config_aprime(1, 1, set()), seed=4)
-    check_rep_property(config_aprime(1, 2, {1, 2}), seed=5)
-    check_rep_property(config_aprime(1, 2, {1, 4}), seed=6)
+    check_rep_property(config_aprime(1, 1, set()))
+    check_rep_property(config_aprime(1, 2, {1, 2}))
+    check_rep_property(config_aprime(1, 2, {1, 4}))
 
 
 def test_rep_property_odd():
-    check_rep_property(config_a(1, 1, 0, "odd"), seed=7)
-    check_rep_property(config_a(1, 1, 1, "odd"), seed=8)
-    check_rep_property(config_aprime(1, 1, {1}, "odd"), seed=9)
+    check_rep_property(config_a(1, 1, 0, "odd"))
+    check_rep_property(config_a(1, 1, 1, "odd"))
+    check_rep_property(config_aprime(1, 1, {1}, "odd"))
 
 
 # -- spanning sets -------------------------------------------------------
