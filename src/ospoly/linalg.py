@@ -8,10 +8,17 @@ integer content and making the pivot entry positive.  With the pivot rule
 "smallest coordinate index wins" the resulting reduced echelon rows are a
 canonical basis of the span, so two runs that see the same vectors in any
 order produce identical bases.
+
+``filtration`` uses the opposite rule, "largest coordinate index wins", by
+running the same Echelon on negated indices.  Its rows sorted by pivot hold a
+basis of span . {index < b} as a prefix for every bound b at once
+(``restrict_to_zone``); the slice verifiers read each total-degree level of a
+span this way, since monomial indices sort by total degree first.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -241,27 +248,21 @@ def intersect(u_vectors: list[Vec], v_vectors: list[Vec]) -> list[Vec]:
     return span(out).basis()
 
 
-def restrict_to_zone(vectors, in_zone) -> list[Vec]:
-    """Basis of span(vectors) . {v : support(v) is inside the zone}.
+def filtration(vectors) -> list[Vec]:
+    """Echelon basis of span(vectors) with pivots on the largest index.
 
-    Eliminates the out-of-zone coordinates first: indices are remapped so
-    that out-of-zone coordinates come before in-zone ones, the span is
-    echelonized there, and the rows whose pivots fall inside the zone (which
-    then have no out-of-zone support) are mapped back.
+    Rows come sorted by pivot (their largest index), so for every bound b the
+    rows with pivot < b are a basis of span . {v : support(v) < b}.
     """
-    keys = sorted({k for v in vectors for k in v})
-    out_keys = [k for k in keys if not in_zone(k)]
-    in_keys = [k for k in keys if in_zone(k)]
-    remap = {k: i for i, k in enumerate(out_keys)}
-    offset = len(out_keys)
-    remap.update({k: offset + i for i, k in enumerate(in_keys)})
-    back = {v: k for k, v in remap.items()}
-    ech = span([{remap[k]: c for k, c in v.items()} for v in vectors])
-    result = []
-    for p in sorted(ech.rows):
-        if p >= offset:
-            result.append({back[k]: c for k, c in ech.rows[p].items()})
-    return result
+    ech = span({-k: c for k, c in v.items()} for v in vectors)
+    return [
+        {-k: c for k, c in ech.rows[p].items()} for p in sorted(ech.rows, reverse=True)
+    ]
+
+
+def restrict_to_zone(rows: list[Vec], bound: int) -> list[Vec]:
+    """Basis of span . {index < bound}, read off filtration rows as a prefix."""
+    return rows[: bisect_left(rows, bound, key=max)]
 
 
 def row_to_fractions(vec: Vec) -> dict[int, Fraction]:

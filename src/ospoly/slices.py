@@ -19,7 +19,8 @@ the slice.  Mixed checks exploit this asymmetry (kernel side exact, image
 side from below).
 
 All linear algebra is exact over the rationals via fraction-free integer
-elimination with the pivot rule "smallest monomial in graded-lex order".
+elimination with the pivot rule "smallest monomial in graded-lex order";
+degree levels are read from filtrations, which pivot on the largest.
 """
 
 from __future__ import annotations
@@ -353,15 +354,6 @@ def generate_submodule(
 # helpers shared by the verifiers
 
 
-def _degree_zone(idx: MonomialIndex, d: int):
-    return lambda i: idx.monomials[i].total_degree <= d
-
-
-def _dim_at_degree(idx: MonomialIndex, vectors, d: int) -> int:
-    vecs = [idx.vec(p) for p in vectors]
-    return len(linalg.restrict_to_zone(vecs, _degree_zone(idx, d)))
-
-
 def _monos_up_to(idx: MonomialIndex, d: int) -> int:
     """Slice monomials of total degree <= d (the index sorts by degree first)."""
     return bisect_right(idx.monomials, d, key=lambda m: m.total_degree)
@@ -374,10 +366,11 @@ def _check_direct_sum(rep, idx, first, second, margin, meet_note, level_dims):
     is a genuine witness: it fails the check and is recorded with meet_note.
     The sum must fill the slice on each nonempty level d <= D - margin; a
     degree-d element may decompose through higher-degree pieces, so the sum
-    is restricted to each level only after being assembled on the whole
-    window.  level_dims(zone, dimA, dimSum) gives the report entries of a
-    level besides its degree and status.  Sets rep.status; a report with no
-    verified level is inconclusive.
+    is assembled on the whole window, as one filtration, and each level is
+    read off it.  dimA, the count of slice monomials of degree <= d, is also
+    the level's index bound.  level_dims(dimA, dimSum) gives the report
+    entries of a level besides its degree and status.  Sets rep.status; a
+    report with no verified level is inconclusive.
     """
     statuses = []
     common = linalg.intersect(first, second)
@@ -386,16 +379,15 @@ def _check_direct_sum(rep, idx, first, second, margin, meet_note, level_dims):
         for wrow in common[:2]:
             rep.witnesses.append(str(idx.poly(rep.cfg.signature, wrow)))
         rep.notes.append(meet_note)
-    sum_rows = linalg.span(first + second).basis()
+    sum_rows = linalg.filtration(first + second)
     for d in range(0, rep.max_degree - margin + 1):
         dim_a = _monos_up_to(idx, d)
         if dim_a == 0:
             continue
-        zone = _degree_zone(idx, d)
-        filled = len(linalg.restrict_to_zone(sum_rows, zone))
+        filled = len(linalg.restrict_to_zone(sum_rows, dim_a))
         status = "pass" if filled == dim_a else "inconclusive-window"
         statuses.append(status)
-        rep.dims.append({"d": d, **level_dims(zone, dim_a, filled), "status": status})
+        rep.dims.append({"d": d, **level_dims(dim_a, filled), "status": status})
     rep.status = _combine(statuses) if statuses else "inconclusive-window"
 
 
@@ -454,11 +446,12 @@ def verify_direct_sum(
     h_vecs = [idx.vec(p) for p in harmonic.vectors]
     # the kernel side is exact and the image side from below
     img_vecs = [idx.vec(p) for p in image if p.max_degree() <= D]
+    h_rows = linalg.filtration(h_vecs)
     _check_direct_sum(
         rep, idx, h_vecs, img_vecs, margin, "kernel meets the raised space",
-        lambda zone, dim_a, filled: {
+        lambda dim_a, filled: {
             "dimA": dim_a,
-            "dimH": len(linalg.restrict_to_zone(h_vecs, zone)),
+            "dimH": len(linalg.restrict_to_zone(h_rows, dim_a)),
             "dimSum": filled,
         },
     )
@@ -467,10 +460,9 @@ def verify_direct_sum(
     return rep
 
 
-def _stable_under_action(cfg, vectors, idx, D) -> tuple[bool, str | None]:
-    """Check the span of vectors is action-stable on the window (exact images
-    of in-window vectors that stay in-window must lie back in the span)."""
-    ech = linalg.span([idx.vec(p) for p in vectors])
+def _stable_under_action(cfg, vectors, ech, idx, D) -> tuple[bool, str | None]:
+    """Check the span ech of vectors is action-stable on the window (exact
+    images of in-window vectors that stay in-window must lie back in it)."""
     for e in osp_basis(cfg, "all"):
         op = rep_element(cfg, e)
         for p in vectors:
@@ -482,20 +474,21 @@ def _stable_under_action(cfg, vectors, idx, D) -> tuple[bool, str | None]:
     return True, None
 
 
-def _generates_layer(seed_vec, top_vectors, bottom_vectors, key, idx, margin):
+def _generates_layer(seed_vec, top_rows, bottom_vectors, key, idx, margin):
     """Does <seed> + bottom cover top on the verified window levels?
+
+    top_rows are top's filtration rows on the verified window.  A row r of
+    degree <= d lies in span(lhs . {deg <= d}) exactly when it lies in
+    span(lhs), so the first row outside span(lhs) names the first failing
+    level: the total degree of its pivot monomial.
 
     Returns (True, -1) or (False, first failing degree level).
     """
     gen = generate_submodule(key, [seed_vec], margin)
-    lhs_vecs = [idx.vec(p) for p in gen.vectors + bottom_vectors]
-    rhs_vecs = [idx.vec(p) for p in top_vectors]
-    for d in range(0, key.max_degree - margin + 1):
-        zone = _degree_zone(idx, d)
-        lhs_ech = linalg.span(linalg.restrict_to_zone(lhs_vecs, zone))
-        for r in linalg.restrict_to_zone(rhs_vecs, zone):
-            if not lhs_ech.contains(r):
-                return False, d
+    lhs = linalg.span(idx.vec(p) for p in gen.vectors + bottom_vectors)
+    for r in top_rows:
+        if not lhs.contains(r):
+            return False, idx.monomials[max(r)].total_degree
     return True, -1
 
 
@@ -561,20 +554,21 @@ def verify_composition_series(
                 rep.notes.append(f"{name}: member not harmonic")
                 statuses.append("fail")
 
-    terms = [("H", top.vectors)] + chain + [("0", [])]
-    # inclusions and strictness on the verified window
+    # each term once as a span (membership) and once as its filtration rows
+    # on the verified window; a window row lies in the window part of a span
+    # exactly when it lies in the span
     top_level = D - margin
-    zone = _degree_zone(idx, top_level)
-    dims = []
-    for name, vectors in terms:
-        rows = linalg.restrict_to_zone(
-            [idx.vec(p) for p in vectors if p.max_degree() <= D], zone
-        )
-        dims.append((name, rows))
-    for (name_hi, rows_hi), (name_lo, rows_lo) in zip(dims, dims[1:]):
-        hi_ech = linalg.span(rows_hi)
-        included = all(hi_ech.contains(rr) for rr in rows_lo)
-        strict = len(rows_lo) < hi_ech.dim
+    bound = _monos_up_to(idx, top_level)
+    terms = []
+    for name, vectors in [("H", top.vectors)] + chain + [("0", [])]:
+        vecs = [idx.vec(p) for p in vectors]
+        rows = linalg.restrict_to_zone(linalg.filtration(vecs), bound)
+        terms.append((name, vectors, linalg.span(vecs), rows))
+    layers = list(zip(terms, terms[1:]))
+    # inclusions and strictness on the verified window
+    for (name_hi, _, ech_hi, rows_hi), (name_lo, _, _, rows_lo) in layers:
+        included = all(ech_hi.contains(rr) for rr in rows_lo)
+        strict = len(rows_lo) < len(rows_hi)
         if not included:
             # the larger term is itself from-below unless it is H
             statuses.append("fail" if name_hi == "H" else "inconclusive-window")
@@ -588,15 +582,15 @@ def verify_composition_series(
             {
                 "d": top_level,
                 "term": f"{name_hi} > {name_lo}",
-                "dim_outer": hi_ech.dim,
+                "dim_outer": len(rows_hi),
                 "dim_inner": len(rows_lo),
                 "status": statuses[-1],
             }
         )
 
     # action stability of the middle terms
-    for name, vectors in chain:
-        ok, note = _stable_under_action(cfg, vectors, idx, D)
+    for name, vectors, ech, _ in terms[1:-1]:
+        ok, note = _stable_under_action(cfg, vectors, ech, idx, D)
         if not ok:
             statuses.append("fail")
             rep.notes.append(f"{name}: {note}")
@@ -607,21 +601,19 @@ def verify_composition_series(
     # otherwise it may be a window artifact.
     exact = slice_is_exact(cfg, k, D)
     miss = "fail" if exact else "inconclusive-window"
-    for (name_hi, hi_vecs), (name_lo, lo_vecs) in zip(terms[:-1], terms[1:]):
+    for (name_hi, _, ech_hi, rows_hi), (name_lo, lo_vecs, ech_lo, _) in layers:
         sing = singular_vectors(key, "positive", "A", modulo=lo_vecs or None)
-        hi_ech = linalg.span([idx.vec(p) for p in hi_vecs])
-        lo_ech = linalg.span([idx.vec(p) for p in lo_vecs])
         layer_sing = []
         for s in sing:
             v = idx.vec(s)
-            if hi_ech.contains(v) and not lo_ech.contains(v):
+            if ech_hi.contains(v) and not ech_lo.contains(v):
                 layer_sing.append(s)
         if not layer_sing:
             statuses.append(miss)
             rep.notes.append(f"no singular vector found for layer {name_hi}/{name_lo}")
             continue
         for s in layer_sing:
-            ok, bad_d = _generates_layer(s, hi_vecs, lo_vecs, key, idx, margin)
+            ok, bad_d = _generates_layer(s, rows_hi, lo_vecs, key, idx, margin)
             if not ok:
                 statuses.append(miss)
                 rep.notes.append(
@@ -706,11 +698,12 @@ def verify_aprime_structure(
         statuses = []
         for s in seeds:
             gen = generate_submodule(key, [s], margin)
+            reached = linalg.filtration(idx.vec(p) for p in gen.vectors)
             for d in range(0, D - margin + 1):
                 dim_a = _monos_up_to(idx, d)
                 if dim_a == 0:
                     continue
-                got = _dim_at_degree(idx, gen.vectors, d)
+                got = len(linalg.restrict_to_zone(reached, dim_a))
                 status = "pass" if got == dim_a else "inconclusive-window"
                 statuses.append(status)
                 rep.dims.append(
@@ -734,7 +727,7 @@ def verify_aprime_structure(
     _check_direct_sum(
         rep, idx, [idx.vec(p) for p in gen1.vectors], [idx.vec(p) for p in gen2.vectors],
         margin, "the two blocks meet nontrivially",
-        lambda zone, dim_a, filled: {
+        lambda dim_a, filled: {
             "dim_block1": gen1.dim, "dim_block2": gen2.dim, "dimSum": filled, "dimA": dim_a
         },
     )

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from ospoly.linalg import (
     Echelon,
+    filtration,
     intersect,
     kernel,
     normalize,
@@ -85,13 +86,38 @@ def test_intersect():
 
 def test_restrict_to_zone():
     vecs = [{0: 1, 5: 1}, {1: 1, 5: 2}, {2: 1}]
-    inside = restrict_to_zone(vecs, lambda k: k < 5)
+    inside = restrict_to_zone(filtration(vecs), 5)
     ech = span(inside)
     assert ech.dim == 2
     assert ech.contains({2: 1})
     # the combination (v1 - 2*v0) = {1:1, 0:-2} cancels coordinate 5
     assert ech.contains({0: -2, 1: 1})
     assert not ech.contains({0: 1})
+
+
+def _rank(vecs, cols):
+    rows = [[v.get(c, 0) for c in cols] for v in vecs]
+    return len(cols) - len(dense_nullspace(rows, len(cols)))
+
+
+def test_filtration_prefixes_match_dense_rank():
+    """dim span . {index < b} = rank(span) - rank of its columns >= b."""
+    rng = random.Random(11)
+    ncols = 8
+    for _ in range(20):
+        vecs = [
+            {i: rng.randint(-3, 3) for i in range(ncols) if rng.random() < 0.4}
+            for _ in range(rng.randint(1, 7))
+        ]
+        vecs = [v for v in vecs if any(v.values())]
+        rows = filtration(vecs)
+        whole = span(vecs)
+        total = _rank(vecs, range(ncols))
+        assert len(rows) == total
+        for b in range(ncols + 1):
+            inside = restrict_to_zone(rows, b)
+            assert all(max(r) < b and whole.contains(r) for r in inside)
+            assert len(inside) == total - _rank(vecs, range(b, ncols)), (vecs, b)
 
 
 def test_vec_from_fractions():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from ospoly.linalg import Echelon, filtration, restrict_to_zone
 from ospoly.osp import (
     config_a,
     config_aprime,
@@ -24,7 +25,10 @@ from ospoly.osp import (
     weight_of,
 )
 from ospoly.slices import (
+    MonomialIndex,
     SliceKey,
+    _generates_layer,
+    _monos_up_to,
     bigraded_harmonic,
     bigraded_monomials,
     eta_image,
@@ -193,11 +197,8 @@ def test_abelian_orthogonal_factor_boundary_split():
     dims = sorted(g.dim for g in gens)
     assert dims == [4, 4]
     # the two closures are disjoint complements inside the kernel space
-    from ospoly.slices import MonomialIndex
-    import ospoly.linalg as la
-
     idx = MonomialIndex(slice_monomials(key))
-    ech = la.Echelon()
+    ech = Echelon()
     for g in gens:
         for v in g.vectors:
             ech.insert(idx.vec(v))
@@ -333,15 +334,15 @@ def test_generator_outside_slice_rejected():
 def test_closure_monotone_in_window():
     cfg = A11_R1
     x2 = SuperPolynomial.x(cfg.signature, 2)
-    dims = []
+    dims, low = [], []
     for D in (4, 6, 8):
         gen = generate_submodule(SliceKey(cfg, 1, D), [x2], 2)
-        # verified dimension at degree <= 2
-        count = sum(
-            1 for v in gen.vectors if v.max_degree() <= 2
-        )
         dims.append(gen.dim)
+        # verified dimension at degree <= 2, read through the filtration
+        rows = filtration(gen.monomials.vec(v) for v in gen.vectors)
+        low.append(len(restrict_to_zone(rows, _monos_up_to(gen.monomials, 2))))
     assert dims[0] <= dims[1] <= dims[2]
+    assert low[0] <= low[1] <= low[2]
 
 
 # -- verifiers -------------------------------------------------------------
@@ -386,6 +387,19 @@ def test_series_window_boundary_anomaly():
     assert any("x2 t1" in s for s in rep.notes)
 
 
+def test_generates_layer_reports_the_degree_of_the_missed_row():
+    # on this window <x2> misses x1 x2^2, so x2 + x1 x2^2 is first missed at
+    # d=3, the degree of its top monomial, not d=1
+    cfg = A11_R1
+    sig = cfg.signature
+    key = SliceKey(cfg, 1, 5)
+    idx = MonomialIndex(slice_monomials(key))
+    x1, x2 = SuperPolynomial.x(sig, 1), SuperPolynomial.x(sig, 2)
+    top = filtration([idx.vec(x2 + x1 * x2**2)])
+    assert _generates_layer(x2, top, [], key, idx, 2) == (False, 3)
+    assert _generates_layer(x2, filtration([idx.vec(x2)]), [], key, idx, 2) == (True, -1)
+
+
 def test_series_rejects_out_of_window():
     with pytest.raises(ValueError):
         verify_composition_series(A11_R0, 3, 6, margin=2)
@@ -397,15 +411,38 @@ def test_series_fully_swapped_edge():
     assert rep.status == "pass", (rep.notes, rep.dims)
 
 
+# a golden's name starts with the verifier that wrote it
+GOLDEN_VERIFIERS = {
+    "series": verify_composition_series,
+    "direct_sum": verify_direct_sum,
+    "aprime": verify_aprime_structure,
+}
+GOLDEN_OPTIONS = {"aprime_A12_k1_D6_m3_seed5": {"seed": 5, "num_seeds": 2}}
+
+
 @pytest.mark.parametrize(
     "name, cfg, k, D, margin",
     [
         ("series_A211_k2_D12_m4", config_a(2, 1, 1), 2, 12, 4),
         ("series_A311_k1_D6_m2", config_a(3, 1, 1), 1, 6, 2),
+        # inconclusive-window: the inclusion eta^2 H(k=-2) > 0 is not strict
+        ("series_A311_k2_D6_m2", config_a(3, 1, 1), 2, 6, 2),
+        # fail: singular vectors do not reach the top layer at d=2
+        ("series_A110_k2_D8_m4", config_a(1, 1, 0), 2, 8, 4),
+        # fail with every level inconclusive
+        ("direct_sum_A211_k2_D10_m4", config_a(2, 1, 1), 2, 10, 4),
+        ("direct_sum_A222_k2_D8_m4", config_a(2, 2, 2), 2, 8, 4),
+        ("direct_sum_A110_k2_D4_m0", config_a(1, 1, 0), 2, 4, 0),
+        ("aprime_A12_k1_D6_m3_seed5", config_aprime(1, 2, set()), 1, 6, 3),
+        # normalized to T={1,2}, then the two-block split
+        ("aprime_A12_T34_k1_D6_m3", config_aprime(1, 2, {3, 4}), 1, 6, 3),
+        ("aprime_A22_T13_k1_D6_m3", config_aprime(2, 2, {1, 3}), 1, 6, 3),
     ],
 )
 def test_series_report_matches_golden(name, cfg, k, D, margin):
-    rep = verify_composition_series(cfg, k, D, margin)
+    """Every verifier's report, byte for byte, against a frozen snapshot."""
+    verify = next(f for p, f in GOLDEN_VERIFIERS.items() if name.startswith(p + "_"))
+    rep = verify(cfg, k, D, margin, **GOLDEN_OPTIONS.get(name, {}))
     got = json.dumps(rep.to_dict(), indent=1, sort_keys=True) + "\n"
     assert got == (GOLDEN / f"{name}.json").read_text()
 
@@ -427,6 +464,11 @@ def test_aprime_normalizes_before_split():
     rep = verify_aprime_structure(cfg, 1, 6, margin=3)
     assert rep.status == "pass", (rep.notes, rep.dims)
     assert any("normalized" in s for s in rep.notes)
+
+
+def test_aprime_split_needs_two_pairs():
+    with pytest.raises(ValueError, match=r"the split generator needs n >= 2"):
+        verify_aprime_structure(config_aprime(1, 1, {1}), 1, 4, margin=2)
 
 
 # -- bigraded cells ---------------------------------------------------------
@@ -453,19 +495,14 @@ def test_bigraded_cell_splits():
         harmonic = bigraded_harmonic(cfg, s, t)
         lower_cell = bigraded_monomials(cfg, s - 1, t - 1)
         raised = [eta(SuperPolynomial.from_monomial(sig, m)) for m in lower_cell]
-        from ospoly.slices import MonomialIndex
-        from ospoly import linalg as _unused  # noqa: F401
-        import ospoly.linalg as la
-
         idx = MonomialIndex(cell)
-        ech = la.Echelon()
+        ech = Echelon()
         for p in harmonic + raised:
             if not p.is_zero():
                 ech.insert(idx.vec(p))
         assert ech.dim == len(cell), (s, t)
-        inter = len(harmonic) + sum(1 for p in raised if not p.is_zero())
         # trivial intersection: dims add up (raised part may be dependent)
-        raised_ech = la.Echelon()
+        raised_ech = Echelon()
         for p in raised:
             if not p.is_zero():
                 raised_ech.insert(idx.vec(p))
