@@ -25,9 +25,11 @@ degree levels are read from filtrations, which pivot on the largest.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .linalg import Echelon
@@ -42,7 +44,13 @@ from .osp import (
     rep_element,
     variable_k_weights,
 )
-from .superpoly import SuperMonomial, SuperPolynomial, theta_word
+from .superpoly import (
+    SuperMonomial,
+    SuperOperator,
+    SuperPolynomial,
+    act_on_monomial,
+    theta_word,
+)
 
 
 @dataclass(frozen=True)
@@ -310,6 +318,46 @@ def _reduce_modulo(terms, mod_idx: MonomialIndex, mod_ech: Echelon) -> dict:
 # windowed submodule generation
 
 
+def _int_atoms(op: SuperOperator) -> list[tuple[int, tuple]]:
+    """op's atoms with integer coefficients: op scaled by the lcm of its
+    coefficients' denominators, a positive factor that leaves spans and the
+    window test unchanged."""
+    lcm = 1
+    for c, _ in op.atoms:
+        lcm = lcm // gcd(lcm, c.denominator) * c.denominator
+    return [(int(c * lcm), chain) for c, chain in op.atoms]
+
+
+def _int_image(atoms, row, idx: MonomialIndex, halo: dict, D: int) -> dict[int, int]:
+    """Exact image of an integer row over idx under integer atoms.
+
+    A monomial of degree > D gets a halo index >= len(idx), numbered in halo
+    on first sight; one of degree <= D outside the slice raises KeyError.
+    The image leaves the window exactly when a halo index survives
+    cancellation, i.e. when max(image) >= len(idx).
+    """
+    monomials, index = idx.monomials, idx.index
+    out: dict[int, int] = {}
+    for i, c in row.items():
+        mono = monomials[i]
+        for a, chain in atoms:
+            hit = act_on_monomial(chain, mono)
+            if hit is None:
+                continue
+            factor, m = hit
+            j = index.get(m)
+            if j is None:
+                if m.total_degree <= D:
+                    raise KeyError(f"monomial {m} outside the slice")
+                j = halo.setdefault(m, len(monomials) + len(halo))
+            s = out.get(j, 0) + c * a * factor
+            if s:
+                out[j] = s
+            else:
+                del out[j]
+    return out
+
+
 def generate_submodule(
     key: SliceKey, gens: list[SuperPolynomial], verify_margin: int = 4
 ) -> SubspaceBasis:
@@ -319,13 +367,21 @@ def generate_submodule(
     entirely (never truncated), so the span is a subspace of the true
     submodule.  Comparisons against it are sound from below on degrees
     <= D - verify_margin.
+
+    The closure runs on integer rows over the slice index: each osp operator
+    becomes integer atoms once (``_int_atoms``), each accepted row is queued
+    as ``Echelon.insert`` returns it, and its images are built by
+    ``_int_image``.  An image is skipped exactly when a coefficient on a
+    monomial of degree > D (its halo) is nonzero after cancellation.
     """
     if not gens:
         raise ValueError("empty generator list")
     cfg, D = key.cfg, key.max_degree
     sig = cfg.signature
     idx = MonomialIndex(slice_monomials(key))
-    ops = [rep_element(cfg, e) for e in osp_basis(cfg, "all")]
+    n = len(idx)
+    ops = [_int_atoms(rep_element(cfg, e)) for e in osp_basis(cfg, "all")]
+    halo: dict = {}
     ech = Echelon()
     queue = []
     for g in gens:
@@ -334,18 +390,16 @@ def generate_submodule(
                 raise ValueError(f"generator not inside the k={key.k} slice")
         row = ech.insert(idx.vec(g))
         if row is not None:
-            queue.append(idx.poly(sig, row))
+            queue.append(row)
     while queue:
         v = queue.pop()
-        for op in ops:
-            image = op(v)
-            if image.is_zero():
+        for atoms in ops:
+            image = _int_image(atoms, v, idx, halo, D)
+            if not image or max(image) >= n:
                 continue
-            if image.max_degree() > D:
-                continue
-            row = ech.insert(idx.vec(image))
+            row = ech.insert(image)
             if row is not None:
-                queue.append(idx.poly(sig, row))
+                queue.append(row)
     vectors = [idx.poly(sig, row) for row in ech.basis()]
     return SubspaceBasis(key, idx, vectors)
 
@@ -463,13 +517,16 @@ def verify_direct_sum(
 def _stable_under_action(cfg, vectors, ech, idx, D) -> tuple[bool, str | None]:
     """Check the span ech of vectors is action-stable on the window (exact
     images of in-window vectors that stay in-window must lie back in it)."""
+    rows = [idx.vec(p) for p in vectors]
+    n = len(idx)
+    halo: dict = {}
     for e in osp_basis(cfg, "all"):
-        op = rep_element(cfg, e)
-        for p in vectors:
-            image = op(p)
-            if image.is_zero() or image.max_degree() > D:
+        atoms = _int_atoms(rep_element(cfg, e))
+        for p, row in zip(vectors, rows):
+            image = _int_image(atoms, row, idx, halo, D)
+            if not image or max(image) >= n:
                 continue
-            if not ech.contains(idx.vec(image)):
+            if not ech.contains(image):
                 return False, f"action of {e} leaves the span on {p}"
     return True, None
 
@@ -655,8 +712,6 @@ def verify_aprime_structure(
     vector); at k = m1 the two generated blocks must meet trivially and sum
     to the slice on each verified level.
     """
-    import random as _random
-
     if cfg.family != "Aprime":
         raise ValueError("expects an Aprime configuration")
     D = max_degree
@@ -680,7 +735,7 @@ def verify_aprime_structure(
         return rep
 
     if not split_case or k != work.m1:
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         seeds = []
         if split_case:
             m1, n = work.m1, work.n

@@ -22,6 +22,11 @@ Two conventions are pinned here and relied on everywhere else:
 * an operator chain acts rightmost-action-first, i.e. the chain (a, b, c)
   sends p to a(b(c(p))).
 
+Every atomic action (multiply by or differentiate by one variable) sends a
+monomial to an integer multiple of a single monomial, or to 0, so a chain
+acts on one monomial at a time with an integer factor (``act_on_monomial``);
+``apply_operator`` and ``derive`` only sum such images.
+
 Both choices are validated downstream by demanding that the matrix-unit
 realizations actually define representations and that the quadratic
 invariant is harmonic; any other combination of conventions fails those
@@ -67,12 +72,7 @@ class SuperMonomial(NamedTuple):
 
 
 def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
-def _low_bits(p: int) -> int:
-    """Bitmask of all fermionic indices strictly below 1-based index p."""
-    return (1 << (p - 1)) - 1
+    return mask.bit_count()
 
 
 def mono_one(sig: VariableSignature) -> SuperMonomial:
@@ -244,51 +244,49 @@ def derive(p: SuperPolynomial, var: tuple[str, int]) -> SuperPolynomial:
     if kind == "x":
         if not 1 <= idx <= p.sig.num_bosonic:
             raise ValueError(f"x{idx} outside signature {p.sig}")
-        action = (DER_X, idx - 1)
+        chain = ((DER_X, idx - 1),)
     elif kind == "t":
         if not 1 <= idx <= p.sig.num_fermionic:
             raise ValueError(f"t{idx} outside signature {p.sig}")
-        action = (DER_T, idx - 1)
+        chain = ((DER_T, idx - 1),)
     else:
         raise ValueError(f"unknown variable kind {kind!r}")
     out: dict[SuperMonomial, Fraction] = {}
     for m, c in p.terms.items():
-        _apply_action_into(action, m, c, out)
+        hit = act_on_monomial(chain, m)
+        if hit is not None:  # a derivative is injective on monomials
+            out[hit[1]] = c * hit[0]
     return SuperPolynomial(p.sig, out)
 
 
-def _apply_action_into(action, mono: SuperMonomial, coeff: Fraction, out: dict):
-    """Apply one atomic action to coeff*mono, accumulating into out."""
-    kind, i = action
-    bos, mask = mono
-    if kind == MUL_X:
-        bos = bos[:i] + (bos[i] + 1,) + bos[i + 1 :]
-    elif kind == DER_X:
-        e = bos[i]
-        if e == 0:
-            return
-        coeff = coeff * e
-        bos = bos[:i] + (e - 1,) + bos[i + 1 :]
-    elif kind == MUL_T:
-        bit = 1 << i
-        if mask & bit:
-            return
-        if _popcount(mask & (bit - 1)) & 1:
-            coeff = -coeff
-        mask |= bit
-    else:  # DER_T, left derivative
-        bit = 1 << i
-        if not mask & bit:
-            return
-        if _popcount(mask & (bit - 1)) & 1:
-            coeff = -coeff
-        mask &= ~bit
-    key = SuperMonomial(bos, mask)
-    s = out.get(key, 0) + coeff
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
+def act_on_monomial(chain, mono: SuperMonomial):
+    """Apply an action chain, rightmost action first, to one monomial.
+
+    Returns (factor, monomial) with an int factor, or None when the image
+    vanishes: every atomic action sends a monomial to +-e times a single
+    monomial (e a bosonic exponent) or to 0.  This is the one home of the
+    sign rule: t_q enters or leaves past the fermionic factors below it.
+    """
+    bos, mask = list(mono.bos), mono.mask
+    factor = 1
+    for kind, i in reversed(chain):
+        if kind == MUL_X:
+            bos[i] += 1
+        elif kind == DER_X:
+            e = bos[i]
+            if e == 0:
+                return None
+            factor *= e
+            bos[i] = e - 1
+        else:
+            bit = 1 << i
+            # MUL_T needs t_q absent, DER_T (a left derivative) present
+            if bool(mask & bit) != (kind == DER_T):
+                return None
+            if (mask & (bit - 1)).bit_count() & 1:
+                factor = -factor
+            mask ^= bit
+    return factor, SuperMonomial(tuple(bos), mask)
 
 
 class SuperOperator:
@@ -366,21 +364,18 @@ def apply_operator(op: SuperOperator, p: SuperPolynomial) -> SuperPolynomial:
         raise ValueError(f"signature mismatch: {op.sig} vs {p.sig}")
     out: dict[SuperMonomial, Fraction] = {}
     for coeff, chain in op.atoms:
+        if coeff.denominator == 1:
+            coeff = coeff.numerator  # one Fraction product per term, not two
         for mono, c in p.terms.items():
-            cur = {mono: coeff * c}
-            for action in reversed(chain):
-                nxt: dict[SuperMonomial, Fraction] = {}
-                for m, v in cur.items():
-                    _apply_action_into(action, m, v, nxt)
-                cur = nxt
-                if not cur:
-                    break
-            for m, v in cur.items():
-                s = out.get(m, 0) + v
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+            hit = act_on_monomial(chain, mono)
+            if hit is None:
+                continue
+            factor, m = hit
+            s = out.get(m, 0) + c * (coeff * factor)
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
     return SuperPolynomial(p.sig, out)
 
 

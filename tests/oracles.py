@@ -119,3 +119,87 @@ def enumerate_slice(nb, nf, weights, ferm_weight, k, max_degree):
             if kk == k:
                 out.append((bos, word))
     return out
+
+
+def _naive_step(kind, i, bos, word):
+    """One atomic action on x^bos * word: (factor, bos, word) or None."""
+    from ospoly.superpoly import DER_X, MUL_T, MUL_X
+
+    bos = list(bos)
+    if kind == MUL_X:
+        bos[i] += 1
+        return 1, bos, word
+    if kind == DER_X:
+        e = bos[i]
+        if not e:
+            return None
+        bos[i] -= 1
+        return e, bos, word
+    if kind == MUL_T:
+        res = sort_word([i + 1] + list(word))
+    else:
+        res = naive_derive_ferm(word, i + 1)
+    if res is None:
+        return None
+    return res[0], bos, tuple(res[1])
+
+
+def naive_apply(op, p):
+    """op applied to p one atomic action at a time, rightmost action first.
+
+    Fermionic factors are kept as explicit index words: multiplying by t_q
+    puts q in front and bubble-sorts the word, and d/dt_q is
+    ``naive_derive_ferm``.  Returns the image as a SuperPolynomial.
+    """
+    from ospoly.superpoly import SuperMonomial, SuperPolynomial
+
+    out = {}
+    for coeff, chain in op.atoms:
+        for mono, c in p.terms.items():
+            v = coeff * c
+            bos = mono.bos
+            word = tuple(q + 1 for q in range(mono.mask.bit_length()) if mono.mask >> q & 1)
+            for kind, i in reversed(chain):
+                res = _naive_step(kind, i, bos, word)
+                if res is None:
+                    break
+                factor, bos, word = res
+                v *= factor
+            else:
+                m = SuperMonomial(tuple(bos), sum(1 << (q - 1) for q in word))
+                out[m] = out.get(m, 0) + v
+    return SuperPolynomial(p.sig, {m: v for m, v in out.items() if v})
+
+
+def reference_closure(key, gens, ops=None):
+    """The windowed closure on polynomials: every queued vector is a
+    SuperPolynomial, each image is ``naive_apply``'d, dropped when its
+    max_degree() exceeds D and vectorized with ``MonomialIndex.vec``.
+    ops defaults to the osp action.  Returns the basis polynomials in the
+    order generate_submodule lists them.
+    """
+    from ospoly.linalg import Echelon
+    from ospoly.osp import osp_basis, rep_element
+    from ospoly.slices import MonomialIndex, slice_monomials
+
+    cfg, D = key.cfg, key.max_degree
+    sig = cfg.signature
+    idx = MonomialIndex(slice_monomials(key))
+    if ops is None:
+        ops = [rep_element(cfg, e) for e in osp_basis(cfg, "all")]
+    ech = Echelon()
+    queue = []
+    for g in gens:
+        row = ech.insert(idx.vec(g))
+        if row is not None:
+            queue.append(idx.poly(sig, row))
+    while queue:
+        v = queue.pop()
+        for op in ops:
+            image = naive_apply(op, v)
+            if image.is_zero() or image.max_degree() > D:
+                continue
+            row = ech.insert(idx.vec(image))
+            if row is not None:
+                queue.append(idx.poly(sig, row))
+    return [idx.poly(sig, row) for row in ech.basis()]

@@ -5,12 +5,12 @@ Expected dimensions are frozen from the brute-force oracles in oracles.py
 """
 
 import json
-import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from ospoly import slices
 from ospoly.linalg import Echelon, filtration, restrict_to_zone
 from ospoly.osp import (
     config_a,
@@ -28,6 +28,8 @@ from ospoly.slices import (
     MonomialIndex,
     SliceKey,
     _generates_layer,
+    _int_atoms,
+    _int_image,
     _monos_up_to,
     bigraded_harmonic,
     bigraded_monomials,
@@ -41,8 +43,16 @@ from ospoly.slices import (
     verify_composition_series,
     verify_direct_sum,
 )
-from ospoly.superpoly import SuperMonomial, SuperPolynomial, theta_word
-from oracles import dense_nullspace, enumerate_slice
+from ospoly.superpoly import (
+    DER_T,
+    MUL_T,
+    MUL_X,
+    SuperOperator,
+    SuperPolynomial,
+    apply_operator,
+    theta_word,
+)
+from oracles import dense_nullspace, enumerate_slice, naive_apply, reference_closure
 
 A11_R0 = config_a(1, 1, 0)
 A11_R1 = config_a(1, 1, 1)
@@ -345,6 +355,119 @@ def test_closure_monotone_in_window():
     assert low[0] <= low[1] <= low[2]
 
 
+@pytest.mark.parametrize(
+    "cfg, k, D",
+    [
+        (config_a(2, 1, 1), 2, 4),
+        (config_a(1, 1, 1, "odd"), 1, 3),
+        (config_aprime(1, 2, {3, 4}), 1, 3),
+    ],
+    ids=["A211", "A111-odd", "Aprime12-T34"],
+)
+def test_int_image_matches_the_polynomial_action(cfg, k, D):
+    """Every basis element on every monomial of two windows (D and D+1, so
+    images reach one and two degrees past the window): the integer image
+    maps back to the polynomial image, and a halo index survives exactly
+    when the image leaves the window."""
+    sig = cfg.signature
+    past = set()
+    for top in (D, D + 1):
+        idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, top)))
+        halo = {}
+        for e in osp_basis(cfg, "all"):
+            op = rep_element(cfg, e)
+            atoms = _int_atoms(op)
+            scale = atoms[0][0] / op.atoms[0][0]
+            for i, m in enumerate(idx.monomials):
+                image = _int_image(atoms, {i: 1}, idx, halo, top)
+                p = SuperPolynomial.from_monomial(sig, m)
+                want = naive_apply(op, p)
+                assert apply_operator(op, p) == want, (e, m)
+                monos = idx.monomials + list(halo)
+                assert {monos[j]: c for j, c in image.items()} == {
+                    mono: c * scale for mono, c in want.terms.items()
+                }, (e, m)
+                leaves = bool(image) and max(image) >= len(idx)
+                assert leaves == (want.max_degree() > top), (e, m)
+        past.update(mono.total_degree - top for mono in halo)
+    assert past == {1, 2}
+
+
+def test_int_atoms_clear_denominators_by_their_lcm():
+    sig = A11_R0.signature
+    up, down = ((MUL_X, 0), (MUL_X, 1)), ((DER_T, 0), (MUL_T, 1))
+    op = SuperOperator(sig, [(Fraction(1, 2), up), (Fraction(-2, 3), down)], 0)
+    assert _int_atoms(op) == [(3, up), (-4, down)]
+
+
+def _slice_monomial(i):
+    """Generator list: the i-th monomial of the slice."""
+    return lambda cfg, idx: [SuperPolynomial.from_monomial(cfg.signature, idx.monomials[i])]
+
+
+def _x2_squared(cfg, idx):
+    return [SuperPolynomial.x(cfg.signature, 2) ** 2]
+
+
+def _eta(cfg, idx):
+    return [eta_polynomial(cfg)]
+
+
+def _word(cfg, idx):
+    return [theta_word(cfg.signature, [1])]
+
+
+def _pluecker_word(cfg, idx):
+    """The second block's generator of the A'(1,2) split in normal form."""
+    x = lambda i: SuperPolynomial.x(cfg.signature, i)
+    return [(x(1) * x(4) - x(2) * x(3)) * theta_word(cfg.signature, [1])]
+
+
+# name: (cfg, k, D, generator list of the slice)
+CLOSURE_CASES = {
+    "A211-x2^2": (config_a(2, 1, 1), 2, 6, _x2_squared),
+    "A111-monomial": (A11_R1, 1, 5, _slice_monomial(8)),
+    "A110-eta": (A11_R0, 2, 6, _eta),
+    "A111-odd": (config_a(1, 1, 1, "odd"), 1, 5, _slice_monomial(4)),
+    "Aprime12-T34": (config_aprime(1, 2, {3, 4}), 1, 6, _slice_monomial(0)),
+    "Aprime12-split-word": (config_aprime(1, 2, {1, 2}), 1, 6, _word),
+    "Aprime12-split-pluecker": (config_aprime(1, 2, {1, 2}), 1, 6, _pluecker_word),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+def test_closure_matches_reference_oracle(case):
+    """The integer-row closure returns the basis of the polynomial one,
+    which skips an image whose max_degree() exceeds D."""
+    cfg, k, D, gens = CLOSURE_CASES[case]
+    key = SliceKey(cfg, k, D)
+    gens = gens(cfg, MonomialIndex(slice_monomials(key)))
+    assert generate_submodule(key, gens, 2).vectors == reference_closure(key, gens)
+
+
+def test_halo_is_read_after_cancellation(monkeypatch):
+    """An image whose out-of-window terms cancel stays in the window.
+
+    With q = x1 t1 + x1 t2 (q^2 = 0) and the operator q + x2 d/dt1, q maps to
+    x1 x2 of degree 2 through the cancelling degree-4 terms of q^2; on the
+    degree <= 2 window the closure of q is span{q, x1 x2}.  Testing the halo
+    before cancellation would stop at span{q}.
+    """
+    cfg = A11_R1
+    sig = cfg.signature
+    q_times = [(1, ((MUL_X, 0), (MUL_T, 0))), (1, ((MUL_X, 0), (MUL_T, 1)))]
+    op = SuperOperator(sig, q_times + [(1, ((MUL_X, 1), (DER_T, 0)))], 1)
+    monkeypatch.setattr(slices, "osp_basis", lambda cfg, part: ["q + x2 dt1"])
+    monkeypatch.setattr(slices, "rep_element", lambda cfg, e: op)
+    x1, x2 = SuperPolynomial.x(sig, 1), SuperPolynomial.x(sig, 2)
+    q = x1 * (SuperPolynomial.theta(sig, 1) + SuperPolynomial.theta(sig, 2))
+    assert op(q) == x1 * x2
+    key = SliceKey(cfg, 0, 2)
+    gen = generate_submodule(key, [q], 0)
+    assert gen.vectors == reference_closure(key, [q], ops=[op])
+    assert sorted(map(str, gen.vectors)) == ["1 * x1 t1 + 1 * x1 t2", "1 * x1 x2"]
+
+
 # -- verifiers -------------------------------------------------------------
 
 
@@ -398,6 +521,30 @@ def test_generates_layer_reports_the_degree_of_the_missed_row():
     top = filtration([idx.vec(x2 + x1 * x2**2)])
     assert _generates_layer(x2, top, [], key, idx, 2) == (False, 3)
     assert _generates_layer(x2, filtration([idx.vec(x2)]), [], key, idx, 2) == (True, -1)
+
+
+def test_series_term_not_inside_the_next(monkeypatch):
+    """A chain term outside the next term up fails under H, which is exact,
+    and is inconclusive under a generated term, which is from below."""
+    cfg = config_a(2, 2, 0)
+    sig = cfg.signature
+    stray = SuperPolynomial.x(sig, 1) * SuperPolynomial.x(sig, 3)  # not harmonic
+    monkeypatch.setattr(slices, "eta_image", lambda *args, **kwargs: [stray])
+    rep = verify_composition_series(cfg, 2, 6, margin=2)
+    assert rep.status == "fail"
+    assert "eta^1 H(k=0) not inside H on the window" in rep.notes
+    assert rep.dims[0]["term"] == "H > eta^1 H(k=0)"
+    assert rep.dims[0]["status"] == "fail"
+
+    # r = m1-1: eta^1 H(k=0) replaced by all of H, which <x2^2> does not hold
+    cfg = config_a(2, 1, 1)
+    top = harmonic_space(SliceKey(cfg, 2, 6)).vectors
+    monkeypatch.setattr(slices, "eta_image", lambda *args, **kwargs: top)
+    rep = verify_composition_series(cfg, 2, 6, margin=2)
+    assert rep.status == "inconclusive-window"
+    assert "eta^1 H(k=0) not inside <x2^2> on the window" in rep.notes
+    assert rep.dims[1]["term"] == "<x2^2> > eta^1 H(k=0)"
+    assert rep.dims[1]["status"] == "inconclusive-window"
 
 
 def test_series_rejects_out_of_window():
