@@ -9,6 +9,13 @@ integer content and making the pivot entry positive.  With the pivot rule
 canonical basis of the span, so two runs that see the same vectors in any
 order produce identical bases.
 
+An Echelon also keeps a column index, ``cols``: for every column c it maps c
+to the set of pivots whose stored row has a nonzero non-pivot entry at c
+(only nonempty sets are kept, and no stored pivot is a key, since rows are
+fully reduced).  Inserting a row with pivot p back-reduces exactly the rows
+named by ``cols[p]``, so an insert never scans the stored rows that do not
+contain p.
+
 ``filtration`` uses the opposite rule, "largest coordinate index wins", by
 running the same Echelon on negated indices.  Its rows sorted by pivot hold a
 basis of span . {index < b} as a prefix for every bound b at once
@@ -88,12 +95,18 @@ def _eliminate(vec: Vec, row: Vec, pivot: int) -> Vec:
 
 
 class Echelon:
-    """Row space kept in reduced echelon form over the integers."""
+    """Row space kept in reduced echelon form over the integers.
 
-    __slots__ = ("rows",)
+    rows maps each pivot to its normalized row.  cols maps a column c to the
+    pivots q with c in rows[q] and c != q; it is exactly the non-pivot
+    support of rows, with no empty set stored, and insert keeps it so.
+    """
+
+    __slots__ = ("rows", "cols")
 
     def __init__(self):
         self.rows: dict[int, Vec] = {}
+        self.cols: dict[int, set[int]] = {}
 
     @property
     def dim(self) -> int:
@@ -132,20 +145,33 @@ class Echelon:
         """Add vec to the span; return the new normalized row, or None.
 
         Rows are kept fully reduced against each other, so the stored basis
-        is the canonical reduced echelon basis of the span.
+        is the canonical reduced echelon basis of the span.  vec is reduced
+        first, so no entry of it besides its pivot p is a stored pivot, and
+        only the rows in cols[p] hold p.  Such a row q keeps its pivot: q is
+        not in vec and q < p, so eliminating p never empties it.
         """
         vec = self.reduce(vec)
         if not vec:
             return None
         p = min(vec)
-        for q, row in list(self.rows.items()):
-            if p in row:
-                reduced = normalize(_eliminate(row, vec, p))
-                if reduced:
-                    self.rows[q] = reduced
-                else:
-                    del self.rows[q]
-        self.rows[p] = vec
+        rows, cols = self.rows, self.cols
+        for q in cols.pop(p, ()):
+            row = rows[q]
+            reduced = normalize(_eliminate(row, vec, p))
+            rows[q] = reduced
+            for c in row:
+                if c not in reduced and c != p:
+                    owners = cols[c]
+                    owners.discard(q)
+                    if not owners:
+                        del cols[c]
+            for c in reduced:
+                if c not in row:
+                    cols.setdefault(c, set()).add(q)
+        rows[p] = vec
+        for c in vec:
+            if c != p:
+                cols.setdefault(c, set()).add(p)
         return vec
 
     def basis(self) -> list[Vec]:

@@ -208,27 +208,26 @@ def slice_basis(key: SliceKey) -> SubspaceBasis:
 # harmonic kernels
 
 
-def _image_index(polys) -> MonomialIndex:
-    monos = set()
-    for p in polys:
-        monos.update(p.terms)
-    return MonomialIndex(monos)
+def _lowering_kernel(cfg: RepConfig, idx: MonomialIndex) -> list[dict[int, int]]:
+    """Exact kernel of the lowering operator on the span of idx's monomials.
 
-
-def _lowering_kernel(cfg: RepConfig, idx: MonomialIndex) -> list[SuperPolynomial]:
-    """Exact kernel of the lowering operator on the span of idx's monomials."""
-    lower, _ = delta_eta(cfg)
-    sig = cfg.signature
-    images = [lower(SuperPolynomial.from_monomial(sig, m)) for m in idx.monomials]
-    img_idx = _image_index(images)
-    img_vecs = linalg.exact_int_columns([img_idx.vec_fraction(p) for p in images])
-    return [idx.poly(sig, row) for row in linalg.kernel(img_vecs)]
+    The operator becomes integer atoms once.  Each monomial's image is an
+    integer row whose coordinates number the image monomials on first sight;
+    the numbering does not matter, since the kernel comes back as its
+    canonical echelon basis.  Returns integer rows over idx.
+    """
+    atoms = _int_atoms(delta_eta(cfg)[0])
+    seen: dict = {}
+    return linalg.kernel(
+        [_image_of_terms(atoms, ((m, 1),), {}, seen, -1) for m in idx.monomials]
+    )
 
 
 def harmonic_space(key: SliceKey) -> SubspaceBasis:
     """Exact kernel of the lowering operator on the slice."""
     idx = MonomialIndex(slice_monomials(key))
-    return SubspaceBasis(key, idx, _lowering_kernel(key.cfg, idx))
+    rows = _lowering_kernel(key.cfg, idx)
+    return SubspaceBasis(key, idx, [idx.poly(key.cfg.signature, row) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +327,17 @@ def _int_atoms(op: SuperOperator) -> list[tuple[int, tuple]]:
     return [(int(c * lcm), chain) for c, chain in op.atoms]
 
 
-def _int_image(atoms, row, idx: MonomialIndex, halo: dict, D: int) -> dict[int, int]:
-    """Exact image of an integer row over idx under integer atoms.
+def _image_of_terms(atoms, terms, index: dict, halo: dict, D: int) -> dict[int, int]:
+    """Exact image of sum(c * mono for mono, c in terms) under integer atoms.
 
-    A monomial of degree > D gets a halo index >= len(idx), numbered in halo
-    on first sight; one of degree <= D outside the slice raises KeyError.
-    The image leaves the window exactly when a halo index survives
-    cancellation, i.e. when max(image) >= len(idx).
+    A monomial in index gets its index there.  One of degree > D gets a halo
+    index >= len(index), numbered in halo on first sight; one of degree <= D
+    outside index raises KeyError.  With an empty index and D = -1 every
+    image monomial is numbered in halo.
     """
-    monomials, index = idx.monomials, idx.index
+    base = len(index)
     out: dict[int, int] = {}
-    for i, c in row.items():
-        mono = monomials[i]
+    for mono, c in terms:
         for a, chain in atoms:
             hit = act_on_monomial(chain, mono)
             if hit is None:
@@ -349,13 +347,24 @@ def _int_image(atoms, row, idx: MonomialIndex, halo: dict, D: int) -> dict[int, 
             if j is None:
                 if m.total_degree <= D:
                     raise KeyError(f"monomial {m} outside the slice")
-                j = halo.setdefault(m, len(monomials) + len(halo))
+                j = halo.setdefault(m, base + len(halo))
             s = out.get(j, 0) + c * a * factor
             if s:
                 out[j] = s
             else:
                 del out[j]
     return out
+
+
+def _int_image(atoms, row, idx: MonomialIndex, halo: dict, D: int) -> dict[int, int]:
+    """Exact image of an integer row over idx under integer atoms.
+
+    A monomial of degree > D gets a halo index >= len(idx) (see
+    ``_image_of_terms``).  The image leaves the window exactly when a halo
+    index survives cancellation, i.e. when max(image) >= len(idx).
+    """
+    terms = zip(map(idx.monomials.__getitem__, row), row.values())
+    return _image_of_terms(atoms, terms, idx.index, halo, D)
 
 
 def generate_submodule(
@@ -466,15 +475,23 @@ def eta_image(cfg, k_source, source_degree, power=1, cap=None) -> list[SuperPoly
     return out
 
 
-def eta_span_of_slice(cfg, k_source, source_degree) -> list[SuperPolynomial]:
-    """eta applied to every monomial of the (k_source, <= source_degree) slice."""
-    _, eta = delta_eta(cfg)
-    sig = cfg.signature
+def eta_span_of_slice(cfg, k_source, source_degree, idx: MonomialIndex) -> list[dict]:
+    """eta applied to every monomial of the (k_source, <= source_degree)
+    slice, as content-free integer rows over idx, the slice of grading
+    k_source + 2 and total degree <= source_degree.
+
+    An image is dropped, never truncated, when it is zero or when a halo
+    index (a monomial of degree > source_degree) survives cancellation, so
+    the span lies inside the true raised space.
+    """
+    atoms = _int_atoms(delta_eta(cfg)[1])
+    n = len(idx)
+    halo: dict = {}
     out = []
     for m in slice_monomials(SliceKey(cfg, k_source, source_degree)):
-        w = eta(SuperPolynomial.from_monomial(sig, m))
-        if not w.is_zero():
-            out.append(w)
+        image = _image_of_terms(atoms, ((m, 1),), idx.index, halo, source_degree)
+        if image and max(image) < n:
+            out.append(linalg.normalize(image))
     return out
 
 
@@ -495,11 +512,9 @@ def verify_direct_sum(
     rep = VerificationReport("direct-sum", cfg, k, D, margin, seed, "pass")
     key = SliceKey(cfg, k, D)
     idx = MonomialIndex(slice_monomials(key))
-    harmonic = harmonic_space(key)
-    image = eta_span_of_slice(cfg, k - 2, D)
-    h_vecs = [idx.vec(p) for p in harmonic.vectors]
     # the kernel side is exact and the image side from below
-    img_vecs = [idx.vec(p) for p in image if p.max_degree() <= D]
+    h_vecs = _lowering_kernel(cfg, idx)
+    img_vecs = eta_span_of_slice(cfg, k - 2, D, idx)
     h_rows = linalg.filtration(h_vecs)
     _check_direct_sum(
         rep, idx, h_vecs, img_vecs, margin, "kernel meets the raised space",
@@ -599,7 +614,6 @@ def verify_composition_series(
 
     key = SliceKey(cfg, k, D)
     idx = MonomialIndex(slice_monomials(key))
-    top = harmonic_space(key)
     lower, _ = delta_eta(cfg)
     statuses = []
 
@@ -617,8 +631,9 @@ def verify_composition_series(
     top_level = D - margin
     bound = _monos_up_to(idx, top_level)
     terms = []
-    for name, vectors in [("H", top.vectors)] + chain + [("0", [])]:
-        vecs = [idx.vec(p) for p in vectors]
+    term_vecs = [("H", [], _lowering_kernel(cfg, idx))]
+    term_vecs += [(name, vecs, [idx.vec(p) for p in vecs]) for name, vecs in chain]
+    for name, vectors, vecs in term_vecs + [("0", [], [])]:
         rows = linalg.restrict_to_zone(linalg.filtration(vecs), bound)
         terms.append((name, vectors, linalg.span(vecs), rows))
     layers = list(zip(terms, terms[1:]))
@@ -645,19 +660,22 @@ def verify_composition_series(
             }
         )
 
-    # action stability of the middle terms
+    # In the exact regime a failure below is a disproof (terms and closures
+    # are true subspaces); otherwise it may be a window artifact.
+    exact = slice_is_exact(cfg, k, D)
+    miss = "fail" if exact else "inconclusive-window"
+
+    # action stability of the middle terms; both are built from below, so a
+    # leak outside the exact regime may be a missing in-window combination
     for name, vectors, ech, _ in terms[1:-1]:
         ok, note = _stable_under_action(cfg, vectors, ech, idx, D)
         if not ok:
-            statuses.append("fail")
-            rep.notes.append(f"{name}: {note}")
+            statuses.append(miss)
+            window = "" if exact else f" (term from below on the window D={D})"
+            rep.notes.append(f"{name}: {note}{window}")
 
     # layer irreducibility evidence: every singular vector of each layer
-    # generates the layer over the next term down.  In the exact regime a
-    # failure is a disproof (the closure is a true invariant subspace);
-    # otherwise it may be a window artifact.
-    exact = slice_is_exact(cfg, k, D)
-    miss = "fail" if exact else "inconclusive-window"
+    # generates the layer over the next term down
     for (name_hi, _, ech_hi, rows_hi), (name_lo, lo_vecs, ech_lo, _) in layers:
         sing = singular_vectors(key, "positive", "A", modulo=lo_vecs or None)
         layer_sing = []
@@ -830,4 +848,5 @@ def _exponents_with_sum(nvars, total):
 
 def bigraded_harmonic(cfg: RepConfig, s: int, t: int) -> list[SuperPolynomial]:
     """Exact kernel of the lowering operator on the finite (s, t) cell."""
-    return _lowering_kernel(cfg, MonomialIndex(bigraded_monomials(cfg, s, t)))
+    idx = MonomialIndex(bigraded_monomials(cfg, s, t))
+    return [idx.poly(cfg.signature, row) for row in _lowering_kernel(cfg, idx)]

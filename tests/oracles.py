@@ -203,3 +203,36 @@ def reference_closure(key, gens, ops=None):
             if row is not None:
                 queue.append(idx.poly(sig, row))
     return [idx.poly(sig, row) for row in ech.basis()]
+
+
+def scan_insert(rows, vec):
+    """Echelon insert that scans every stored row for the new pivot.
+
+    rows maps pivot -> normalized integer row and is updated in place, with
+    the pivot rule "smallest index wins" and rows kept fully reduced against
+    each other.  Returns the new row, or None when vec is already in the span.
+    """
+    from ospoly.linalg import normalize
+
+    def eliminate(v, row, p):
+        a, b = row[p], v[p]
+        out = {k: a * c for k, c in v.items()}
+        for k, c in row.items():
+            out[k] = out.get(k, 0) - b * c
+        return {k: c for k, c in out.items() if c}
+
+    vec = {k: c for k, c in vec.items() if c}
+    while True:
+        hits = [k for k in vec if k in rows]
+        if not hits:
+            break
+        vec = eliminate(vec, rows[min(hits)], min(hits))
+    vec = normalize(vec)
+    if not vec:
+        return None
+    p = min(vec)
+    for q, row in list(rows.items()):
+        if p in row:
+            rows[q] = normalize(eliminate(row, vec, p))
+    rows[p] = vec
+    return vec

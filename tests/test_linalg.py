@@ -14,7 +14,7 @@ from ospoly.linalg import (
     span,
     vec_from_fractions,
 )
-from oracles import dense_nullspace
+from oracles import dense_nullspace, scan_insert
 
 
 def test_normalize_content_and_sign():
@@ -34,6 +34,34 @@ def test_insert_and_membership():
     assert ech.dim == 2
     assert ech.contains({0: 5, 1: -7})
     assert not ech.contains({2: 1})
+
+
+def _non_pivot_support(rows):
+    cols = {}
+    for q, row in rows.items():
+        for c in row:
+            if c != q:
+                cols.setdefault(c, set()).add(q)
+    return cols
+
+
+def test_column_index_matches_scan_based_insert():
+    """After every insert, cols is the non-pivot support of rows, and rows
+    (and the returned row) equal those of the insert that scans every row."""
+    rng = random.Random(23)
+    for _ in range(12):
+        ncols = rng.randint(4, 30)
+        vecs = [
+            {i: rng.randint(-4, 4) for i in rng.sample(range(ncols), rng.randint(1, 5))}
+            for _ in range(rng.randint(3, 40))
+        ]
+        for _ in range(3):
+            rng.shuffle(vecs)
+            ech, ref = Echelon(), {}
+            for v in vecs:
+                assert ech.insert(v) == scan_insert(ref, v)
+                assert ech.rows == ref
+                assert ech.cols == _non_pivot_support(ech.rows)
 
 
 def test_reduced_echelon_is_canonical_under_shuffle():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from ospoly import slices
-from ospoly.linalg import Echelon, filtration, restrict_to_zone
+from ospoly.linalg import Echelon, filtration, restrict_to_zone, span, vec_from_fractions
 from ospoly.osp import (
     config_a,
     config_aprime,
@@ -30,14 +30,17 @@ from ospoly.slices import (
     _generates_layer,
     _int_atoms,
     _int_image,
+    _lowering_kernel,
     _monos_up_to,
     bigraded_harmonic,
     bigraded_monomials,
     eta_image,
+    eta_span_of_slice,
     generate_submodule,
     harmonic_space,
     singular_vectors,
     slice_basis,
+    slice_is_exact,
     slice_monomials,
     verify_aprime_structure,
     verify_composition_series,
@@ -160,6 +163,82 @@ def test_harmonic_action_invariance():
     for v in hs.vectors:
         for e in osp_basis(cfg, "all"):
             assert lower(rep_element(cfg, e)(v)).is_zero()
+
+
+# name: (cfg, monomial list, public harmonic polynomials), one slice per
+# family variant and one bigraded cell of the normal-form second family
+LOWERING_CASES = {
+    "A211-k2": (
+        config_a(2, 1, 1),
+        lambda cfg: slice_monomials(SliceKey(cfg, 2, 5)),
+        lambda cfg: harmonic_space(SliceKey(cfg, 2, 5)).vectors,
+    ),
+    "A111-odd": (
+        config_a(1, 1, 1, "odd"),
+        lambda cfg: slice_monomials(SliceKey(cfg, 1, 4)),
+        lambda cfg: harmonic_space(SliceKey(cfg, 1, 4)).vectors,
+    ),
+    "Aprime12-cell": (
+        config_aprime(1, 2, {1, 2}),
+        lambda cfg: bigraded_monomials(cfg, -1, 2),
+        lambda cfg: bigraded_harmonic(cfg, -1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOWERING_CASES))
+def test_integer_lowering_kernel_matches_the_polynomial_action(case):
+    """The integer-row kernel equals the dense nullspace of naive_apply's
+    images, and the public polynomials span the same space."""
+    cfg, monos, public = LOWERING_CASES[case]
+    idx = MonomialIndex(monos(cfg))
+    sig = cfg.signature
+    lower, _ = delta_eta(cfg)
+    images = [
+        naive_apply(lower, SuperPolynomial.from_monomial(sig, m)) for m in idx.monomials
+    ]
+    target = sorted({m for p in images for m in p.terms}, key=lambda m: m.sort_key())
+    dense = [[p.terms.get(m, 0) for p in images] for m in target]
+    oracle = [
+        vec_from_fractions({i: c for i, c in enumerate(v) if c})
+        for v in dense_nullspace(dense, len(idx))
+    ]
+    want = span(oracle).basis()
+    assert 0 < len(want) < len(idx)
+    assert _lowering_kernel(cfg, idx) == want
+    polys = public(cfg)
+    assert len(polys) == len(want)
+    assert span(idx.vec(p) for p in polys).basis() == want
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D",
+    [
+        (config_a(2, 1, 1), 2, 5),
+        (config_a(1, 1, 1, "odd"), 1, 4),
+        (config_aprime(1, 2, {1, 2}), 1, 5),
+    ],
+    ids=["A211", "A111-odd", "Aprime12-T12"],
+)
+def test_eta_span_matches_the_polynomial_action(cfg, k, D):
+    """One row per nonzero in-window eta image, spanning what the polynomial
+    images with max_degree() <= D span; the window drops some image."""
+    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
+    sig = cfg.signature
+    _, eta = delta_eta(cfg)
+    want, dropped = [], 0
+    for m in slice_monomials(SliceKey(cfg, k - 2, D)):
+        image = naive_apply(eta, SuperPolynomial.from_monomial(sig, m))
+        if image.is_zero():
+            continue
+        if image.max_degree() > D:
+            dropped += 1
+            continue
+        want.append(idx.vec(image))
+    rows = eta_span_of_slice(cfg, k - 2, D, idx)
+    assert dropped and want
+    assert len(rows) == len(want)
+    assert span(rows).basis() == span(want).basis()
 
 
 # -- singular vectors ------------------------------------------------------
@@ -545,6 +624,33 @@ def test_series_term_not_inside_the_next(monkeypatch):
     assert "eta^1 H(k=0) not inside <x2^2> on the window" in rep.notes
     assert rep.dims[1]["term"] == "<x2^2> > eta^1 H(k=0)"
     assert rep.dims[1]["status"] == "inconclusive-window"
+
+
+def test_series_stability_leak_fails_only_on_an_exact_slice(monkeypatch):
+    """A middle term that leaks under the action is a disproof only when the
+    slice is exact; otherwise the term is from below and the leak may be an
+    in-window combination the window missed."""
+    cfg = config_a(3, 1, 2)
+    assert not slice_is_exact(cfg, 2, 4)
+    rep = verify_composition_series(cfg, 2, 4, margin=0)
+    assert rep.status == "inconclusive-window"
+    assert rep.notes[0] == (
+        "eta^1 H(k=0): action of E(4,2)-E(5,1) leaves the span on "
+        "1 * t1 t2 + 1 * x3 x6 (term from below on the window D=4)"
+    )
+    assert all(d["status"] == "pass" for d in rep.dims)
+
+    # exact slice: eta^1 H(k=0) replaced by the line of x1^2, which the
+    # action leaves; the layer check is stubbed so only the leak can fail
+    cfg = config_a(2, 2, 0)
+    assert slice_is_exact(cfg, 2, 6)
+    x1_squared = SuperPolynomial.x(cfg.signature, 1) ** 2
+    monkeypatch.setattr(slices, "eta_image", lambda *args, **kwargs: [x1_squared])
+    monkeypatch.setattr(slices, "_generates_layer", lambda *args: (True, -1))
+    rep = verify_composition_series(cfg, 2, 6, margin=2)
+    assert rep.status == "fail"
+    assert rep.notes == ["eta^1 H(k=0): action of E(2,1)-E(3,4) leaves the span on 1 * x1^2"]
+    assert all(d["status"] == "pass" for d in rep.dims)
 
 
 def test_series_rejects_out_of_window():
