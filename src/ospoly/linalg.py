@@ -113,13 +113,13 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec: Vec) -> Vec:
-        """Eliminate every stored pivot from vec (full reduction)."""
+        """Eliminate every stored pivot from vec (full reduction): no stored
+        row holds another's pivot, so one pass over vec's hits leaves none."""
         vec = {k: v for k, v in vec.items() if v}
-        while True:
-            hits = [k for k in vec if k in self.rows]
-            if not hits:
-                return normalize(vec)
-            vec = _eliminate(vec, self.rows[min(hits)], min(hits))
+        rows = self.rows
+        for p in [k for k in vec if k in rows]:
+            vec = _eliminate(vec, rows[p], p)
+        return normalize(vec)
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)

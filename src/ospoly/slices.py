@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from . import linalg
@@ -37,7 +36,6 @@ from .osp import (
     RepConfig,
     aprime_normalize,
     delta_eta,
-    k_degree,
     markers,
     monomial_weight,
     osp_basis,
@@ -77,16 +75,15 @@ class MonomialIndex:
         return len(self.monomials)
 
     def vec(self, poly: SuperPolynomial) -> dict[int, int]:
-        return linalg.vec_from_fractions(self.vec_fraction(poly))
-
-    def vec_fraction(self, poly: SuperPolynomial) -> dict[int, Fraction]:
+        """Content-free integer row of poly; a monomial outside the index
+        raises ValueError."""
         out = {}
         for m, c in poly.terms.items():
             i = self.index.get(m)
             if i is None:
-                raise KeyError(f"monomial {m} outside the slice")
+                raise ValueError(f"monomial {m} outside the slice")
             out[i] = c
-        return out
+        return linalg.vec_from_fractions(out)
 
     def poly(self, sig, row: dict[int, int]) -> SuperPolynomial:
         frac = linalg.row_to_fractions(row)
@@ -236,80 +233,94 @@ def harmonic_space(key: SliceKey) -> SubspaceBasis:
 
 def singular_vectors(
     key: SliceKey,
+    idx: MonomialIndex,
     part: str = "positive",
     within: str = "H",
-    modulo: list[SuperPolynomial] | None = None,
-) -> list[SuperPolynomial]:
+    modulo: list[dict[int, int]] | None = None,
+) -> list[dict[int, int]]:
     """Weight vectors annihilated by the chosen positive set on the slice.
 
-    within "H" intersects with the kernel of the lowering operator; "A"
-    does not.  With ``modulo`` the annihilation conditions are relaxed to
-    "image lies in the span of these polynomials" (quotient singular
-    vectors; the span is used as given, so from-below inputs keep the
-    result from-below sound: every reported vector genuinely maps into the
-    provided span).
+    idx indexes the slice's monomials; ``modulo`` and the returned vectors
+    are integer rows over it.  within "H" intersects with the kernel of the
+    lowering operator; "A" does not.  With ``modulo`` the annihilation
+    conditions are relaxed to "image lies in the span of these rows"
+    (quotient singular vectors; the span is used as given, so from-below
+    inputs keep the result from-below sound: every reported vector
+    genuinely maps into the provided span).
 
     Every returned vector is exactly annihilated (resp. mapped into the
     span): operator images are computed without truncation.
 
-    The ``modulo`` span is echelonized once per call, indexed by its own
-    monomials.  An image monomial outside that set is never a pivot, so it
-    passes through the reduction unchanged, and the remainder of an image
-    is its reduced-echelon remainder over all monomials involved (indices
-    order by ``sort_key``).  Each weight group stacks its reduced images
-    under rows keyed by (operator, monomial); the kernel is the canonical
-    echelon basis over the group's monomials, so row labels do not affect
-    the result.
+    A monomial's image is an integer row from ``_image_of_terms``: over idx
+    and a halo for the positive operators, which keep the grading, and over
+    a halo of its own for the lowering operator, as in ``_lowering_kernel``.
+    ``_reduce_modulo`` takes positive images modulo the span, echelonized
+    once per call.  Each weight group of idx stacks its images under rows
+    keyed by (operator, image index); its kernel is the canonical echelon
+    basis over the group's positions, so neither row labels nor the
+    per-operator and common scale factors affect the result.
     """
-    cfg = key.cfg
-    sig = cfg.signature
-    ops = [rep_element(cfg, e) for e in osp_basis(cfg, part)]
-    # images of the first num_mod operators are taken modulo the span; the
-    # lowering operator appended for "H" must annihilate outright
+    cfg, D = key.cfg, key.max_degree
+    halo: dict = {}
+    # (atoms, index, halo, D); images of the first num_mod operators are
+    # taken modulo the span, the lowering operator must annihilate outright
+    ops = [
+        (_int_atoms(rep_element(cfg, e)), idx.index, halo, D) for e in osp_basis(cfg, part)
+    ]
     num_mod = len(ops) if modulo else 0
     if within == "H":
-        ops.append(delta_eta(cfg)[0])
+        ops.append((_int_atoms(delta_eta(cfg)[0]), {}, {}, -1))
     elif within != "A":
         raise ValueError("within must be 'H' or 'A'")
 
     if modulo:
-        mod_idx = MonomialIndex({m for p in modulo for m in p.terms})
-        mod_ech = linalg.span([mod_idx.vec(p) for p in modulo])
+        mod_ech = linalg.span(modulo)
+        lcm = 1
+        for q, row in mod_ech.rows.items():
+            lcm = lcm // gcd(lcm, row[q]) * row[q]
 
     groups: dict = {}
-    for m in slice_monomials(key):
-        groups.setdefault(monomial_weight(cfg, m), []).append(m)
+    for i, m in enumerate(idx.monomials):
+        groups.setdefault(monomial_weight(cfg, m), []).append(i)
 
     out = []
     for w in sorted(groups, key=lambda w: (w.eps_so, w.eps_sp)):
-        src_idx = MonomialIndex(groups[w])
+        cols = groups[w]
         rows: dict = {}
-        stacked: list[dict[int, Fraction]] = [{} for _ in src_idx.monomials]
-        for oi, op in enumerate(ops):
-            for col, m in enumerate(src_idx.monomials):
-                terms = op(SuperPolynomial.from_monomial(sig, m)).terms
+        stacked: list[dict[int, int]] = [{} for _ in cols]
+        for oi, (atoms, index, op_halo, top) in enumerate(ops):
+            for col, i in zip(stacked, cols):
+                image = _image_of_terms(atoms, ((idx.monomials[i], 1),), index, op_halo, top)
                 if oi < num_mod:
-                    terms = _reduce_modulo(terms, mod_idx, mod_ech)
-                for mono, c in terms.items():
-                    stacked[col][rows.setdefault((oi, mono), len(rows))] = c
-        combos = linalg.kernel(linalg.exact_int_columns(stacked))
-        for row in combos:
-            out.append(src_idx.poly(sig, row))
+                    image = _reduce_modulo(image, mod_ech, lcm)
+                for j, c in image.items():
+                    col[rows.setdefault((oi, j), len(rows))] = c
+        for combo in linalg.kernel(stacked):
+            out.append({cols[j]: c for j, c in combo.items()})
     return out
 
 
-def _reduce_modulo(terms, mod_idx: MonomialIndex, mod_ech: Echelon) -> dict:
-    """Exact remainder of {monomial: coeff} modulo the echelonized span."""
-    out = {}
-    inside = {}
-    for m, c in terms.items():
-        i = mod_idx.index.get(m)
-        if i is None:
-            out[m] = c
-        else:
-            inside[i] = c
-    for i, c in mod_ech.reduce_fraction(inside).items():
-        out[mod_idx.monomials[i]] = c
+def _reduce_modulo(vec: dict[int, int], mod_ech: Echelon, lcm: int) -> dict[int, int]:
+    """lcm times the exact remainder of vec modulo the span mod_ech.
+
+    lcm is a common multiple of the pivot entries of mod_ech's rows.  Those
+    rows are fully reduced, so no row holds another's pivot, and one pass
+    clears every pivot vec hits: subtract vec[q] * (lcm / row_q[q]) * row_q
+    from lcm * vec.  The factor is the same for every vector, unlike the
+    per-vector normalization of ``Echelon.reduce``, so the remainder stays
+    linear in vec.
+    """
+    out = {j: c * lcm for j, c in vec.items()}
+    rows = mod_ech.rows
+    for q in [j for j in vec if j in rows]:
+        row = rows[q]
+        f = vec[q] * (lcm // row[q])
+        for j, c in row.items():
+            s = out.get(j, 0) - f * c
+            if s:
+                out[j] = s
+            else:
+                del out[j]
     return out
 
 
@@ -368,8 +379,8 @@ def _int_image(atoms, row, idx: MonomialIndex, halo: dict, D: int) -> dict[int, 
 
 
 def generate_submodule(
-    key: SliceKey, gens: list[SuperPolynomial], verify_margin: int = 4
-) -> SubspaceBasis:
+    key: SliceKey, idx: MonomialIndex, gens: list[dict[int, int]], verify_margin: int = 4
+) -> list[dict[int, int]]:
     """Breadth-first closure of gens under the action, capped at degree D.
 
     An operator application whose image would leave the window is skipped
@@ -377,29 +388,21 @@ def generate_submodule(
     submodule.  Comparisons against it are sound from below on degrees
     <= D - verify_margin.
 
-    The closure runs on integer rows over the slice index: each osp operator
-    becomes integer atoms once (``_int_atoms``), each accepted row is queued
-    as ``Echelon.insert`` returns it, and its images are built by
+    idx indexes the slice's monomials; gens and the returned canonical
+    echelon basis are integer rows over it.  Each osp operator becomes
+    integer atoms once (``_int_atoms``), each accepted row is queued as
+    ``Echelon.insert`` returns it, and its images are built by
     ``_int_image``.  An image is skipped exactly when a coefficient on a
     monomial of degree > D (its halo) is nonzero after cancellation.
     """
     if not gens:
         raise ValueError("empty generator list")
     cfg, D = key.cfg, key.max_degree
-    sig = cfg.signature
-    idx = MonomialIndex(slice_monomials(key))
     n = len(idx)
     ops = [_int_atoms(rep_element(cfg, e)) for e in osp_basis(cfg, "all")]
     halo: dict = {}
     ech = Echelon()
-    queue = []
-    for g in gens:
-        for m in g.terms:
-            if k_degree(cfg, m) != key.k:
-                raise ValueError(f"generator not inside the k={key.k} slice")
-        row = ech.insert(idx.vec(g))
-        if row is not None:
-            queue.append(row)
+    queue = [row for row in map(ech.insert, gens) if row is not None]
     while queue:
         v = queue.pop()
         for atoms in ops:
@@ -409,8 +412,7 @@ def generate_submodule(
             row = ech.insert(image)
             if row is not None:
                 queue.append(row)
-    vectors = [idx.poly(sig, row) for row in ech.basis()]
-    return SubspaceBasis(key, idx, vectors)
+    return ech.basis()
 
 
 # ---------------------------------------------------------------------------
@@ -529,35 +531,33 @@ def verify_direct_sum(
     return rep
 
 
-def _stable_under_action(cfg, vectors, ech, idx, D) -> tuple[bool, str | None]:
-    """Check the span ech of vectors is action-stable on the window (exact
-    images of in-window vectors that stay in-window must lie back in it)."""
-    rows = [idx.vec(p) for p in vectors]
+def _stable_under_action(cfg, rows, ech, idx, D) -> tuple | None:
+    """The first (element, position in rows) whose exact image leaves the
+    span ech of rows while staying in the window, or None when the span is
+    action-stable on the window."""
     n = len(idx)
     halo: dict = {}
     for e in osp_basis(cfg, "all"):
         atoms = _int_atoms(rep_element(cfg, e))
-        for p, row in zip(vectors, rows):
+        for i, row in enumerate(rows):
             image = _int_image(atoms, row, idx, halo, D)
-            if not image or max(image) >= n:
-                continue
-            if not ech.contains(image):
-                return False, f"action of {e} leaves the span on {p}"
-    return True, None
+            if image and max(image) < n and not ech.contains(image):
+                return e, i
+    return None
 
 
-def _generates_layer(seed_vec, top_rows, bottom_vectors, key, idx, margin):
+def _generates_layer(seed_row, top_rows, bottom_rows, key, idx, margin):
     """Does <seed> + bottom cover top on the verified window levels?
 
-    top_rows are top's filtration rows on the verified window.  A row r of
-    degree <= d lies in span(lhs . {deg <= d}) exactly when it lies in
-    span(lhs), so the first row outside span(lhs) names the first failing
-    level: the total degree of its pivot monomial.
+    seed_row and bottom_rows are integer rows over idx; top_rows are top's
+    filtration rows on the verified window.  A row r of degree <= d lies in
+    span(lhs . {deg <= d}) exactly when it lies in span(lhs), so the first
+    row outside span(lhs) names the first failing level: the total degree
+    of its pivot monomial.
 
     Returns (True, -1) or (False, first failing degree level).
     """
-    gen = generate_submodule(key, [seed_vec], margin)
-    lhs = linalg.span(idx.vec(p) for p in gen.vectors + bottom_vectors)
+    lhs = linalg.span(generate_submodule(key, idx, [seed_row], margin) + bottom_rows)
     for r in top_rows:
         if not lhs.contains(r):
             return False, idx.monomials[max(r)].total_degree
@@ -576,6 +576,8 @@ def verify_composition_series(
     Checks: membership of each term in the next one up, action stability,
     strictness on the window, and that every singular vector of each layer
     generates it (windowed sufficient criterion for layer irreducibility).
+    Terms are integer rows over the slice index; notes print a member of an
+    eta term as eta_image's own polynomial.
     """
     D = max_degree
     m1, n, r = cfg.m1, cfg.n, cfg.r
@@ -586,44 +588,26 @@ def verify_composition_series(
         lo, hi = n - m1 + 1, 2 * (n - m1 + 1)
         if not lo < k <= hi:
             raise ValueError(f"k={k} outside the window ({lo}, {hi}]")
-        power = k - (n - m1 + 1)
-        k_inner = 2 * (n - m1 + 1) - k
-        chain = [
-            ("eta^%d H(k=%d)" % (power, k_inner), eta_image(cfg, k_inner, D, power, cap=D))
-        ]
+        power, k_inner = k - (n - m1 + 1), 2 * (n - m1 + 1) - k
     elif r < m1 - 1:
         if not k > n - m1 + r + 1:
             raise ValueError("k below the window")
-        power = k - n + m1 - r - 1
-        k_inner = -k + 2 * (n - m1 + r + 1)
-        chain = [
-            ("eta^%d H(k=%d)" % (power, k_inner), eta_image(cfg, k_inner, D, power, cap=D))
-        ]
+        power, k_inner = k - n + m1 - r - 1, -k + 2 * (n - m1 + r + 1)
     else:
         if not k > n:
             raise ValueError("k below the window")
-        key = SliceKey(cfg, k, D)
-        sig = cfg.signature
-        xk = SuperPolynomial.x(sig, m1) ** k
-        mid = generate_submodule(key, [xk], margin)
         power, k_inner = k - n, -k + 2 * n
-        chain = [
-            ("<x%d^%d>" % (m1, k), mid.vectors),
-            ("eta^%d H(k=%d)" % (power, k_inner), eta_image(cfg, k_inner, D, power, cap=D)),
-        ]
 
     key = SliceKey(cfg, k, D)
     idx = MonomialIndex(slice_monomials(key))
-    lower, _ = delta_eta(cfg)
-    statuses = []
-
-    # every chain term consists of exactly harmonic vectors of grading k
-    for name, vectors in chain:
-        for v in vectors:
-            if not lower(v).is_zero():
-                rep.witnesses.append(str(v))
-                rep.notes.append(f"{name}: member not harmonic")
-                statuses.append("fail")
+    sig = cfg.signature
+    # each term below H: (name, member i as notes print it, rows)
+    eta_polys = eta_image(cfg, k_inner, D, power, cap=D)
+    chain = [("eta^%d H(k=%d)" % (power, k_inner), eta_polys.__getitem__,
+              [idx.vec(p) for p in eta_polys])]
+    if r > 0 and r >= m1 - 1:  # the last branch: H > <x_m1^k> > eta^j H' > 0
+        mid = generate_submodule(key, idx, [idx.vec(SuperPolynomial.x(sig, m1) ** k)], margin)
+        chain.insert(0, ("<x%d^%d>" % (m1, k), lambda i: idx.poly(sig, mid[i]), mid))
 
     # each term once as a span (membership) and once as its filtration rows
     # on the verified window; a window row lies in the window part of a span
@@ -631,14 +615,25 @@ def verify_composition_series(
     top_level = D - margin
     bound = _monos_up_to(idx, top_level)
     terms = []
-    term_vecs = [("H", [], _lowering_kernel(cfg, idx))]
-    term_vecs += [(name, vecs, [idx.vec(p) for p in vecs]) for name, vecs in chain]
-    for name, vectors, vecs in term_vecs + [("0", [], [])]:
-        rows = linalg.restrict_to_zone(linalg.filtration(vecs), bound)
-        terms.append((name, vectors, linalg.span(vecs), rows))
+    chain_and_ends = [("H", None, _lowering_kernel(cfg, idx))] + chain + [("0", None, [])]
+    for name, show, rows in chain_and_ends:
+        window_rows = linalg.restrict_to_zone(linalg.filtration(rows), bound)
+        terms.append((name, show, rows, linalg.span(rows), window_rows))
+    statuses = []
+
+    # every chain term consists of exactly harmonic vectors of grading k;
+    # H is the exact kernel on the slice, so that is membership in its span
+    h_ech = terms[0][3]
+    for name, show, rows in chain:
+        for i, row in enumerate(rows):
+            if not h_ech.contains(row):
+                rep.witnesses.append(str(show(i)))
+                rep.notes.append(f"{name}: member not harmonic")
+                statuses.append("fail")
+
     layers = list(zip(terms, terms[1:]))
     # inclusions and strictness on the verified window
-    for (name_hi, _, ech_hi, rows_hi), (name_lo, _, _, rows_lo) in layers:
+    for (name_hi, _, _, ech_hi, rows_hi), (name_lo, _, _, _, rows_lo) in layers:
         included = all(ech_hi.contains(rr) for rr in rows_lo)
         strict = len(rows_lo) < len(rows_hi)
         if not included:
@@ -667,36 +662,34 @@ def verify_composition_series(
 
     # action stability of the middle terms; both are built from below, so a
     # leak outside the exact regime may be a missing in-window combination
-    for name, vectors, ech, _ in terms[1:-1]:
-        ok, note = _stable_under_action(cfg, vectors, ech, idx, D)
-        if not ok:
+    for name, show, rows, ech, _ in terms[1:-1]:
+        leak = _stable_under_action(cfg, rows, ech, idx, D)
+        if leak:
+            e, i = leak
             statuses.append(miss)
             window = "" if exact else f" (term from below on the window D={D})"
-            rep.notes.append(f"{name}: {note}{window}")
+            rep.notes.append(f"{name}: action of {e} leaves the span on {show(i)}{window}")
 
     # layer irreducibility evidence: every singular vector of each layer
     # generates the layer over the next term down
-    for (name_hi, _, ech_hi, rows_hi), (name_lo, lo_vecs, ech_lo, _) in layers:
-        sing = singular_vectors(key, "positive", "A", modulo=lo_vecs or None)
-        layer_sing = []
-        for s in sing:
-            v = idx.vec(s)
-            if ech_hi.contains(v) and not ech_lo.contains(v):
-                layer_sing.append(s)
+    for (name_hi, _, _, ech_hi, rows_hi), (name_lo, _, lo_rows, ech_lo, _) in layers:
+        sing = singular_vectors(key, idx, "positive", "A", modulo=lo_rows)
+        layer_sing = [s for s in sing if ech_hi.contains(s) and not ech_lo.contains(s)]
         if not layer_sing:
             statuses.append(miss)
             rep.notes.append(f"no singular vector found for layer {name_hi}/{name_lo}")
             continue
         for s in layer_sing:
-            ok, bad_d = _generates_layer(s, rows_hi, lo_vecs, key, idx, margin)
+            ok, bad_d = _generates_layer(s, rows_hi, lo_rows, key, idx, margin)
             if not ok:
                 statuses.append(miss)
                 rep.notes.append(
-                    f"singular vector {s} does not reach layer {name_hi}/{name_lo} at d={bad_d}"
+                    f"singular vector {idx.poly(sig, s)} does not reach layer "
+                    f"{name_hi}/{name_lo} at d={bad_d}"
                 )
             else:
                 statuses.append("pass")
-                rep.witnesses.append(str(s))
+                rep.witnesses.append(str(idx.poly(sig, s)))
 
     rep.status = _combine(statuses)
     return rep
@@ -770,8 +763,7 @@ def verify_aprime_structure(
             seeds.append(SuperPolynomial.from_monomial(sig, m))
         statuses = []
         for s in seeds:
-            gen = generate_submodule(key, [s], margin)
-            reached = linalg.filtration(idx.vec(p) for p in gen.vectors)
+            reached = linalg.filtration(generate_submodule(key, idx, [idx.vec(s)], margin))
             for d in range(0, D - margin + 1):
                 dim_a = _monos_up_to(idx, d)
                 if dim_a == 0:
@@ -795,13 +787,12 @@ def verify_aprime_structure(
         SuperPolynomial.x(sig, n - 1) * SuperPolynomial.x(sig, 2 * n)
         - SuperPolynomial.x(sig, n) * SuperPolynomial.x(sig, 2 * n - 1)
     )
-    gen1 = generate_submodule(key, [word], margin)
-    gen2 = generate_submodule(key, [pluecker * word], margin)
+    gen1 = generate_submodule(key, idx, [idx.vec(word)], margin)
+    gen2 = generate_submodule(key, idx, [idx.vec(pluecker * word)], margin)
     _check_direct_sum(
-        rep, idx, [idx.vec(p) for p in gen1.vectors], [idx.vec(p) for p in gen2.vectors],
-        margin, "the two blocks meet nontrivially",
+        rep, idx, gen1, gen2, margin, "the two blocks meet nontrivially",
         lambda dim_a, filled: {
-            "dim_block1": gen1.dim, "dim_block2": gen2.dim, "dimSum": filled, "dimA": dim_a
+            "dim_block1": len(gen1), "dim_block2": len(gen2), "dimSum": filled, "dimA": dim_a
         },
     )
     return rep

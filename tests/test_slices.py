@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ospoly import slices
+from ospoly import slices, superpoly
 from ospoly.linalg import Echelon, filtration, restrict_to_zone, span, vec_from_fractions
 from ospoly.osp import (
     config_a,
@@ -60,6 +60,21 @@ from oracles import dense_nullspace, enumerate_slice, naive_apply, reference_clo
 A11_R0 = config_a(1, 1, 0)
 A11_R1 = config_a(1, 1, 1)
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def singular_polys(key, part, within):
+    """singular_vectors over the key's own slice index, as polynomials."""
+    idx = MonomialIndex(slice_monomials(key))
+    rows = singular_vectors(key, idx, part, within)
+    return [idx.poly(key.cfg.signature, row) for row in rows]
+
+
+def closure_polys(key, gens, margin):
+    """generate_submodule of polynomial generators over the key's own slice
+    index, as polynomials."""
+    idx = MonomialIndex(slice_monomials(key))
+    rows = generate_submodule(key, idx, [idx.vec(g) for g in gens], margin)
+    return [idx.poly(key.cfg.signature, row) for row in rows]
 
 
 def oracle_slice_count(cfg, k, D):
@@ -246,20 +261,20 @@ def test_eta_span_matches_the_polynomial_action(cfg, k, D):
 
 def test_unique_highest_weight_vector_outside_window():
     # m1=2, n=1, k=3 > 2(n-m1+1) = 0: only x1^3 up to scale
-    sing = singular_vectors(SliceKey(config_a(2, 1, 0), 3, 3), "positive", "H")
+    sing = singular_polys(SliceKey(config_a(2, 1, 0), 3, 3), "positive", "H")
     assert len(sing) == 1
     assert str(sing[0]) == "1 * x1^3"
 
 
 def test_highest_weight_vectors_k1():
-    sing = singular_vectors(SliceKey(A11_R0, 1, 1), "positive", "H")
+    sing = singular_polys(SliceKey(A11_R0, 1, 1), "positive", "H")
     assert len(sing) == 1
     assert str(sing[0]) == "1 * x1"
 
 
 def test_window_slice_has_two_highest_weight_lines():
     # k = 2 inside the window: x1^2 and the quadratic invariant
-    sing = singular_vectors(SliceKey(A11_R0, 2, 2), "positive", "H")
+    sing = singular_polys(SliceKey(A11_R0, 2, 2), "positive", "H")
     reprs = {str(s) for s in sing}
     assert "1 * x1^2" in reprs
     assert "1 * t1 t2 + 1 * x1 x2" in reprs
@@ -268,7 +283,7 @@ def test_window_slice_has_two_highest_weight_lines():
 
 def test_even_singular_family_count():
     # within H, even positive part, m1=2, n=1, k=2: three ladder lines
-    sing = singular_vectors(SliceKey(config_a(2, 1, 0), 2, 2), "positive_even", "H")
+    sing = singular_polys(SliceKey(config_a(2, 1, 0), 2, 2), "positive_even", "H")
     assert len(sing) == 3
 
 
@@ -280,24 +295,24 @@ def test_abelian_orthogonal_factor_boundary_split():
     key = SliceKey(A11_R0, 3, 3)
     hs = harmonic_space(key)
     assert hs.dim == 8
-    sing = singular_vectors(key, "positive", "H")
+    idx = MonomialIndex(slice_monomials(key))
+    sing = singular_vectors(key, idx, "positive", "H")
     assert len(sing) == 2
-    gens = [generate_submodule(key, [s], 0) for s in sing]
-    dims = sorted(g.dim for g in gens)
+    gens = [generate_submodule(key, idx, [s], 0) for s in sing]
+    dims = sorted(len(g) for g in gens)
     assert dims == [4, 4]
     # the two closures are disjoint complements inside the kernel space
-    idx = MonomialIndex(slice_monomials(key))
     ech = Echelon()
     for g in gens:
-        for v in g.vectors:
-            ech.insert(idx.vec(v))
+        for v in g:
+            ech.insert(v)
     assert ech.dim == 8
 
 
 def test_singular_vectors_are_weight_vectors_and_annihilated():
     cfg = config_a(1, 2, 0)
     key = SliceKey(cfg, 2, 2)
-    sing = singular_vectors(key, "positive", "H")
+    sing = singular_polys(key, "positive", "H")
     pos_ops = [rep_element(cfg, e) for e in osp_basis(cfg, "positive")]
     lower, _ = delta_eta(cfg)
     assert sing
@@ -311,27 +326,39 @@ def test_singular_vectors_are_weight_vectors_and_annihilated():
 def test_aprime_highest_weight_vector():
     # normal form, k < m1 needs m1 >= 1; use m1=2, n=2, k=1: x_n^{m1-k} t1 t2
     cfg = config_aprime(2, 2, {1, 2})
-    sing = singular_vectors(SliceKey(cfg, 1, 3), "positive", "A")
+    sing = singular_polys(SliceKey(cfg, 1, 3), "positive", "A")
     reprs = {str(s) for s in sing}
     assert "1 * x2 t1 t2" in reprs
 
 
-@pytest.mark.parametrize("within", ["A", "H"])
-def test_quotient_singular_vectors_match_dense_oracle(within):
+@pytest.mark.parametrize(
+    "cfg, k, D, within",
+    [
+        pytest.param(config_a(2, 1, 1), 2, 6, "A", id="A"),
+        pytest.param(config_a(2, 1, 1), 2, 6, "H", id="H"),
+        pytest.param(config_a(1, 1, 1, "odd"), 2, 5, "A", id="A111-odd-A"),
+        pytest.param(config_a(1, 1, 1, "odd"), 2, 5, "H", id="A111-odd-H"),
+        pytest.param(config_aprime(1, 2, {1, 2}), 2, 4, "A", id="Aprime12-T12-A"),
+    ],
+)
+def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     """singular_vectors(..., modulo=...) against a dense rational oracle.
 
     v lies in span(modulo) exactly when every vector of the dense nullspace
     of the modulo matrix (its annihilator) vanishes on v; per weight group
     the quotient singular space is the nullspace of those conditions on the
     positive-operator images (plus lowering-operator annihilation for H).
+    The span is eta of the harmonic slice two gradings down.
     """
-    cfg = config_a(2, 1, 1)
     sig = cfg.signature
-    key = SliceKey(cfg, 2, 6)
-    modulo = eta_image(cfg, 0, 6, 1, cap=6)
-    sing = singular_vectors(key, "positive", within, modulo=modulo)
-    assert sing
-    assert singular_vectors(key, "positive", within, modulo=modulo[::-1]) == sing
+    key = SliceKey(cfg, k, D)
+    idx = MonomialIndex(slice_monomials(key))
+    modulo = eta_image(cfg, k - 2, D, 1, cap=D)
+    mod_rows = [idx.vec(p) for p in modulo]
+    rows = singular_vectors(key, idx, "positive", within, modulo=mod_rows)
+    assert modulo and rows
+    assert singular_vectors(key, idx, "positive", within, modulo=mod_rows[::-1]) == rows
+    sing = [idx.poly(sig, row) for row in rows]
 
     pos_ops = [rep_element(cfg, e) for e in osp_basis(cfg, "positive")]
     lower, _ = delta_eta(cfg)
@@ -387,37 +414,52 @@ def test_quotient_singular_vectors_match_dense_oracle(within):
 
 def test_closure_of_one_contains_swapped_products():
     key = SliceKey(A11_R1, 0, 4)
-    gen = generate_submodule(key, [SuperPolynomial.one(A11_R1.signature)], 2)
+    gen = closure_polys(key, [SuperPolynomial.one(A11_R1.signature)], 2)
     # E(2,1) acts as -x2 x1, so x1 x2 must be reached
     target = SuperPolynomial.x(A11_R1.signature, 1) * SuperPolynomial.x(
         A11_R1.signature, 2
     )
-    ech_reprs = {str(v) for v in gen.vectors}
+    ech_reprs = {str(v) for v in gen}
     assert any("x1 x2" in s for s in ech_reprs)
-    assert gen.dim >= 2
+    assert len(gen) >= 2
 
 
 def test_invariant_line_is_closed():
     key = SliceKey(A11_R0, 2, 8)
     eta = eta_polynomial(A11_R0)
-    gen = generate_submodule(key, [eta], 4)
-    assert gen.dim == 1
+    gen = closure_polys(key, [eta], 4)
+    assert len(gen) == 1
 
 
 def test_extreme_vector_generates_harmonics():
     key = SliceKey(A11_R0, 1, 4)
     x1 = SuperPolynomial.x(A11_R0.signature, 1)
-    gen = generate_submodule(key, [x1], 2)
+    gen = closure_polys(key, [x1], 2)
     hs = harmonic_space(SliceKey(A11_R0, 1, 4))
-    assert gen.dim == hs.dim == 4
+    assert len(gen) == hs.dim == 4
 
 
 def test_generator_outside_slice_rejected():
     key = SliceKey(A11_R0, 1, 4)
+    idx = MonomialIndex(slice_monomials(key))
     with pytest.raises(ValueError):
-        generate_submodule(key, [SuperPolynomial.one(A11_R0.signature)], 2)
+        generate_submodule(key, idx, [idx.vec(SuperPolynomial.one(A11_R0.signature))], 2)
     with pytest.raises(ValueError):
-        generate_submodule(key, [], 2)
+        generate_submodule(key, idx, [], 2)
+
+
+def test_generator_above_the_window_rejected():
+    """x1^3 x2^3 has the slice's grading but degree 6 > D: a ValueError
+    naming the monomial, not a KeyError."""
+    cfg = A11_R1
+    sig = cfg.signature
+    key = SliceKey(cfg, 0, 4)
+    idx = MonomialIndex(slice_monomials(key))
+    p = SuperPolynomial.x(sig, 1) ** 3 * SuperPolynomial.x(sig, 2) ** 3
+    assert k_degree(cfg, next(iter(p.terms))) == 0
+    outside = r"SuperMonomial\(bos=\(3, 3\), mask=0\) outside the slice"
+    with pytest.raises(ValueError, match=outside):
+        generate_submodule(key, idx, [idx.vec(p)], 2)
 
 
 def test_closure_monotone_in_window():
@@ -425,11 +467,13 @@ def test_closure_monotone_in_window():
     x2 = SuperPolynomial.x(cfg.signature, 2)
     dims, low = [], []
     for D in (4, 6, 8):
-        gen = generate_submodule(SliceKey(cfg, 1, D), [x2], 2)
-        dims.append(gen.dim)
+        key = SliceKey(cfg, 1, D)
+        idx = MonomialIndex(slice_monomials(key))
+        gen = generate_submodule(key, idx, [idx.vec(x2)], 2)
+        dims.append(len(gen))
         # verified dimension at degree <= 2, read through the filtration
-        rows = filtration(gen.monomials.vec(v) for v in gen.vectors)
-        low.append(len(restrict_to_zone(rows, _monos_up_to(gen.monomials, 2))))
+        rows = filtration(gen)
+        low.append(len(restrict_to_zone(rows, _monos_up_to(idx, 2))))
     assert dims[0] <= dims[1] <= dims[2]
     assert low[0] <= low[1] <= low[2]
 
@@ -521,7 +565,7 @@ def test_closure_matches_reference_oracle(case):
     cfg, k, D, gens = CLOSURE_CASES[case]
     key = SliceKey(cfg, k, D)
     gens = gens(cfg, MonomialIndex(slice_monomials(key)))
-    assert generate_submodule(key, gens, 2).vectors == reference_closure(key, gens)
+    assert closure_polys(key, gens, 2) == reference_closure(key, gens)
 
 
 def test_halo_is_read_after_cancellation(monkeypatch):
@@ -542,9 +586,34 @@ def test_halo_is_read_after_cancellation(monkeypatch):
     q = x1 * (SuperPolynomial.theta(sig, 1) + SuperPolynomial.theta(sig, 2))
     assert op(q) == x1 * x2
     key = SliceKey(cfg, 0, 2)
-    gen = generate_submodule(key, [q], 0)
-    assert gen.vectors == reference_closure(key, [q], ops=[op])
-    assert sorted(map(str, gen.vectors)) == ["1 * x1 t1 + 1 * x1 t2", "1 * x1 x2"]
+    gen = closure_polys(key, [q], 0)
+    assert gen == reference_closure(key, [q], ops=[op])
+    assert sorted(map(str, gen)) == ["1 * x1 t1 + 1 * x1 t2", "1 * x1 x2"]
+
+
+def test_row_paths_never_apply_a_polynomial_operator(monkeypatch):
+    """singular_vectors, generate_submodule and the direct-sum and A'
+    verifiers build every image as an integer row from integer atoms; none
+    goes through the Fraction action of apply_operator."""
+
+    def forbidden(op, p):
+        raise AssertionError("apply_operator called")
+
+    monkeypatch.setattr(superpoly, "apply_operator", forbidden)
+    cfg = config_a(2, 1, 1)
+    sig = cfg.signature
+    with pytest.raises(AssertionError, match="apply_operator called"):
+        rep_element(cfg, osp_basis(cfg)[0])(SuperPolynomial.one(sig))
+    key = SliceKey(cfg, 2, 6)
+    idx = MonomialIndex(slice_monomials(key))
+    raised = eta_span_of_slice(cfg, 0, 6, idx)
+    assert singular_vectors(key, idx, "positive", "H")
+    assert singular_vectors(key, idx, "positive", "A", modulo=raised)
+    assert generate_submodule(key, idx, [idx.vec(SuperPolynomial.x(sig, 2) ** 2)], 2)
+    assert verify_direct_sum(cfg, 2, 8, 4).dims
+    # the seeded closures, and the normalized two-block split
+    assert verify_aprime_structure(config_aprime(1, 2, set()), 1, 6, 3).dims
+    assert verify_aprime_structure(config_aprime(1, 2, {3, 4}), 1, 6, 3).dims
 
 
 # -- verifiers -------------------------------------------------------------
@@ -598,8 +667,9 @@ def test_generates_layer_reports_the_degree_of_the_missed_row():
     idx = MonomialIndex(slice_monomials(key))
     x1, x2 = SuperPolynomial.x(sig, 1), SuperPolynomial.x(sig, 2)
     top = filtration([idx.vec(x2 + x1 * x2**2)])
-    assert _generates_layer(x2, top, [], key, idx, 2) == (False, 3)
-    assert _generates_layer(x2, filtration([idx.vec(x2)]), [], key, idx, 2) == (True, -1)
+    seed = idx.vec(x2)
+    assert _generates_layer(seed, top, [], key, idx, 2) == (False, 3)
+    assert _generates_layer(seed, filtration([seed]), [], key, idx, 2) == (True, -1)
 
 
 def test_series_term_not_inside_the_next(monkeypatch):
@@ -698,6 +768,33 @@ def test_series_report_matches_golden(name, cfg, k, D, margin):
     rep = verify(cfg, k, D, margin, **GOLDEN_OPTIONS.get(name, {}))
     got = json.dumps(rep.to_dict(), indent=1, sort_keys=True) + "\n"
     assert got == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "verify, cfg, k, D, margin, options",
+    [
+        (verify_composition_series, config_a(2, 1, 1), 2, 8, 4, {}),
+        (verify_composition_series, config_a(1, 1, 0), 2, 8, 4, {}),
+        (verify_aprime_structure, config_aprime(1, 2, {3, 4}), 1, 6, 3, {}),
+        # the seed-5 golden
+        (verify_aprime_structure, config_aprime(1, 2, set()), 1, 6, 3,
+         {"seed": 5, "num_seeds": 2}),
+    ],
+    ids=["series-A211", "series-A110", "aprime-A12-T34", "aprime-A12-seed5"],
+)
+def test_reports_do_not_depend_on_operator_order(
+    monkeypatch, verify, cfg, k, D, margin, options
+):
+    """Spans come back as canonical echelon bases, so listing the osp basis
+    in reverse leaves every report byte-identical."""
+
+    def report():
+        return json.dumps(verify(cfg, k, D, margin, **options).to_dict(), sort_keys=True)
+
+    want = report()
+    reversed_basis = lambda cfg, part="all": osp_basis(cfg, part)[::-1]
+    monkeypatch.setattr(slices, "osp_basis", reversed_basis)
+    assert report() == want
 
 
 def test_aprime_irreducible_marked_case():
