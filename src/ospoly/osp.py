@@ -432,8 +432,8 @@ def osp_basis(cfg: RepConfig, part: str = "all") -> list[MatrixElement]:
 class Weight(NamedTuple):
     """Cartan eigenvalues in epsilon coordinates: (orthogonal, symplectic)."""
 
-    eps_so: tuple[Fraction, ...]
-    eps_sp: tuple[Fraction, ...]
+    eps_so: tuple[int | Fraction, ...]
+    eps_sp: tuple[int | Fraction, ...]
 
     def render(self) -> str:
         so = ",".join(str(c) for c in self.eps_so)
@@ -463,14 +463,14 @@ def monomial_weight(cfg: RepConfig, mono) -> Weight:
     bos, mask = mono.bos, mono.mask
     swapped = _swapped(cfg)
 
-    def bos_eig(a: int) -> Fraction:
+    def bos_eig(a: int) -> int:
         # eigenvalue of E(a,a) on the monomial: the exponent e of its
         # variable, or -e-1 for a swapped one (E(a,a) acts as -d/dx x)
         bosonic, v = _role(cfg, a)
         if not bosonic:
-            return Fraction(mask >> (v - 1) & 1)
+            return mask >> (v - 1) & 1
         e = bos[v - 1]
-        return Fraction(-e - 1) if v in swapped else Fraction(e)
+        return -e - 1 if v in swapped else e
 
     m1, n, m = cfg.m1, cfg.n, cfg.m
     so = tuple(bos_eig(i) - bos_eig(m1 + i) for i in range(1, m1 + 1))

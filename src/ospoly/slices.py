@@ -9,6 +9,8 @@ one to a slice vector produces its exact image (possibly of degree D+1 or
 D+2).  What *is* windowed is closure: when generating a submodule we skip an
 operator application whose image would leave the degree-D window, so the
 computed span is always a subspace of the true submodule ("from below").
+The eta terms of a composition series are from below too: span . window of
+eta^p applied to a harmonic space of bounded degree.
 Comparisons between such spans are therefore made only on degrees
 d <= D - margin and reported as from-below evidence; verdicts that could
 flip with a larger window are labeled "inconclusive-window", never "pass".
@@ -379,14 +381,13 @@ def _int_image(atoms, row, idx: MonomialIndex, halo: dict, D: int) -> dict[int, 
 
 
 def generate_submodule(
-    key: SliceKey, idx: MonomialIndex, gens: list[dict[int, int]], verify_margin: int = 4
+    key: SliceKey, idx: MonomialIndex, gens: list[dict[int, int]]
 ) -> list[dict[int, int]]:
     """Breadth-first closure of gens under the action, capped at degree D.
 
     An operator application whose image would leave the window is skipped
     entirely (never truncated), so the span is a subspace of the true
-    submodule.  Comparisons against it are sound from below on degrees
-    <= D - verify_margin.
+    submodule; callers compare against it only on degrees <= D - margin.
 
     idx indexes the slice's monomials; gens and the returned canonical
     echelon basis are integer rows over it.  Each osp operator becomes
@@ -456,25 +457,26 @@ def _check_direct_sum(rep, idx, first, second, margin, meet_note, level_dims):
     rep.status = _combine(statuses) if statuses else "inconclusive-window"
 
 
-def eta_image(cfg, k_source, source_degree, power=1, cap=None) -> list[SuperPolynomial]:
-    """Exact eta^power images of the harmonic space of grading k_source.
+def eta_image(key: SliceKey, idx: MonomialIndex, power: int) -> list[dict[int, int]]:
+    """eta^power of the harmonic space H(key.k - 2*power), as span . window.
 
-    With a degree cap, images leaving the window are dropped entirely
-    (never truncated), keeping the span inside the true raised space.
+    H is the exact kernel on its slice of degree <= D + 2*power (each eta
+    step may lower degree by 2).  eta acts through integer atoms, each
+    middle step over a halo of its own, the last over idx plus a halo.  The
+    filtration rows of span(images) . {degree <= D} keep in-window
+    combinations whose high terms cancel.  Still from below: an H element of
+    degree > D + 2*power whose high terms cancel is missed.
     """
-    _, eta = delta_eta(cfg)
-    base = harmonic_space(SliceKey(cfg, k_source, source_degree))
-    out = []
-    for v in base.vectors:
-        w = v
-        for _ in range(power):
-            w = eta(w)
-        if w.is_zero():
-            continue
-        if cap is not None and w.max_degree() > cap:
-            continue
-        out.append(w)
-    return out
+    cfg, D = key.cfg, key.max_degree
+    src = MonomialIndex(slice_monomials(SliceKey(cfg, key.k - 2 * power, D + 2 * power)))
+    atoms = _int_atoms(delta_eta(cfg)[1])
+    rows, monos = _lowering_kernel(cfg, src), src.monomials
+    for step in range(1, power + 1):
+        index, top, halo = (idx.index, D, {}) if step == power else ({}, -1, {})
+        terms = (zip(map(monos.__getitem__, row), row.values()) for row in rows)
+        rows = [_image_of_terms(atoms, t, index, halo, top) for t in terms]
+        monos = list(halo)
+    return linalg.restrict_to_zone(linalg.filtration(rows), len(idx))
 
 
 def eta_span_of_slice(cfg, k_source, source_degree, idx: MonomialIndex) -> list[dict]:
@@ -546,7 +548,7 @@ def _stable_under_action(cfg, rows, ech, idx, D) -> tuple | None:
     return None
 
 
-def _generates_layer(seed_row, top_rows, bottom_rows, key, idx, margin):
+def _generates_layer(seed_row, top_rows, bottom_rows, key, idx):
     """Does <seed> + bottom cover top on the verified window levels?
 
     seed_row and bottom_rows are integer rows over idx; top_rows are top's
@@ -557,7 +559,7 @@ def _generates_layer(seed_row, top_rows, bottom_rows, key, idx, margin):
 
     Returns (True, -1) or (False, first failing degree level).
     """
-    lhs = linalg.span(generate_submodule(key, idx, [seed_row], margin) + bottom_rows)
+    lhs = linalg.span(generate_submodule(key, idx, [seed_row]) + bottom_rows)
     for r in top_rows:
         if not lhs.contains(r):
             return False, idx.monomials[max(r)].total_degree
@@ -576,8 +578,8 @@ def verify_composition_series(
     Checks: membership of each term in the next one up, action stability,
     strictness on the window, and that every singular vector of each layer
     generates it (windowed sufficient criterion for layer irreducibility).
-    Terms are integer rows over the slice index; notes print a member of an
-    eta term as eta_image's own polynomial.
+    Terms are integer rows over the slice index, printed through it; the
+    eta term is span . window from below (``eta_image``).
     """
     D = max_degree
     m1, n, r = cfg.m1, cfg.n, cfg.r
@@ -601,13 +603,10 @@ def verify_composition_series(
     key = SliceKey(cfg, k, D)
     idx = MonomialIndex(slice_monomials(key))
     sig = cfg.signature
-    # each term below H: (name, member i as notes print it, rows)
-    eta_polys = eta_image(cfg, k_inner, D, power, cap=D)
-    chain = [("eta^%d H(k=%d)" % (power, k_inner), eta_polys.__getitem__,
-              [idx.vec(p) for p in eta_polys])]
+    chain = [("eta^%d H(k=%d)" % (power, k_inner), eta_image(key, idx, power))]
     if r > 0 and r >= m1 - 1:  # the last branch: H > <x_m1^k> > eta^j H' > 0
-        mid = generate_submodule(key, idx, [idx.vec(SuperPolynomial.x(sig, m1) ** k)], margin)
-        chain.insert(0, ("<x%d^%d>" % (m1, k), lambda i: idx.poly(sig, mid[i]), mid))
+        x_power = idx.vec(SuperPolynomial.x(sig, m1) ** k)
+        chain.insert(0, ("<x%d^%d>" % (m1, k), generate_submodule(key, idx, [x_power])))
 
     # each term once as a span (membership) and once as its filtration rows
     # on the verified window; a window row lies in the window part of a span
@@ -615,25 +614,24 @@ def verify_composition_series(
     top_level = D - margin
     bound = _monos_up_to(idx, top_level)
     terms = []
-    chain_and_ends = [("H", None, _lowering_kernel(cfg, idx))] + chain + [("0", None, [])]
-    for name, show, rows in chain_and_ends:
+    for name, rows in [("H", _lowering_kernel(cfg, idx))] + chain + [("0", [])]:
         window_rows = linalg.restrict_to_zone(linalg.filtration(rows), bound)
-        terms.append((name, show, rows, linalg.span(rows), window_rows))
+        terms.append((name, rows, linalg.span(rows), window_rows))
     statuses = []
 
     # every chain term consists of exactly harmonic vectors of grading k;
     # H is the exact kernel on the slice, so that is membership in its span
-    h_ech = terms[0][3]
-    for name, show, rows in chain:
-        for i, row in enumerate(rows):
+    h_ech = terms[0][2]
+    for name, rows in chain:
+        for row in rows:
             if not h_ech.contains(row):
-                rep.witnesses.append(str(show(i)))
+                rep.witnesses.append(str(idx.poly(sig, row)))
                 rep.notes.append(f"{name}: member not harmonic")
                 statuses.append("fail")
 
     layers = list(zip(terms, terms[1:]))
     # inclusions and strictness on the verified window
-    for (name_hi, _, _, ech_hi, rows_hi), (name_lo, _, _, _, rows_lo) in layers:
+    for (name_hi, _, ech_hi, rows_hi), (name_lo, _, _, rows_lo) in layers:
         included = all(ech_hi.contains(rr) for rr in rows_lo)
         strict = len(rows_lo) < len(rows_hi)
         if not included:
@@ -662,17 +660,18 @@ def verify_composition_series(
 
     # action stability of the middle terms; both are built from below, so a
     # leak outside the exact regime may be a missing in-window combination
-    for name, show, rows, ech, _ in terms[1:-1]:
+    for name, rows, ech, _ in terms[1:-1]:
         leak = _stable_under_action(cfg, rows, ech, idx, D)
         if leak:
             e, i = leak
             statuses.append(miss)
             window = "" if exact else f" (term from below on the window D={D})"
-            rep.notes.append(f"{name}: action of {e} leaves the span on {show(i)}{window}")
+            member = idx.poly(sig, rows[i])
+            rep.notes.append(f"{name}: action of {e} leaves the span on {member}{window}")
 
     # layer irreducibility evidence: every singular vector of each layer
     # generates the layer over the next term down
-    for (name_hi, _, _, ech_hi, rows_hi), (name_lo, _, lo_rows, ech_lo, _) in layers:
+    for (name_hi, _, ech_hi, rows_hi), (name_lo, lo_rows, ech_lo, _) in layers:
         sing = singular_vectors(key, idx, "positive", "A", modulo=lo_rows)
         layer_sing = [s for s in sing if ech_hi.contains(s) and not ech_lo.contains(s)]
         if not layer_sing:
@@ -680,7 +679,7 @@ def verify_composition_series(
             rep.notes.append(f"no singular vector found for layer {name_hi}/{name_lo}")
             continue
         for s in layer_sing:
-            ok, bad_d = _generates_layer(s, rows_hi, lo_rows, key, idx, margin)
+            ok, bad_d = _generates_layer(s, rows_hi, lo_rows, key, idx)
             if not ok:
                 statuses.append(miss)
                 rep.notes.append(
@@ -763,7 +762,7 @@ def verify_aprime_structure(
             seeds.append(SuperPolynomial.from_monomial(sig, m))
         statuses = []
         for s in seeds:
-            reached = linalg.filtration(generate_submodule(key, idx, [idx.vec(s)], margin))
+            reached = linalg.filtration(generate_submodule(key, idx, [idx.vec(s)]))
             for d in range(0, D - margin + 1):
                 dim_a = _monos_up_to(idx, d)
                 if dim_a == 0:
@@ -787,8 +786,8 @@ def verify_aprime_structure(
         SuperPolynomial.x(sig, n - 1) * SuperPolynomial.x(sig, 2 * n)
         - SuperPolynomial.x(sig, n) * SuperPolynomial.x(sig, 2 * n - 1)
     )
-    gen1 = generate_submodule(key, idx, [idx.vec(word)], margin)
-    gen2 = generate_submodule(key, idx, [idx.vec(pluecker * word)], margin)
+    gen1 = generate_submodule(key, idx, [idx.vec(word)])
+    gen2 = generate_submodule(key, idx, [idx.vec(pluecker * word)])
     _check_direct_sum(
         rep, idx, gen1, gen2, margin, "the two blocks meet nontrivially",
         lambda dim_a, filled: {

@@ -69,11 +69,11 @@ def singular_polys(key, part, within):
     return [idx.poly(key.cfg.signature, row) for row in rows]
 
 
-def closure_polys(key, gens, margin):
+def closure_polys(key, gens):
     """generate_submodule of polynomial generators over the key's own slice
     index, as polynomials."""
     idx = MonomialIndex(slice_monomials(key))
-    rows = generate_submodule(key, idx, [idx.vec(g) for g in gens], margin)
+    rows = generate_submodule(key, idx, [idx.vec(g) for g in gens])
     return [idx.poly(key.cfg.signature, row) for row in rows]
 
 
@@ -298,7 +298,7 @@ def test_abelian_orthogonal_factor_boundary_split():
     idx = MonomialIndex(slice_monomials(key))
     sing = singular_vectors(key, idx, "positive", "H")
     assert len(sing) == 2
-    gens = [generate_submodule(key, idx, [s], 0) for s in sing]
+    gens = [generate_submodule(key, idx, [s]) for s in sing]
     dims = sorted(len(g) for g in gens)
     assert dims == [4, 4]
     # the two closures are disjoint complements inside the kernel space
@@ -353,8 +353,8 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     sig = cfg.signature
     key = SliceKey(cfg, k, D)
     idx = MonomialIndex(slice_monomials(key))
-    modulo = eta_image(cfg, k - 2, D, 1, cap=D)
-    mod_rows = [idx.vec(p) for p in modulo]
+    mod_rows = eta_image(key, idx, 1)
+    modulo = [idx.poly(sig, row) for row in mod_rows]
     rows = singular_vectors(key, idx, "positive", within, modulo=mod_rows)
     assert modulo and rows
     assert singular_vectors(key, idx, "positive", within, modulo=mod_rows[::-1]) == rows
@@ -409,12 +409,59 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
         assert found.get(w, 0) == len(dense_nullspace(rows, len(group))), w
 
 
+@pytest.mark.parametrize(
+    "cfg, k, D, power",
+    [
+        pytest.param(config_a(3, 1, 2), 2, 4, 1, id="A312-eta1"),
+        pytest.param(config_a(3, 1, 1), 2, 8, 2, id="A311-eta2"),
+        pytest.param(config_aprime(1, 2, {1, 2}), 2, 4, 1, id="Aprime12-T12-eta1"),
+    ],
+)
+def test_eta_image_is_the_window_part_of_the_polynomial_span(cfg, k, D, power):
+    """eta_image spans span(eta^p H) . window, where eta^p acts as a
+    polynomial operator on every harmonic_space vector of grading k - 2p and
+    degree <= D + 2p.  The window part is the filtration prefix below the
+    slice size, over the slice's monomials followed by those of degree > D."""
+    _, eta = delta_eta(cfg)
+    images = []
+    for p in harmonic_space(SliceKey(cfg, k - 2 * power, D + 2 * power)).vectors:
+        for _ in range(power):
+            p = eta(p)
+        images.append(p)
+    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
+    wide = MonomialIndex({m for p in images for m in p.terms} | set(idx.monomials))
+    assert wide.monomials[: len(idx)] == idx.monomials
+    want = restrict_to_zone(filtration([wide.vec(p) for p in images]), len(idx))
+    got = eta_image(SliceKey(cfg, k, D), idx, power)
+    assert want and span(got).basis() == span(want).basis()
+
+
+def test_eta_image_keeps_an_in_window_combination():
+    """In eta H(k=0) of A(3,1,2) on the D=4 window, t1 t2 + x3 x6 and its
+    image under E(4,2)-E(5,1) both lie in span(eta_image).  The in-window
+    eta images of H(k=0) of degree <= 4, taken one by one, miss the image,
+    so the term would look unstable under the action."""
+    cfg = config_a(3, 1, 2)
+    sig = cfg.signature
+    key = SliceKey(cfg, 2, 4)
+    idx = MonomialIndex(slice_monomials(key))
+    x = lambda i: SuperPolynomial.x(sig, i)
+    member = SuperPolynomial.theta(sig, 1) * SuperPolynomial.theta(sig, 2) + x(3) * x(6)
+    e = next(e for e in osp_basis(cfg) if str(e) == "E(4,2)-E(5,1)")
+    moved = rep_element(cfg, e)(member)
+    term = span(eta_image(key, idx, 1))
+    assert term.contains(idx.vec(member)) and term.contains(idx.vec(moved))
+    _, eta = delta_eta(cfg)
+    low = [eta(p) for p in harmonic_space(SliceKey(cfg, 0, 4)).vectors]
+    assert not span(idx.vec(p) for p in low if p.max_degree() <= 4).contains(idx.vec(moved))
+
+
 # -- closures --------------------------------------------------------------
 
 
 def test_closure_of_one_contains_swapped_products():
     key = SliceKey(A11_R1, 0, 4)
-    gen = closure_polys(key, [SuperPolynomial.one(A11_R1.signature)], 2)
+    gen = closure_polys(key, [SuperPolynomial.one(A11_R1.signature)])
     # E(2,1) acts as -x2 x1, so x1 x2 must be reached
     target = SuperPolynomial.x(A11_R1.signature, 1) * SuperPolynomial.x(
         A11_R1.signature, 2
@@ -427,14 +474,14 @@ def test_closure_of_one_contains_swapped_products():
 def test_invariant_line_is_closed():
     key = SliceKey(A11_R0, 2, 8)
     eta = eta_polynomial(A11_R0)
-    gen = closure_polys(key, [eta], 4)
+    gen = closure_polys(key, [eta])
     assert len(gen) == 1
 
 
 def test_extreme_vector_generates_harmonics():
     key = SliceKey(A11_R0, 1, 4)
     x1 = SuperPolynomial.x(A11_R0.signature, 1)
-    gen = closure_polys(key, [x1], 2)
+    gen = closure_polys(key, [x1])
     hs = harmonic_space(SliceKey(A11_R0, 1, 4))
     assert len(gen) == hs.dim == 4
 
@@ -443,9 +490,9 @@ def test_generator_outside_slice_rejected():
     key = SliceKey(A11_R0, 1, 4)
     idx = MonomialIndex(slice_monomials(key))
     with pytest.raises(ValueError):
-        generate_submodule(key, idx, [idx.vec(SuperPolynomial.one(A11_R0.signature))], 2)
+        generate_submodule(key, idx, [idx.vec(SuperPolynomial.one(A11_R0.signature))])
     with pytest.raises(ValueError):
-        generate_submodule(key, idx, [], 2)
+        generate_submodule(key, idx, [])
 
 
 def test_generator_above_the_window_rejected():
@@ -459,7 +506,7 @@ def test_generator_above_the_window_rejected():
     assert k_degree(cfg, next(iter(p.terms))) == 0
     outside = r"SuperMonomial\(bos=\(3, 3\), mask=0\) outside the slice"
     with pytest.raises(ValueError, match=outside):
-        generate_submodule(key, idx, [idx.vec(p)], 2)
+        generate_submodule(key, idx, [idx.vec(p)])
 
 
 def test_closure_monotone_in_window():
@@ -469,7 +516,7 @@ def test_closure_monotone_in_window():
     for D in (4, 6, 8):
         key = SliceKey(cfg, 1, D)
         idx = MonomialIndex(slice_monomials(key))
-        gen = generate_submodule(key, idx, [idx.vec(x2)], 2)
+        gen = generate_submodule(key, idx, [idx.vec(x2)])
         dims.append(len(gen))
         # verified dimension at degree <= 2, read through the filtration
         rows = filtration(gen)
@@ -565,7 +612,7 @@ def test_closure_matches_reference_oracle(case):
     cfg, k, D, gens = CLOSURE_CASES[case]
     key = SliceKey(cfg, k, D)
     gens = gens(cfg, MonomialIndex(slice_monomials(key)))
-    assert closure_polys(key, gens, 2) == reference_closure(key, gens)
+    assert closure_polys(key, gens) == reference_closure(key, gens)
 
 
 def test_halo_is_read_after_cancellation(monkeypatch):
@@ -586,7 +633,7 @@ def test_halo_is_read_after_cancellation(monkeypatch):
     q = x1 * (SuperPolynomial.theta(sig, 1) + SuperPolynomial.theta(sig, 2))
     assert op(q) == x1 * x2
     key = SliceKey(cfg, 0, 2)
-    gen = closure_polys(key, [q], 0)
+    gen = closure_polys(key, [q])
     assert gen == reference_closure(key, [q], ops=[op])
     assert sorted(map(str, gen)) == ["1 * x1 t1 + 1 * x1 t2", "1 * x1 x2"]
 
@@ -609,11 +656,15 @@ def test_row_paths_never_apply_a_polynomial_operator(monkeypatch):
     raised = eta_span_of_slice(cfg, 0, 6, idx)
     assert singular_vectors(key, idx, "positive", "H")
     assert singular_vectors(key, idx, "positive", "A", modulo=raised)
-    assert generate_submodule(key, idx, [idx.vec(SuperPolynomial.x(sig, 2) ** 2)], 2)
+    assert generate_submodule(key, idx, [idx.vec(SuperPolynomial.x(sig, 2) ** 2)])
     assert verify_direct_sum(cfg, 2, 8, 4).dims
     # the seeded closures, and the normalized two-block split
     assert verify_aprime_structure(config_aprime(1, 2, set()), 1, 6, 3).dims
     assert verify_aprime_structure(config_aprime(1, 2, {3, 4}), 1, 6, 3).dims
+    # composition series with an eta^1 term and with an eta^2 term
+    assert verify_composition_series(cfg, 2, 6, 2).dims[0]["term"] == "H > <x2^2>"
+    rep = verify_composition_series(config_a(3, 1, 1), 2, 6, 2)
+    assert rep.dims[0]["term"] == "H > eta^2 H(k=-2)"
 
 
 # -- verifiers -------------------------------------------------------------
@@ -668,8 +719,8 @@ def test_generates_layer_reports_the_degree_of_the_missed_row():
     x1, x2 = SuperPolynomial.x(sig, 1), SuperPolynomial.x(sig, 2)
     top = filtration([idx.vec(x2 + x1 * x2**2)])
     seed = idx.vec(x2)
-    assert _generates_layer(seed, top, [], key, idx, 2) == (False, 3)
-    assert _generates_layer(seed, filtration([seed]), [], key, idx, 2) == (True, -1)
+    assert _generates_layer(seed, top, [], key, idx) == (False, 3)
+    assert _generates_layer(seed, filtration([seed]), [], key, idx) == (True, -1)
 
 
 def test_series_term_not_inside_the_next(monkeypatch):
@@ -678,7 +729,7 @@ def test_series_term_not_inside_the_next(monkeypatch):
     cfg = config_a(2, 2, 0)
     sig = cfg.signature
     stray = SuperPolynomial.x(sig, 1) * SuperPolynomial.x(sig, 3)  # not harmonic
-    monkeypatch.setattr(slices, "eta_image", lambda *args, **kwargs: [stray])
+    monkeypatch.setattr(slices, "eta_image", lambda key, idx, power: [idx.vec(stray)])
     rep = verify_composition_series(cfg, 2, 6, margin=2)
     assert rep.status == "fail"
     assert "eta^1 H(k=0) not inside H on the window" in rep.notes
@@ -687,8 +738,9 @@ def test_series_term_not_inside_the_next(monkeypatch):
 
     # r = m1-1: eta^1 H(k=0) replaced by all of H, which <x2^2> does not hold
     cfg = config_a(2, 1, 1)
-    top = harmonic_space(SliceKey(cfg, 2, 6)).vectors
-    monkeypatch.setattr(slices, "eta_image", lambda *args, **kwargs: top)
+    monkeypatch.setattr(
+        slices, "eta_image", lambda key, idx, power: _lowering_kernel(key.cfg, idx)
+    )
     rep = verify_composition_series(cfg, 2, 6, margin=2)
     assert rep.status == "inconclusive-window"
     assert "eta^1 H(k=0) not inside <x2^2> on the window" in rep.notes
@@ -700,14 +752,27 @@ def test_series_stability_leak_fails_only_on_an_exact_slice(monkeypatch):
     """A middle term that leaks under the action is a disproof only when the
     slice is exact; otherwise the term is from below and the leak may be an
     in-window combination the window missed."""
+    # span . window of eta H(k=0) holds the image of its member t1 t2 + x3 x6
+    # under E(4,2)-E(5,1) (test_eta_image_keeps_an_in_window_combination)
     cfg = config_a(3, 1, 2)
     assert not slice_is_exact(cfg, 2, 4)
-    rep = verify_composition_series(cfg, 2, 4, margin=0)
+    assert verify_composition_series(cfg, 2, 4, margin=0).status == "pass"
+
+    # the H row t1, which the action leaves, stands in for eta^1 H(k=-1);
+    # the layer check is stubbed, and t1 is no singular vector, so its own
+    # layer over 0 is inconclusive as well
+    cfg = config_a(3, 1, 1)
+    assert not slice_is_exact(cfg, 1, 5)
+    t1 = SuperPolynomial.theta(cfg.signature, 1)
+    monkeypatch.setattr(slices, "eta_image", lambda key, idx, power: [idx.vec(t1)])
+    monkeypatch.setattr(slices, "_generates_layer", lambda *args: (True, -1))
+    rep = verify_composition_series(cfg, 1, 5, margin=2)
     assert rep.status == "inconclusive-window"
-    assert rep.notes[0] == (
-        "eta^1 H(k=0): action of E(4,2)-E(5,1) leaves the span on "
-        "1 * t1 t2 + 1 * x3 x6 (term from below on the window D=4)"
-    )
+    assert rep.notes == [
+        "eta^1 H(k=-1): action of E(2,1)-E(4,5) leaves the span on "
+        "1 * t1 (term from below on the window D=5)",
+        "no singular vector found for layer eta^1 H(k=-1)/0",
+    ]
     assert all(d["status"] == "pass" for d in rep.dims)
 
     # exact slice: eta^1 H(k=0) replaced by the line of x1^2, which the
@@ -715,8 +780,7 @@ def test_series_stability_leak_fails_only_on_an_exact_slice(monkeypatch):
     cfg = config_a(2, 2, 0)
     assert slice_is_exact(cfg, 2, 6)
     x1_squared = SuperPolynomial.x(cfg.signature, 1) ** 2
-    monkeypatch.setattr(slices, "eta_image", lambda *args, **kwargs: [x1_squared])
-    monkeypatch.setattr(slices, "_generates_layer", lambda *args: (True, -1))
+    monkeypatch.setattr(slices, "eta_image", lambda key, idx, power: [idx.vec(x1_squared)])
     rep = verify_composition_series(cfg, 2, 6, margin=2)
     assert rep.status == "fail"
     assert rep.notes == ["eta^1 H(k=0): action of E(2,1)-E(3,4) leaves the span on 1 * x1^2"]
@@ -760,6 +824,9 @@ GOLDEN_OPTIONS = {"aprime_A12_k1_D6_m3_seed5": {"seed": 5, "num_seeds": 2}}
         # normalized to T={1,2}, then the two-block split
         ("aprime_A12_T34_k1_D6_m3", config_aprime(1, 2, {3, 4}), 1, 6, 3),
         ("aprime_A22_T13_k1_D6_m3", config_aprime(2, 2, {1, 3}), 1, 6, 3),
+        # pass: the eta^1 H(k=0) and eta^1 H(k=1) terms as span . window
+        ("series_A312_k2_D6_m2", config_a(3, 1, 2), 2, 6, 2),
+        ("series_A322_k3_D6_m2", config_a(3, 2, 2), 3, 6, 2),
     ],
 )
 def test_series_report_matches_golden(name, cfg, k, D, margin):
