@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import product
 from math import gcd
 
 from . import linalg
@@ -95,19 +96,6 @@ class MonomialIndex:
 
 
 @dataclass
-class SubspaceBasis:
-    """Echelonized basis of a subspace of one slice."""
-
-    key: SliceKey
-    monomials: MonomialIndex
-    vectors: list[SuperPolynomial]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-
-@dataclass
 class VerificationReport:
     """Structured outcome of one claim check on one configuration."""
 
@@ -151,56 +139,44 @@ def _combine(statuses) -> str:
 
 
 def slice_monomials(key: SliceKey) -> list[SuperMonomial]:
-    """All monomials with grading k and total degree <= D, canonical order."""
+    """All monomials with grading k and total degree <= D, canonical order.
+
+    A swapped bosonic variable counts -1 to the grading, every other
+    variable +1.  So t fermions and swapped degree b leave unswapped degree
+    k - t + b >= 0, and the total degree is k + 2b <= D.
+    """
     cfg, k, D = key.cfg, key.k, key.max_degree
-    sig = cfg.signature
     weights, _ = variable_k_weights(cfg)
-    nf = sig.num_fermionic
+    groups = [[i for i, w in enumerate(weights) if w == sign] for sign in (1, -1)]
+    nf = cfg.signature.num_fermionic
     out = []
-    for mask in range(1 << nf):
-        t = bin(mask).count("1")
-        if t > D:
-            continue
-        target = k - t
-        for bos in _weighted_exponents(weights, target, D - t):
-            out.append(SuperMonomial(bos, mask))
-    return sorted(out, key=lambda m: m.sort_key())
+    for t in range(nf + 1):
+        masks = [mask for mask in range(1 << nf) if mask.bit_count() == t]
+        for b in range(max(0, t - k), (D - k) // 2 + 1):
+            bos_list = list(_exponents(groups, (k - t + b, b)))
+            out += [(k + 2 * b, bos, mask) for mask in masks for bos in bos_list]
+    return [SuperMonomial(bos, mask) for _, bos, mask in sorted(out)]
 
 
-def _weighted_exponents(weights, target, max_total):
-    """Exponent tuples e with sum(e) <= max_total and sum(w_i e_i) = target."""
-    n = len(weights)
-
-    def rec(i, remaining_total, remaining_target):
-        if i == n:
-            if remaining_target == 0:
-                yield ()
-            return
-        w = weights[i]
-        rest = weights[i + 1 :]
-        pos_rest = any(x > 0 for x in rest)
-        neg_rest = any(x < 0 for x in rest)
-        for e in range(remaining_total + 1):
-            new_target = remaining_target - w * e
-            new_total = remaining_total - e
-            # weights are +-1, so the tail can realize any value of the same
-            # or smaller magnitude with the right sign availability
-            if abs(new_target) > new_total:
-                continue
-            if new_target > 0 and not pos_rest:
-                continue
-            if new_target < 0 and not neg_rest:
-                continue
-            yield from ((e,) + tail for tail in rec(i + 1, new_total, new_target))
-
-    yield from rec(0, max_total, target)
+def _exponents(groups, degrees):
+    """Exponent tuples whose entries on groups[i] sum to degrees[i]; the
+    groups partition the positions."""
+    e = [0] * sum(map(len, groups))
+    for parts in product(*map(_exponents_with_sum, map(len, groups), degrees)):
+        for g, part in zip(groups, parts):
+            for i, x in zip(g, part):
+                e[i] = x
+        yield tuple(e)
 
 
-def slice_basis(key: SliceKey) -> SubspaceBasis:
-    idx = MonomialIndex(slice_monomials(key))
-    sig = key.cfg.signature
-    vectors = [SuperPolynomial.from_monomial(sig, m) for m in idx.monomials]
-    return SubspaceBasis(key, idx, vectors)
+def _exponents_with_sum(nvars, total):
+    if nvars == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in _exponents_with_sum(nvars - 1, total - head):
+            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +198,10 @@ def _lowering_kernel(cfg: RepConfig, idx: MonomialIndex) -> list[dict[int, int]]
     )
 
 
-def harmonic_space(key: SliceKey) -> SubspaceBasis:
+def harmonic_space(key: SliceKey) -> list[SuperPolynomial]:
     """Exact kernel of the lowering operator on the slice."""
     idx = MonomialIndex(slice_monomials(key))
-    rows = _lowering_kernel(key.cfg, idx)
-    return SubspaceBasis(key, idx, [idx.poly(key.cfg.signature, row) for row in rows])
+    return [idx.poly(key.cfg.signature, row) for row in _lowering_kernel(key.cfg, idx)]
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +408,8 @@ def _check_direct_sum(rep, idx, first, second, margin, meet_note, level_dims):
     The sum must fill the slice on each nonempty level d <= D - margin; a
     degree-d element may decompose through higher-degree pieces, so the sum
     is assembled on the whole window, as one filtration, and each level is
-    read off it.  dimA, the count of slice monomials of degree <= d, is also
-    the level's index bound.  level_dims(dimA, dimSum) gives the report
-    entries of a level besides its degree and status.  Sets rep.status; a
-    report with no verified level is inconclusive.
+    read off it by ``_fill_levels``.  Sets rep.status; a report with no
+    verified level is inconclusive.
     """
     statuses = []
     common = linalg.intersect(first, second)
@@ -445,16 +418,27 @@ def _check_direct_sum(rep, idx, first, second, margin, meet_note, level_dims):
         for wrow in common[:2]:
             rep.witnesses.append(str(idx.poly(rep.cfg.signature, wrow)))
         rep.notes.append(meet_note)
-    sum_rows = linalg.filtration(first + second)
+    statuses += _fill_levels(rep, idx, linalg.filtration(first + second), margin, level_dims)
+    rep.status = _combine(statuses) if statuses else "inconclusive-window"
+
+
+def _fill_levels(rep, idx, rows, margin, level_dims) -> list[str]:
+    """Does span(rows) fill the slice on each nonempty level d <= D - margin?
+
+    rows are filtration rows; a level's part is the prefix below dimA, the
+    count of slice monomials of degree <= d.  Appends a dims entry per level,
+    level_dims(dimA, filled) plus degree and status, and returns the statuses.
+    """
+    statuses = []
     for d in range(0, rep.max_degree - margin + 1):
         dim_a = _monos_up_to(idx, d)
         if dim_a == 0:
             continue
-        filled = len(linalg.restrict_to_zone(sum_rows, dim_a))
+        filled = len(linalg.restrict_to_zone(rows, dim_a))
         status = "pass" if filled == dim_a else "inconclusive-window"
         statuses.append(status)
         rep.dims.append({"d": d, **level_dims(dim_a, filled), "status": status})
-    rep.status = _combine(statuses) if statuses else "inconclusive-window"
+    return statuses
 
 
 def eta_image(key: SliceKey, idx: MonomialIndex, power: int) -> list[dict[int, int]]:
@@ -466,6 +450,13 @@ def eta_image(key: SliceKey, idx: MonomialIndex, power: int) -> list[dict[int, i
     filtration rows of span(images) . {degree <= D} keep in-window
     combinations whose high terms cancel.  Still from below: an H element of
     degree > D + 2*power whose high terms cancel is missed.
+
+    Write eta as a degree-keeping part plus multiplication by q = eta(1).
+    For family A with r < m1, q holds the bosonic term x_m1 x_2m1, so it is
+    no zero divisor: the top-degree part of eta^p f is q^p times that of f,
+    and eta^p f lies in the window exactly when deg f <= D - 2p.  There the
+    term is eta^p H(k - 2p) on degree <= D - 2p, and the source degrees
+    above it add no row.  Where q is nilpotent (family A') they do.
     """
     cfg, D = key.cfg, key.max_degree
     src = MonomialIndex(slice_monomials(SliceKey(cfg, key.k - 2 * power, D + 2 * power)))
@@ -574,7 +565,8 @@ def verify_composition_series(
     Dispatches on the swap range:
       r = 0, window (n-m1+1) < k <= 2(n-m1+1): chain H > eta^j H' > 0;
       0 < r < m1 - 1, k > n-m1+r+1:            chain H > eta^j H' > 0;
-      r = m1 - 1,     k > n:                   chain H > <x_m1^k> > eta^{k-n} H' > 0.
+      r = m1 - 1,     k > n:                   chain H > <x_m1^k> > eta^{k-n} H' > 0;
+      r = m1 >= 1:                             rejected (x_m1 is swapped).
     Checks: membership of each term in the next one up, action stability,
     strictness on the window, and that every singular vector of each layer
     generates it (windowed sufficient criterion for layer irreducibility).
@@ -595,6 +587,11 @@ def verify_composition_series(
         if not k > n - m1 + r + 1:
             raise ValueError("k below the window")
         power, k_inner = k - n + m1 - r - 1, -k + 2 * (n - m1 + r + 1)
+    elif r == m1:
+        raise ValueError(
+            f"r = m1 = {m1}: x{m1} is swapped, so x{m1}^k has grading -k and the "
+            "chain H > <x_m1^k> > ... does not apply"
+        )
     else:
         if not k > n:
             raise ValueError("k below the window")
@@ -675,7 +672,8 @@ def verify_composition_series(
         sing = singular_vectors(key, idx, "positive", "A", modulo=lo_rows)
         layer_sing = [s for s in sing if ech_hi.contains(s) and not ech_lo.contains(s)]
         if not layer_sing:
-            statuses.append(miss)
+            # a layer that is zero on the slice holds no singular vector to find
+            statuses.append("inconclusive-window" if ech_hi.dim == ech_lo.dim else miss)
             rep.notes.append(f"no singular vector found for layer {name_hi}/{name_lo}")
             continue
         for s in layer_sing:
@@ -763,17 +761,10 @@ def verify_aprime_structure(
         statuses = []
         for s in seeds:
             reached = linalg.filtration(generate_submodule(key, idx, [idx.vec(s)]))
-            for d in range(0, D - margin + 1):
-                dim_a = _monos_up_to(idx, d)
-                if dim_a == 0:
-                    continue
-                got = len(linalg.restrict_to_zone(reached, dim_a))
-                status = "pass" if got == dim_a else "inconclusive-window"
-                statuses.append(status)
-                rep.dims.append(
-                    {"d": d, "seed": str(s), "dim_reached": got, "dimA": dim_a,
-                     "status": status}
-                )
+            statuses += _fill_levels(
+                rep, idx, reached, margin,
+                lambda dim_a, got: {"seed": str(s), "dim_reached": got, "dimA": dim_a},
+            )
         rep.status = _combine(statuses) if statuses else "inconclusive-window"
         return rep
 
@@ -811,29 +802,14 @@ def bigraded_monomials(cfg: RepConfig, s: int, t: int) -> list[SuperMonomial]:
     if cfg.family != "Aprime" or cfg.T != frozenset(range(1, cfg.n + 1)):
         raise ValueError("bigrading is defined for the normal form T={1..n}")
     m1, n = cfg.m1, cfg.n
+    # the unswapped x_n+1..x_2n have degree t - low, the swapped x_1..x_n up - s
+    groups = (range(n, 2 * n), range(n))
     out = []
     for mask in range(1 << (2 * m1)):
-        low = sum(1 for j in range(m1) if mask >> j & 1)
-        up = sum(1 for j in range(m1) if mask >> (m1 + j) & 1)
-        # sum(alpha_first_n) = up - s ; sum(alpha_last_n) = t - low
-        a_first = up - s
-        a_last = t - low
-        if a_first < 0 or a_last < 0:
-            continue
-        for bos1 in _exponents_with_sum(n, a_first):
-            for bos2 in _exponents_with_sum(n, a_last):
-                out.append(SuperMonomial(bos1 + bos2, mask))
-    return sorted(out, key=lambda m: m.sort_key())
-
-
-def _exponents_with_sum(nvars, total):
-    if nvars == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _exponents_with_sum(nvars - 1, total - head):
-            yield (head,) + tail
+        low = (mask & ((1 << m1) - 1)).bit_count()
+        up = (mask >> m1).bit_count()
+        out += [(t - s + 2 * up, bos, mask) for bos in _exponents(groups, (t - low, up - s))]
+    return [SuperMonomial(bos, mask) for _, bos, mask in sorted(out)]
 
 
 def bigraded_harmonic(cfg: RepConfig, s: int, t: int) -> list[SuperPolynomial]:

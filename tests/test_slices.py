@@ -39,7 +39,6 @@ from ospoly.slices import (
     generate_submodule,
     harmonic_space,
     singular_vectors,
-    slice_basis,
     slice_is_exact,
     slice_monomials,
     verify_aprime_structure,
@@ -50,6 +49,7 @@ from ospoly.superpoly import (
     DER_T,
     MUL_T,
     MUL_X,
+    SuperMonomial,
     SuperOperator,
     SuperPolynomial,
     apply_operator,
@@ -77,39 +77,59 @@ def closure_polys(key, gens):
     return [idx.poly(key.cfg.signature, row) for row in rows]
 
 
-def oracle_slice_count(cfg, k, D):
+def oracle_slice(cfg, k, D):
+    """enumerate_slice's (bos, word) pairs as monomials; t_i is bit i - 1."""
     weights, fw = variable_k_weights(cfg)
     sig = cfg.signature
-    return len(
-        enumerate_slice(sig.num_bosonic, sig.num_fermionic, weights, fw, k, D)
-    )
+    pairs = enumerate_slice(sig.num_bosonic, sig.num_fermionic, weights, fw, k, D)
+    return [SuperMonomial(bos, sum(1 << (i - 1) for i in word)) for bos, word in pairs]
 
 
 # -- enumeration ---------------------------------------------------------
 
 
 def test_slice_k1_is_all_four_variables():
-    basis = slice_basis(SliceKey(A11_R0, 1, 4))
-    assert basis.dim == 4
-    names = {str(v) for v in basis.vectors}
+    monos = slice_monomials(SliceKey(A11_R0, 1, 4))
+    assert len(monos) == 4
+    names = {str(SuperPolynomial.from_monomial(A11_R0.signature, m)) for m in monos}
     assert names == {"1 * x1", "1 * x2", "1 * t1", "1 * t2"}
 
 
 def test_slice_k2_dimension_eight():
-    assert slice_basis(SliceKey(A11_R0, 2, 4)).dim == 8
+    assert len(slice_monomials(SliceKey(A11_R0, 2, 4))) == 8
 
 
 def test_empty_slice():
-    assert slice_basis(SliceKey(A11_R0, -1, 6)).dim == 0
+    assert len(slice_monomials(SliceKey(A11_R0, -1, 6))) == 0
 
 
 def test_slice_counts_match_oracle():
+    """The full monomial lists, not only their lengths; swap sets that are
+    not a prefix, odd m and the D = 0 window included."""
     for cfg in [A11_R0, A11_R1, config_a(2, 1, 1), config_aprime(1, 2, {1, 2}),
-                config_a(1, 1, 1, "odd")]:
+                config_aprime(1, 2, {2, 3}), config_aprime(1, 2, {1, 4}),
+                config_a(1, 1, 1, "odd"), config_a(2, 1, 0, "odd"),
+                config_aprime(1, 2, {2, 3}, "odd")]:
         for k in range(-2, 4):
-            for D in (3, 5):
-                got = len(slice_monomials(SliceKey(cfg, k, D)))
-                assert got == oracle_slice_count(cfg, k, D), (cfg.describe(), k, D)
+            for D in (0, 3, 5):
+                got = slice_monomials(SliceKey(cfg, k, D))
+                assert sorted(got) == sorted(oracle_slice(cfg, k, D)), (cfg.describe(), k, D)
+
+
+@pytest.mark.parametrize("m1, n", [(1, 2), (2, 2), (1, 3)])
+def test_normal_form_cells_partition_the_slice(m1, n):
+    """In the A' normal form the (s, t) cells with s + t = k, cut to degree
+    <= D, together hold exactly the (k, D) slice."""
+    cfg = config_aprime(m1, n, set(range(1, n + 1)))
+    for k in range(-2, 4):
+        for D in (0, 3, 5):
+            cells = [
+                m
+                for s in range(-D, m1 + 1)
+                for m in bigraded_monomials(cfg, s, k - s)
+                if m.total_degree <= D
+            ]
+            assert sorted(cells) == sorted(slice_monomials(SliceKey(cfg, k, D))), (k, D)
 
 
 def test_slice_is_sorted_canonically():
@@ -138,34 +158,34 @@ def oracle_harmonic_dim(cfg, k, D):
 
 def test_harmonic_k2_dim_seven():
     hs = harmonic_space(SliceKey(A11_R0, 2, 2))
-    assert hs.dim == 7
-    assert hs.dim == oracle_harmonic_dim(A11_R0, 2, 2)
+    assert len(hs) == 7
+    assert len(hs) == oracle_harmonic_dim(A11_R0, 2, 2)
 
 
 def test_harmonic_vanishes_above_n_when_fully_swapped():
     # k = n+1 = 2 with r = m1: no harmonic vectors in any window
     for D in (4, 6):
-        assert harmonic_space(SliceKey(A11_R1, 2, D)).dim == 0
+        assert len(harmonic_space(SliceKey(A11_R1, 2, D))) == 0
 
 
 def test_constants_are_harmonic():
     hs = harmonic_space(SliceKey(A11_R0, 0, 0))
-    assert hs.dim == 1
-    assert str(hs.vectors[0]) == "1"
+    assert len(hs) == 1
+    assert str(hs[0]) == "1"
 
 
 def test_harmonic_dims_match_oracle_swapped():
     for k in (-1, 0, 1):
         for D in (3, 4):
-            got = harmonic_space(SliceKey(A11_R1, k, D)).dim
+            got = len(harmonic_space(SliceKey(A11_R1, k, D)))
             assert got == oracle_harmonic_dim(A11_R1, k, D), (k, D)
 
 
 def test_harmonic_members_are_harmonic_and_graded():
     lower, _ = delta_eta(config_a(2, 1, 1))
     hs = harmonic_space(SliceKey(config_a(2, 1, 1), 2, 5))
-    assert hs.dim > 0
-    for v in hs.vectors:
+    assert len(hs) > 0
+    for v in hs:
         assert lower(v).is_zero()
         for m in v.terms:
             assert k_degree(config_a(2, 1, 1), m) == 2
@@ -175,7 +195,7 @@ def test_harmonic_action_invariance():
     cfg = config_a(2, 1, 1)
     lower, _ = delta_eta(cfg)
     hs = harmonic_space(SliceKey(cfg, 1, 4))
-    for v in hs.vectors:
+    for v in hs:
         for e in osp_basis(cfg, "all"):
             assert lower(rep_element(cfg, e)(v)).is_zero()
 
@@ -186,12 +206,12 @@ LOWERING_CASES = {
     "A211-k2": (
         config_a(2, 1, 1),
         lambda cfg: slice_monomials(SliceKey(cfg, 2, 5)),
-        lambda cfg: harmonic_space(SliceKey(cfg, 2, 5)).vectors,
+        lambda cfg: harmonic_space(SliceKey(cfg, 2, 5)),
     ),
     "A111-odd": (
         config_a(1, 1, 1, "odd"),
         lambda cfg: slice_monomials(SliceKey(cfg, 1, 4)),
-        lambda cfg: harmonic_space(SliceKey(cfg, 1, 4)).vectors,
+        lambda cfg: harmonic_space(SliceKey(cfg, 1, 4)),
     ),
     "Aprime12-cell": (
         config_aprime(1, 2, {1, 2}),
@@ -294,7 +314,7 @@ def test_abelian_orthogonal_factor_boundary_split():
     exactly; the uniqueness claims hold from m1=2 on (previous tests)."""
     key = SliceKey(A11_R0, 3, 3)
     hs = harmonic_space(key)
-    assert hs.dim == 8
+    assert len(hs) == 8
     idx = MonomialIndex(slice_monomials(key))
     sing = singular_vectors(key, idx, "positive", "H")
     assert len(sing) == 2
@@ -424,7 +444,7 @@ def test_eta_image_is_the_window_part_of_the_polynomial_span(cfg, k, D, power):
     slice size, over the slice's monomials followed by those of degree > D."""
     _, eta = delta_eta(cfg)
     images = []
-    for p in harmonic_space(SliceKey(cfg, k - 2 * power, D + 2 * power)).vectors:
+    for p in harmonic_space(SliceKey(cfg, k - 2 * power, D + 2 * power)):
         for _ in range(power):
             p = eta(p)
         images.append(p)
@@ -452,8 +472,33 @@ def test_eta_image_keeps_an_in_window_combination():
     term = span(eta_image(key, idx, 1))
     assert term.contains(idx.vec(member)) and term.contains(idx.vec(moved))
     _, eta = delta_eta(cfg)
-    low = [eta(p) for p in harmonic_space(SliceKey(cfg, 0, 4)).vectors]
+    low = [eta(p) for p in harmonic_space(SliceKey(cfg, 0, 4))]
     assert not span(idx.vec(p) for p in low if p.max_degree() <= 4).contains(idx.vec(moved))
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D, power",
+    [
+        pytest.param(config_a(3, 1, 2), 2, 4, 1, id="A312-eta1"),
+        pytest.param(config_a(3, 1, 1), 2, 8, 2, id="A311-eta2"),
+        pytest.param(config_a(2, 1, 1), 2, 10, 1, id="A211-eta1"),
+        pytest.param(config_a(3, 2, 2), 3, 6, 1, id="A322-eta1"),
+    ],
+)
+def test_eta_image_needs_source_degree_at_most_D_minus_2p(cfg, k, D, power):
+    """Family A with r < m1: q = eta(1) holds x_m1 x_2m1 and is no zero
+    divisor, so eta^p f has degree deg f + 2p.  eta^p of H(k - 2p) on degree
+    <= D - 2p lands in the window (idx.vec raises otherwise) and spans what
+    eta_image spans."""
+    _, eta = delta_eta(cfg)
+    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
+    want = []
+    for p in harmonic_space(SliceKey(cfg, k - 2 * power, D - 2 * power)):
+        for _ in range(power):
+            p = eta(p)
+        want.append(idx.vec(p))
+    got = eta_image(SliceKey(cfg, k, D), idx, power)
+    assert want and span(got).basis() == span(want).basis()
 
 
 # -- closures --------------------------------------------------------------
@@ -483,7 +528,7 @@ def test_extreme_vector_generates_harmonics():
     x1 = SuperPolynomial.x(A11_R0.signature, 1)
     gen = closure_polys(key, [x1])
     hs = harmonic_space(SliceKey(A11_R0, 1, 4))
-    assert len(gen) == hs.dim == 4
+    assert len(gen) == len(hs) == 4
 
 
 def test_generator_outside_slice_rejected():
@@ -785,6 +830,44 @@ def test_series_stability_leak_fails_only_on_an_exact_slice(monkeypatch):
     assert rep.status == "fail"
     assert rep.notes == ["eta^1 H(k=0): action of E(2,1)-E(3,4) leaves the span on 1 * x1^2"]
     assert all(d["status"] == "pass" for d in rep.dims)
+
+
+@pytest.mark.parametrize(
+    "params, k", [((0, 1, 0), 3), ((0, 2, 0), 4)], ids=["A010-k3", "A020-k4"]
+)
+def test_series_empty_layer_is_inconclusive_not_fail(params, k):
+    """Both terms of each layer are zero on the exact slice, so there is no
+    singular vector to find: no fail without a witness."""
+    cfg = config_a(*params)
+    assert slice_is_exact(cfg, k, 6)
+    rep = verify_composition_series(cfg, k, 6, margin=0)
+    assert rep.status == "inconclusive-window"
+    assert rep.witnesses == []
+    assert [(d["dim_outer"], d["dim_inner"]) for d in rep.dims] == [(0, 0), (0, 0)]
+    eta_term = f"eta^1 H(k={k - 2})"
+    assert rep.notes == [
+        f"inclusion H > {eta_term} not strict on window",
+        f"inclusion {eta_term} > 0 not strict on window",
+        f"no singular vector found for layer H/{eta_term}",
+        f"no singular vector found for layer {eta_term}/0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "params, k", [((1, 1, 1), 2), ((2, 1, 2), 2), ((1, 0, 1), 1)],
+    ids=["A111-k2", "A212-k2", "A101-k1"],
+)
+def test_series_rejects_full_swap_range_up_front(monkeypatch, params, k):
+    """r = m1 >= 1: x_m1 is swapped, so x_m1^k has grading -k; the dispatch
+    raises before any term is built."""
+
+    def no_work(*args):
+        raise AssertionError("eta_image called")
+
+    monkeypatch.setattr(slices, "eta_image", no_work)
+    m1 = params[0]
+    with pytest.raises(ValueError, match=rf"^r = m1 = {m1}: x{m1} is swapped"):
+        verify_composition_series(config_a(*params), k, 6, margin=2)
 
 
 def test_series_rejects_out_of_window():
