@@ -364,9 +364,12 @@ def _root_element(cfg: RepConfig, a: int, b: int) -> MatrixElement:
 def osp_basis(cfg: RepConfig, part: str = "all") -> list[MatrixElement]:
     """Spanning set of the requested part of osp(m|2n).
 
-    part: "all", "even", "odd", "cartan", "positive", "positive_even".
-    Each element is ``_root_element(a, b)``.  For odd m the unpaired row
-    u = 2*m1+1 only appends its own entries to the lists of even m.
+    part: "all", "even", "odd", "cartan", "roots", "positive",
+    "positive_even".  "roots" is "all" without the Cartan elements (the
+    leads a = b), in the same order: the elements that move a weight vector
+    to another weight, by ``element_root``.  Each element is
+    ``_root_element(a, b)``.  For odd m the unpaired row u = 2*m1+1 only
+    appends its own entries to the lists of even m.
     """
     m1, n, m = cfg.m1, cfg.n, cfg.m
     u = m  # the unpaired row/column when m is odd
@@ -374,7 +377,7 @@ def osp_basis(cfg: RepConfig, part: str = "all") -> list[MatrixElement]:
     if part == "cartan":
         leads = [(i, i) for i in range(1, m1 + 1)]
         leads += [(m + j, m + j) for j in range(1, n + 1)]
-    elif part in ("all", "even", "odd"):
+    elif part in ("all", "even", "odd", "roots"):
         so_even, sp_even, odd = [], [], []
         for i in range(1, m1 + 1):
             for j in range(1, m1 + 1):
@@ -399,7 +402,10 @@ def osp_basis(cfg: RepConfig, part: str = "all") -> list[MatrixElement]:
             for p in range(1, n + 1):
                 odd += [(u, m + p), (u, m + n + p)]
         leads = {
-            "all": so_even + sp_even + odd, "even": so_even + sp_even, "odd": odd
+            "all": so_even + sp_even + odd,
+            "even": so_even + sp_even,
+            "odd": odd,
+            "roots": [(a, b) for a, b in so_even + sp_even + odd if a != b],
         }[part]
     elif part in ("positive", "positive_even"):
         leads = []
@@ -476,6 +482,39 @@ def monomial_weight(cfg: RepConfig, mono) -> Weight:
     so = tuple(bos_eig(i) - bos_eig(m1 + i) for i in range(1, m1 + 1))
     sp = tuple(bos_eig(m + j) - bos_eig(m + n + j) for j in range(1, n + 1))
     return Weight(so, sp)
+
+
+def element_root(cfg: RepConfig, elem: MatrixElement) -> Weight:
+    """The weight a root element adds to a weight vector, in the coordinates
+    of ``monomial_weight``.
+
+    A term E(i,j) raises the E(i,i) eigenvalue by 1 and lowers the E(j,j)
+    one by 1; the two terms of an osp element have the same root, and a
+    Cartan element has root 0.
+    """
+    i, j = next(iter(elem.terms))
+
+    def shift(a: int) -> int:
+        return (a == i) - (a == j)
+
+    m1, n, m = cfg.m1, cfg.n, cfg.m
+    so = tuple(shift(c) - shift(m1 + c) for c in range(1, m1 + 1))
+    sp = tuple(shift(m + c) - shift(m + n + c) for c in range(1, n + 1))
+    return Weight(so, sp)
+
+
+def weight_code(w: Weight, base: int) -> int:
+    """w's coordinates, eps_so then eps_sp, as the digits of one int in the
+    given base, the first digit the most significant.
+
+    The code is linear: code(v + w) = code(v) + code(w).  On weights whose
+    coordinates differ by less than base it is one-to-one and sorts as the
+    weights do.
+    """
+    code = 0
+    for c in w.eps_so + w.eps_sp:
+        code = code * base + c
+    return code
 
 
 def weight_to_fundamental(cfg: RepConfig, w: Weight) -> str:

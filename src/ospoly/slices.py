@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
@@ -39,11 +40,13 @@ from .osp import (
     RepConfig,
     aprime_normalize,
     delta_eta,
+    element_root,
     markers,
     monomial_weight,
     osp_basis,
     rep_element,
     variable_k_weights,
+    weight_code,
 )
 from .superpoly import (
     SuperMonomial,
@@ -73,9 +76,28 @@ class MonomialIndex:
     def __init__(self, monomials):
         self.monomials = sorted(monomials, key=lambda m: m.sort_key())
         self.index = {m: i for i, m in enumerate(self.monomials)}
+        self._weights = None
 
     def __len__(self):
         return len(self.monomials)
+
+    def weight_codes(self, cfg: RepConfig) -> tuple[list[int], int]:
+        """Per position, the ``weight_code`` of its monomial's weight, and
+        the code's base.  Computed once per cfg.
+
+        The base exceeds 2 * top + 4, top the largest coordinate size of a
+        slice weight, so codes sort as the weights do and stay one-to-one on
+        the slice's weights and on every weight a root (coordinates at most
+        2 in size) away.
+        """
+        if self._weights is None or self._weights[0] != cfg:
+            weights = [monomial_weight(cfg, m) for m in self.monomials]
+            distinct = set(weights)
+            top = max((abs(c) for w in distinct for c in w.eps_so + w.eps_sp), default=0)
+            base = 2 * top + 5
+            codes = {w: weight_code(w, base) for w in distinct}
+            self._weights = (cfg, [codes[w] for w in weights], base)
+        return self._weights[1:]
 
     def vec(self, poly: SuperPolynomial) -> dict[int, int]:
         """Content-free integer row of poly; a monomial outside the index
@@ -232,10 +254,11 @@ def singular_vectors(
     and a halo for the positive operators, which keep the grading, and over
     a halo of its own for the lowering operator, as in ``_lowering_kernel``.
     ``_reduce_modulo`` takes positive images modulo the span, echelonized
-    once per call.  Each weight group of idx stacks its images under rows
-    keyed by (operator, image index); its kernel is the canonical echelon
-    basis over the group's positions, so neither row labels nor the
-    per-operator and common scale factors affect the result.
+    once per call.  Each weight group of idx (``idx.weight_codes``, computed
+    once per index) stacks its images under rows keyed by (operator, image
+    index); its kernel is the canonical echelon basis over the group's
+    positions, so neither row labels nor the per-operator and common scale
+    factors affect the result.
     """
     cfg, D = key.cfg, key.max_degree
     halo: dict = {}
@@ -257,11 +280,11 @@ def singular_vectors(
             lcm = lcm // gcd(lcm, row[q]) * row[q]
 
     groups: dict = {}
-    for i, m in enumerate(idx.monomials):
-        groups.setdefault(monomial_weight(cfg, m), []).append(i)
+    for i, w in enumerate(idx.weight_codes(cfg)[0]):
+        groups.setdefault(w, []).append(i)
 
     out = []
-    for w in sorted(groups, key=lambda w: (w.eps_so, w.eps_sp)):
+    for w in sorted(groups):
         cols = groups[w]
         rows: dict = {}
         stacked: list[dict[int, int]] = [{} for _ in cols]
@@ -370,23 +393,53 @@ def generate_submodule(
     ``Echelon.insert`` returns it, and its images are built by
     ``_int_image``.  An image is skipped exactly when a coefficient on a
     monomial of degree > D (its halo) is nonzero after cancellation.
+
+    An image is not built at all when weights alone show it cannot add a
+    row.  Precondition: every generator is a weight vector (its positions
+    share one ``MonomialIndex.weight_codes`` code).  Then every echelon row
+    is a weight vector, with its pivot's weight, and a root element maps a
+    row of weight w into weight w + ``element_root``.  room[u] counts the
+    slice monomials of weight u less the rows whose pivot has weight u
+    (weights by their codes); at 0 the rows span the slice's weight-u space,
+    so an image of weight u is zero, leaves the window or lies in the span,
+    and inserting it would change nothing.  The Cartan elements only
+    rescale a weight vector and are left out ("roots").  Without the
+    precondition the whole slice is one class under every element of "all":
+    the closure stops building images once the span fills the slice.
     """
     if not gens:
         raise ValueError("empty generator list")
     cfg, D = key.cfg, key.max_degree
     n = len(idx)
-    ops = [_int_atoms(rep_element(cfg, e)) for e in osp_basis(cfg, "all")]
+    codes, base = idx.weight_codes(cfg)
+    if all(len({codes[i] for i in g}) <= 1 for g in gens):
+        elems = osp_basis(cfg, "roots")
+        steps = [weight_code(element_root(cfg, e), base) for e in elems]
+    else:
+        codes, elems = [0] * n, osp_basis(cfg, "all")
+        steps = [0] * len(elems)
+    room = Counter(codes)
+    ops = [(_int_atoms(rep_element(cfg, e)), step) for e, step in zip(elems, steps)]
     halo: dict = {}
     ech = Echelon()
-    queue = [row for row in map(ech.insert, gens) if row is not None]
+    queue = []
+    for row in map(ech.insert, gens):
+        if row is not None:
+            room[codes[min(row)]] -= 1
+            queue.append(row)
     while queue:
         v = queue.pop()
-        for atoms in ops:
+        w = codes[min(v)]
+        for atoms, step in ops:
+            u = w + step
+            if not room[u]:
+                continue
             image = _int_image(atoms, v, idx, halo, D)
             if not image or max(image) >= n:
                 continue
             row = ech.insert(image)
             if row is not None:
+                room[u] -= 1
                 queue.append(row)
     return ech.basis()
 
@@ -530,7 +583,8 @@ def _stable_under_action(cfg, rows, ech, idx, D) -> tuple | None:
     action-stable on the window."""
     n = len(idx)
     halo: dict = {}
-    for e in osp_basis(cfg, "all"):
+    # a Cartan element keeps every weight space, so it never leaks
+    for e in osp_basis(cfg, "roots"):
         atoms = _int_atoms(rep_element(cfg, e))
         for i, row in enumerate(rows):
             image = _int_image(atoms, row, idx, halo, D)
@@ -566,7 +620,8 @@ def verify_composition_series(
       r = 0, window (n-m1+1) < k <= 2(n-m1+1): chain H > eta^j H' > 0;
       0 < r < m1 - 1, k > n-m1+r+1:            chain H > eta^j H' > 0;
       r = m1 - 1,     k > n:                   chain H > <x_m1^k> > eta^{k-n} H' > 0;
-      r = m1 >= 1:                             rejected (x_m1 is swapped).
+      r = m1 >= 1:                             rejected (x_m1 is swapped);
+      m1 = 0:                                  rejected (no bosonic variable).
     Checks: membership of each term in the next one up, action stability,
     strictness on the window, and that every singular vector of each layer
     generates it (windowed sufficient criterion for layer irreducibility).
@@ -578,6 +633,11 @@ def verify_composition_series(
     rep = VerificationReport("composition-series", cfg, k, D, margin, seed, "pass")
     if cfg.family != "A" or cfg.m_parity != "even":
         raise ValueError("composition series checks apply to even family A")
+    if m1 == 0:
+        raise ValueError(
+            "m1 = 0: with no bosonic variable H is zero at every k > n, "
+            "so the window (n+1, 2(n+1)] holds no chain to check"
+        )
     if r == 0:
         lo, hi = n - m1 + 1, 2 * (n - m1 + 1)
         if not lo < k <= hi:
@@ -801,6 +861,8 @@ def bigraded_monomials(cfg: RepConfig, s: int, t: int) -> list[SuperMonomial]:
     """
     if cfg.family != "Aprime" or cfg.T != frozenset(range(1, cfg.n + 1)):
         raise ValueError("bigrading is defined for the normal form T={1..n}")
+    if cfg.m_parity == "odd":
+        raise ValueError("bigrading is defined for even m only (odd m leaves t_m unpaired)")
     m1, n = cfg.m1, cfg.n
     # the unswapped x_n+1..x_2n have degree t - low, the swapped x_1..x_n up - s
     groups = (range(n, 2 * n), range(n))

@@ -11,6 +11,7 @@ from ospoly.osp import (
     config_a,
     config_aprime,
     delta_eta,
+    element_root,
     eta_polynomial,
     k_degree,
     markers,
@@ -24,6 +25,7 @@ from ospoly.osp import (
     weight_to_fundamental,
     _dense_solve,
 )
+from ospoly.slices import SliceKey, slice_monomials
 from ospoly.superpoly import SuperMonomial, SuperPolynomial, theta_word
 from oracles import low_degree_monomials
 
@@ -269,6 +271,53 @@ def test_monomials_are_weight_vectors():
             w = weight_of(cfg, SuperPolynomial.from_monomial(sig, m))
             assert w is not None
             assert w == monomial_weight(cfg, m)
+
+
+ROOT_CASES = {
+    "A-even": (config_a(2, 2, 1), 1, 4),
+    "A-odd": (config_a(1, 2, 1, "odd"), 1, 4),
+    "Aprime": (config_aprime(2, 2, {1, 3}), 1, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_root_elements_move_weights_by_their_root(case):
+    """Every "roots" element maps a slice monomial into the weight space of
+    its weight plus element_root, which is nonzero."""
+    cfg, k, D = ROOT_CASES[case]
+    monos = slice_monomials(SliceKey(cfg, k, D))
+    sig = cfg.signature
+    moved = 0
+    for e in osp_basis(cfg, "roots"):
+        root = element_root(cfg, e)
+        assert any(root.eps_so + root.eps_sp), str(e)
+        op = rep_element(cfg, e)
+        for m in monos:
+            w = monomial_weight(cfg, m)
+            want = (
+                tuple(a + b for a, b in zip(w.eps_so, root.eps_so)),
+                tuple(a + b for a, b in zip(w.eps_sp, root.eps_sp)),
+            )
+            image = op(SuperPolynomial.from_monomial(sig, m))
+            for mono in image.terms:
+                assert monomial_weight(cfg, mono) == want, (str(e), m, mono)
+            moved += not image.is_zero()
+    assert moved
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("m1, n", [(0, 2), (1, 1), (2, 2), (3, 1)])
+def test_roots_are_all_without_the_cartan(parity, m1, n):
+    """"roots" is "all" with the Cartan elements taken out, in order, and
+    element_root is zero exactly on those."""
+    cfg = config_a(m1, n, 0, parity)
+    everything = osp_basis(cfg, "all")
+    cartan = osp_basis(cfg, "cartan")
+    assert osp_basis(cfg, "roots") == [e for e in everything if e not in cartan]
+    assert all(e in everything for e in cartan)
+    for e in everything:
+        root = element_root(cfg, e)
+        assert (not any(root.eps_so + root.eps_sp)) == (e in cartan), str(e)
 
 
 def test_weight_rendering_spin_convention():

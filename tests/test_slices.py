@@ -5,6 +5,7 @@ Expected dimensions are frozen from the brute-force oracles in oracles.py
 """
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,15 +14,18 @@ import pytest
 from ospoly import slices, superpoly
 from ospoly.linalg import Echelon, filtration, restrict_to_zone, span, vec_from_fractions
 from ospoly.osp import (
+    Weight,
     config_a,
     config_aprime,
     delta_eta,
+    element_root,
     eta_polynomial,
     k_degree,
     monomial_weight,
     osp_basis,
     rep_element,
     variable_k_weights,
+    weight_code,
     weight_of,
 )
 from ospoly.slices import (
@@ -638,6 +642,24 @@ def _pluecker_word(cfg, idx):
     return [(x(1) * x(4) - x(2) * x(3)) * theta_word(cfg.signature, [1])]
 
 
+def _swapped_word(cfg, idx):
+    """x3 t1 t2 on A'(2,2,{1,3}): the theta word times a swapped variable,
+    as the split case's extreme vector is."""
+    return [SuperPolynomial.x(cfg.signature, 3) * theta_word(cfg.signature, [1, 2])]
+
+
+def _seeded_monomial(j):
+    """Generator list: the j-th monomial verify_aprime_structure seeds with
+    at seed 0."""
+
+    def gens(cfg, idx):
+        pool = list(idx.monomials)
+        random.Random(0).shuffle(pool)
+        return [SuperPolynomial.from_monomial(cfg.signature, pool[j])]
+
+    return gens
+
+
 # name: (cfg, k, D, generator list of the slice)
 CLOSURE_CASES = {
     "A211-x2^2": (config_a(2, 1, 1), 2, 6, _x2_squared),
@@ -647,6 +669,11 @@ CLOSURE_CASES = {
     "Aprime12-T34": (config_aprime(1, 2, {3, 4}), 1, 6, _slice_monomial(0)),
     "Aprime12-split-word": (config_aprime(1, 2, {1, 2}), 1, 6, _word),
     "Aprime12-split-pluecker": (config_aprime(1, 2, {1, 2}), 1, 6, _pluecker_word),
+    # the three closures of A'(2,2,{1,3}) k1 D6 fill the slice, so they end
+    # with every weight space full
+    "Aprime22-T13-word": (config_aprime(2, 2, {1, 3}), 1, 6, _swapped_word),
+    "Aprime22-T13-seed0": (config_aprime(2, 2, {1, 3}), 1, 6, _seeded_monomial(0)),
+    "Aprime22-T13-seed1": (config_aprime(2, 2, {1, 3}), 1, 6, _seeded_monomial(1)),
 }
 
 
@@ -658,6 +685,72 @@ def test_closure_matches_reference_oracle(case):
     key = SliceKey(cfg, k, D)
     gens = gens(cfg, MonomialIndex(slice_monomials(key)))
     assert closure_polys(key, gens) == reference_closure(key, gens)
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D",
+    [
+        (config_a(2, 1, 1), 2, 8),
+        (config_a(1, 2, 1, "odd"), 1, 6),
+        (config_aprime(2, 2, {1, 3}), 1, 8),
+    ],
+    ids=["A211", "A121-odd", "Aprime22-T13"],
+)
+def test_weight_codes_sort_and_separate_weights_a_root_apart(cfg, k, D):
+    """The index's weight codes sort as the weights do, and the code of
+    weight + root is one-to-one over every slice weight and root, and
+    equals code(weight) + code(root)."""
+    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
+    codes, base = idx.weight_codes(cfg)
+    weights = [monomial_weight(cfg, m) for m in idx.monomials]
+    assert len(set(weights)) > 1
+    assert sorted(range(len(idx)), key=codes.__getitem__) == sorted(
+        range(len(idx)), key=lambda i: (weights[i], i)
+    )
+    roots = [element_root(cfg, e) for e in osp_basis(cfg, "roots")]
+    shifted = {
+        Weight(
+            tuple(x + y for x, y in zip(w.eps_so, a.eps_so)),
+            tuple(x + y for x, y in zip(w.eps_sp, a.eps_sp)),
+        ): weight_code(w, base) + weight_code(a, base)
+        for w in set(weights)
+        for a in roots
+    }
+    reach = set(weights) | set(shifted)
+    assert all(weight_code(v, base) == c for v, c in shifted.items())
+    assert len({weight_code(v, base) for v in reach}) == len(reach)
+
+
+def test_closures_that_fill_the_slice():
+    """The A'(2,2,{1,3}) k1 D6 closures reach the whole slice, where every
+    image is skipped once its weight space is full."""
+    for case in ("Aprime22-T13-word", "Aprime22-T13-seed0", "Aprime22-T13-seed1"):
+        cfg, k, D, gens = CLOSURE_CASES[case]
+        key = SliceKey(cfg, k, D)
+        idx = MonomialIndex(slice_monomials(key))
+        rows = generate_submodule(key, idx, [idx.vec(g) for g in gens(cfg, idx)])
+        assert len(rows) == len(idx) == 136, case
+
+
+def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
+    """The closure of x2^2 on A(2,1,1) k2 D6 builds only images whose weight
+    space still has room: fewer than one per (row, element) pair, and none
+    for a Cartan element."""
+    cfg = config_a(2, 1, 1)
+    key = SliceKey(cfg, 2, 6)
+    idx = MonomialIndex(slice_monomials(key))
+    built = []
+    real = slices._int_image
+
+    def counting(atoms, row, *args):
+        built.append(atoms)
+        return real(atoms, row, *args)
+
+    monkeypatch.setattr(slices, "_int_image", counting)
+    rows = generate_submodule(key, idx, [idx.vec(SuperPolynomial.x(cfg.signature, 2) ** 2)])
+    cartan = [slices._int_atoms(rep_element(cfg, h)) for h in osp_basis(cfg, "cartan")]
+    assert built and not any(atoms in cartan for atoms in built)
+    assert len(built) < len(rows) * len(osp_basis(cfg, "roots"))
 
 
 def test_halo_is_read_after_cancellation(monkeypatch):
@@ -832,25 +925,36 @@ def test_series_stability_leak_fails_only_on_an_exact_slice(monkeypatch):
     assert all(d["status"] == "pass" for d in rep.dims)
 
 
-@pytest.mark.parametrize(
-    "params, k", [((0, 1, 0), 3), ((0, 2, 0), 4)], ids=["A010-k3", "A020-k4"]
-)
-def test_series_empty_layer_is_inconclusive_not_fail(params, k):
-    """Both terms of each layer are zero on the exact slice, so there is no
-    singular vector to find: no fail without a witness."""
-    cfg = config_a(*params)
-    assert slice_is_exact(cfg, k, 6)
-    rep = verify_composition_series(cfg, k, 6, margin=0)
+def test_series_zero_layer_is_inconclusive_not_fail(monkeypatch):
+    """A layer whose two terms agree on the exact slice holds no singular
+    vector to find: no fail without a witness.  H is replaced by the eta
+    term, so the layer H/eta is zero while eta/0 is the true bottom layer."""
+    cfg = A11_R0
+    assert slice_is_exact(cfg, 2, 6)
+    eta_rows = []
+    real_eta, real_kernel = slices.eta_image, slices._lowering_kernel
+
+    def eta_term(key, idx, power):
+        eta_rows.extend(real_eta(key, idx, power))
+        return eta_rows
+
+    # the verifier builds the eta term (and its source kernel) before H
+    monkeypatch.setattr(slices, "eta_image", eta_term)
+    monkeypatch.setattr(
+        slices, "_lowering_kernel", lambda cfg, idx: list(eta_rows) or real_kernel(cfg, idx)
+    )
+    rep = verify_composition_series(cfg, 2, 6, margin=0)
     assert rep.status == "inconclusive-window"
-    assert rep.witnesses == []
-    assert [(d["dim_outer"], d["dim_inner"]) for d in rep.dims] == [(0, 0), (0, 0)]
-    eta_term = f"eta^1 H(k={k - 2})"
+    assert eta_rows
+    assert [(d["dim_outer"], d["dim_inner"]) for d in rep.dims] == [
+        (len(eta_rows), len(eta_rows)), (len(eta_rows), 0)
+    ]
+    eta_term = "eta^1 H(k=0)"
     assert rep.notes == [
         f"inclusion H > {eta_term} not strict on window",
-        f"inclusion {eta_term} > 0 not strict on window",
         f"no singular vector found for layer H/{eta_term}",
-        f"no singular vector found for layer {eta_term}/0",
     ]
+    assert rep.witnesses
 
 
 @pytest.mark.parametrize(
@@ -868,6 +972,21 @@ def test_series_rejects_full_swap_range_up_front(monkeypatch, params, k):
     m1 = params[0]
     with pytest.raises(ValueError, match=rf"^r = m1 = {m1}: x{m1} is swapped"):
         verify_composition_series(config_a(*params), k, 6, margin=2)
+
+
+@pytest.mark.parametrize(
+    "n, k", [(0, 2), (1, 3), (1, 4), (2, 4)], ids=["A000-k2", "A010-k3", "A010-k4", "A020-k4"]
+)
+def test_series_rejects_no_bosonic_variable_up_front(monkeypatch, n, k):
+    """m1 = 0: H is zero on the whole window, so the dispatch raises instead
+    of reporting empty layers as inconclusive-window."""
+
+    def no_work(*args):
+        raise AssertionError("eta_image called")
+
+    monkeypatch.setattr(slices, "eta_image", no_work)
+    with pytest.raises(ValueError, match=r"^m1 = 0: with no bosonic variable"):
+        verify_composition_series(config_a(0, n, 0), k, 6, margin=0)
 
 
 def test_series_rejects_out_of_window():
@@ -981,6 +1100,15 @@ def test_bigraded_cells_are_finite_and_graded():
             monos = bigraded_monomials(cfg, s, t)
             for m in monos:
                 assert k_degree(cfg, m) == s + t
+
+
+def test_bigraded_cells_reject_odd_m():
+    """Odd m leaves the fermion t_m out of the pairs the cells are built on."""
+    cfg = config_aprime(1, 2, {1, 2}, "odd")
+    with pytest.raises(ValueError, match=r"even m only"):
+        bigraded_monomials(cfg, 0, 1)
+    with pytest.raises(ValueError, match=r"even m only"):
+        bigraded_harmonic(cfg, 0, 1)
 
 
 def test_bigraded_cell_splits():
