@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = dict[int, int]
 
@@ -113,13 +113,33 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec: Vec) -> Vec:
-        """Eliminate every stored pivot from vec (full reduction): no stored
-        row holds another's pivot, so one pass over vec's hits leaves none."""
-        vec = {k: v for k, v in vec.items() if v}
+        """The normalized remainder of vec modulo the span (full reduction)."""
+        return normalize(self.remainder(vec))
+
+    def remainder(self, vec: Vec, scale: int | None = None) -> Vec:
+        """scale times the exact remainder of vec modulo the span.
+
+        scale must be a multiple of the pivot entry of every stored row whose
+        pivot vec hits; it defaults to their lcm.  No stored row holds
+        another's pivot, so one pass clears every hit pivot q: subtract
+        vec[q] * (scale / row_q[q]) * row_q from scale * vec.  For a fixed
+        scale the result is linear in vec.
+        """
         rows = self.rows
-        for p in [k for k in vec if k in rows]:
-            vec = _eliminate(vec, rows[p], p)
-        return normalize(vec)
+        hits = [j for j, c in vec.items() if c and j in rows]
+        if scale is None:
+            scale = lcm(*[rows[q][q] for q in hits])
+        out = {j: c * scale for j, c in vec.items() if c}
+        for q in hits:
+            row = rows[q]
+            f = vec[q] * (scale // row[q])
+            for j, c in row.items():
+                s = out.get(j, 0) - f * c
+                if s:
+                    out[j] = s
+                else:
+                    del out[j]
+        return out
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)

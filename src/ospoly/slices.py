@@ -32,12 +32,14 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from math import gcd
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .linalg import Echelon
 from .osp import (
     RepConfig,
+    Weight,
     aprime_normalize,
     delta_eta,
     element_root,
@@ -52,7 +54,7 @@ from .superpoly import (
     SuperMonomial,
     SuperOperator,
     SuperPolynomial,
-    act_on_monomial,
+    act_on_terms,
     theta_word,
 )
 
@@ -71,19 +73,24 @@ class SliceKey:
 
 
 class MonomialIndex:
-    """Canonically ordered monomial list of a slice with index lookup."""
+    """Canonically ordered monomial list of a slice with index lookup.
+
+    A verifier builds one index and uses one cfg throughout, so the index
+    also keeps what is built once per cfg: weight codes and element atoms.
+    """
 
     def __init__(self, monomials):
         self.monomials = sorted(monomials, key=lambda m: m.sort_key())
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self._weights = None
+        self._atoms: dict = {}
 
     def __len__(self):
         return len(self.monomials)
 
     def weight_codes(self, cfg: RepConfig) -> tuple[list[int], int]:
         """Per position, the ``weight_code`` of its monomial's weight, and
-        the code's base.  Computed once per cfg.
+        the code's base.  Computed once per cfg, from ``_weight_table``.
 
         The base exceeds 2 * top + 4, top the largest coordinate size of a
         slice weight, so codes sort as the weights do and stay one-to-one on
@@ -91,13 +98,27 @@ class MonomialIndex:
         2 in size) away.
         """
         if self._weights is None or self._weights[0] != cfg:
-            weights = [monomial_weight(cfg, m) for m in self.monomials]
+            table, nf = _weight_table(cfg), cfg.signature.num_fermionic
+            bits = [tuple(mask >> p & 1 for p in range(nf)) for mask in range(1 << nf)]
+            weights = [
+                tuple(c + sum(map(mul, bos + bits[mask], row)) for c, row in table)
+                for bos, mask in self.monomials
+            ]
             distinct = set(weights)
-            top = max((abs(c) for w in distinct for c in w.eps_so + w.eps_sp), default=0)
+            top = max((abs(c) for w in distinct for c in w), default=0)
             base = 2 * top + 5
-            codes = {w: weight_code(w, base) for w in distinct}
+            codes = {w: weight_code(Weight(w[: cfg.m1], w[cfg.m1 :]), base) for w in distinct}
             self._weights = (cfg, [codes[w] for w in weights], base)
         return self._weights[1:]
+
+    def element_atoms(self, cfg: RepConfig, part: str) -> tuple:
+        """(element, ``_int_atoms`` of its operator) for each element of
+        ``osp_basis(cfg, part)``, in that order.  Built once per (cfg, part)."""
+        if (cfg, part) not in self._atoms:
+            self._atoms[cfg, part] = tuple(
+                (e, _int_atoms(rep_element(cfg, e))) for e in osp_basis(cfg, part)
+            )
+        return self._atoms[cfg, part]
 
     def vec(self, poly: SuperPolynomial) -> dict[int, int]:
         """Content-free integer row of poly; a monomial outside the index
@@ -115,6 +136,24 @@ class MonomialIndex:
         return SuperPolynomial(
             sig, {self.monomials[i]: c for i, c in frac.items()}
         )
+
+
+def _weight_table(cfg: RepConfig) -> list[tuple[int, tuple[int, ...]]]:
+    """``monomial_weight`` as an affine table: one (constant, coefficients)
+    pair per weight coordinate, eps_so then eps_sp.
+
+    A weight is affine in the exponents and the mask bits, so coordinate k
+    of a monomial's weight is constant + sum(coefficients[v] * exps[v]), with
+    exps its bosonic exponents followed by its mask bits: the constant is
+    the weight of 1, and coefficient v what one power of variable v adds.
+    """
+    nb, nf = cfg.signature
+    zero = (0,) * nb
+    monos = [SuperMonomial(zero, 0)]
+    monos += [SuperMonomial(zero[:v] + (1,) + zero[v + 1 :], 0) for v in range(nb)]
+    monos += [SuperMonomial(zero, 1 << p) for p in range(nf)]
+    flat = [w.eps_so + w.eps_sp for w in (monomial_weight(cfg, m) for m in monos)]
+    return [(c, tuple(w[k] - c for w in flat[1:])) for k, c in enumerate(flat[0])]
 
 
 @dataclass
@@ -216,7 +255,7 @@ def _lowering_kernel(cfg: RepConfig, idx: MonomialIndex) -> list[dict[int, int]]
     atoms = _int_atoms(delta_eta(cfg)[0])
     seen: dict = {}
     return linalg.kernel(
-        [_image_of_terms(atoms, ((m, 1),), {}, seen, -1) for m in idx.monomials]
+        [act_on_terms(atoms, ((m, 1),), {}, seen, -1) for m in idx.monomials]
     )
 
 
@@ -250,23 +289,22 @@ def singular_vectors(
     Every returned vector is exactly annihilated (resp. mapped into the
     span): operator images are computed without truncation.
 
-    A monomial's image is an integer row from ``_image_of_terms``: over idx
+    A monomial's image is an integer row from ``act_on_terms``: over idx
     and a halo for the positive operators, which keep the grading, and over
     a halo of its own for the lowering operator, as in ``_lowering_kernel``.
-    ``_reduce_modulo`` takes positive images modulo the span, echelonized
-    once per call.  Each weight group of idx (``idx.weight_codes``, computed
-    once per index) stacks its images under rows keyed by (operator, image
-    index); its kernel is the canonical echelon basis over the group's
-    positions, so neither row labels nor the per-operator and common scale
-    factors affect the result.
+    Positive images are taken modulo the span, echelonized once per call, by
+    ``Echelon.remainder`` with one common multiple of its pivot entries, so
+    the remainder stays linear in the image.  Each weight group of idx
+    (``idx.weight_codes``, computed once per index) stacks its images under
+    rows keyed by (operator, image index); its kernel is the canonical
+    echelon basis over the group's positions, so neither row labels nor the
+    per-operator and common scale factors affect the result.
     """
     cfg, D = key.cfg, key.max_degree
     halo: dict = {}
     # (atoms, index, halo, D); images of the first num_mod operators are
     # taken modulo the span, the lowering operator must annihilate outright
-    ops = [
-        (_int_atoms(rep_element(cfg, e)), idx.index, halo, D) for e in osp_basis(cfg, part)
-    ]
+    ops = [(atoms, idx.index, halo, D) for _, atoms in idx.element_atoms(cfg, part)]
     num_mod = len(ops) if modulo else 0
     if within == "H":
         ops.append((_int_atoms(delta_eta(cfg)[0]), {}, {}, -1))
@@ -275,9 +313,7 @@ def singular_vectors(
 
     if modulo:
         mod_ech = linalg.span(modulo)
-        lcm = 1
-        for q, row in mod_ech.rows.items():
-            lcm = lcm // gcd(lcm, row[q]) * row[q]
+        pivots_lcm = lcm(*(row[q] for q, row in mod_ech.rows.items()))
 
     groups: dict = {}
     for i, w in enumerate(idx.weight_codes(cfg)[0]):
@@ -290,37 +326,13 @@ def singular_vectors(
         stacked: list[dict[int, int]] = [{} for _ in cols]
         for oi, (atoms, index, op_halo, top) in enumerate(ops):
             for col, i in zip(stacked, cols):
-                image = _image_of_terms(atoms, ((idx.monomials[i], 1),), index, op_halo, top)
+                image = act_on_terms(atoms, ((idx.monomials[i], 1),), index, op_halo, top)
                 if oi < num_mod:
-                    image = _reduce_modulo(image, mod_ech, lcm)
+                    image = mod_ech.remainder(image, pivots_lcm)
                 for j, c in image.items():
                     col[rows.setdefault((oi, j), len(rows))] = c
         for combo in linalg.kernel(stacked):
             out.append({cols[j]: c for j, c in combo.items()})
-    return out
-
-
-def _reduce_modulo(vec: dict[int, int], mod_ech: Echelon, lcm: int) -> dict[int, int]:
-    """lcm times the exact remainder of vec modulo the span mod_ech.
-
-    lcm is a common multiple of the pivot entries of mod_ech's rows.  Those
-    rows are fully reduced, so no row holds another's pivot, and one pass
-    clears every pivot vec hits: subtract vec[q] * (lcm / row_q[q]) * row_q
-    from lcm * vec.  The factor is the same for every vector, unlike the
-    per-vector normalization of ``Echelon.reduce``, so the remainder stays
-    linear in vec.
-    """
-    out = {j: c * lcm for j, c in vec.items()}
-    rows = mod_ech.rows
-    for q in [j for j in vec if j in rows]:
-        row = rows[q]
-        f = vec[q] * (lcm // row[q])
-        for j, c in row.items():
-            s = out.get(j, 0) - f * c
-            if s:
-                out[j] = s
-            else:
-                del out[j]
     return out
 
 
@@ -332,50 +344,8 @@ def _int_atoms(op: SuperOperator) -> list[tuple[int, tuple]]:
     """op's atoms with integer coefficients: op scaled by the lcm of its
     coefficients' denominators, a positive factor that leaves spans and the
     window test unchanged."""
-    lcm = 1
-    for c, _ in op.atoms:
-        lcm = lcm // gcd(lcm, c.denominator) * c.denominator
-    return [(int(c * lcm), chain) for c, chain in op.atoms]
-
-
-def _image_of_terms(atoms, terms, index: dict, halo: dict, D: int) -> dict[int, int]:
-    """Exact image of sum(c * mono for mono, c in terms) under integer atoms.
-
-    A monomial in index gets its index there.  One of degree > D gets a halo
-    index >= len(index), numbered in halo on first sight; one of degree <= D
-    outside index raises KeyError.  With an empty index and D = -1 every
-    image monomial is numbered in halo.
-    """
-    base = len(index)
-    out: dict[int, int] = {}
-    for mono, c in terms:
-        for a, chain in atoms:
-            hit = act_on_monomial(chain, mono)
-            if hit is None:
-                continue
-            factor, m = hit
-            j = index.get(m)
-            if j is None:
-                if m.total_degree <= D:
-                    raise KeyError(f"monomial {m} outside the slice")
-                j = halo.setdefault(m, base + len(halo))
-            s = out.get(j, 0) + c * a * factor
-            if s:
-                out[j] = s
-            else:
-                del out[j]
-    return out
-
-
-def _int_image(atoms, row, idx: MonomialIndex, halo: dict, D: int) -> dict[int, int]:
-    """Exact image of an integer row over idx under integer atoms.
-
-    A monomial of degree > D gets a halo index >= len(idx) (see
-    ``_image_of_terms``).  The image leaves the window exactly when a halo
-    index survives cancellation, i.e. when max(image) >= len(idx).
-    """
-    terms = zip(map(idx.monomials.__getitem__, row), row.values())
-    return _image_of_terms(atoms, terms, idx.index, halo, D)
+    scale = lcm(*(c.denominator for c, _ in op.atoms))
+    return [(int(c * scale), chain) for c, chain in op.atoms]
 
 
 def generate_submodule(
@@ -389,9 +359,10 @@ def generate_submodule(
 
     idx indexes the slice's monomials; gens and the returned canonical
     echelon basis are integer rows over it.  Each osp operator becomes
-    integer atoms once (``_int_atoms``), each accepted row is queued as
-    ``Echelon.insert`` returns it, and its images are built by
-    ``_int_image``.  An image is skipped exactly when a coefficient on a
+    integer atoms once (``MonomialIndex.element_atoms``), each accepted row
+    is queued as ``Echelon.insert`` returns it, and a popped row's terms
+    are built once for all its images, which ``act_on_terms`` builds over
+    idx and a halo.  An image is skipped exactly when a coefficient on a
     monomial of degree > D (its halo) is nonzero after cancellation.
 
     An image is not built at all when weights alone show it cannot add a
@@ -410,16 +381,17 @@ def generate_submodule(
     if not gens:
         raise ValueError("empty generator list")
     cfg, D = key.cfg, key.max_degree
-    n = len(idx)
+    n, monos = len(idx), idx.monomials
     codes, base = idx.weight_codes(cfg)
     if all(len({codes[i] for i in g}) <= 1 for g in gens):
-        elems = osp_basis(cfg, "roots")
-        steps = [weight_code(element_root(cfg, e), base) for e in elems]
+        ops = [
+            (atoms, weight_code(element_root(cfg, e), base))
+            for e, atoms in idx.element_atoms(cfg, "roots")
+        ]
     else:
-        codes, elems = [0] * n, osp_basis(cfg, "all")
-        steps = [0] * len(elems)
+        codes = [0] * n
+        ops = [(atoms, 0) for _, atoms in idx.element_atoms(cfg, "all")]
     room = Counter(codes)
-    ops = [(_int_atoms(rep_element(cfg, e)), step) for e, step in zip(elems, steps)]
     halo: dict = {}
     ech = Echelon()
     queue = []
@@ -430,11 +402,12 @@ def generate_submodule(
     while queue:
         v = queue.pop()
         w = codes[min(v)]
+        terms = [(monos[i], c) for i, c in v.items()]
         for atoms, step in ops:
             u = w + step
-            if not room[u]:
+            if not room.get(u):  # a weight outside the slice has no entry
                 continue
-            image = _int_image(atoms, v, idx, halo, D)
+            image = act_on_terms(atoms, terms, idx.index, halo, D)
             if not image or max(image) >= n:
                 continue
             row = ech.insert(image)
@@ -498,10 +471,10 @@ def eta_image(key: SliceKey, idx: MonomialIndex, power: int) -> list[dict[int, i
     """eta^power of the harmonic space H(key.k - 2*power), as span . window.
 
     H is the exact kernel on its slice of degree <= D + 2*power (each eta
-    step may lower degree by 2).  eta acts through integer atoms, each
-    middle step over a halo of its own, the last over idx plus a halo.  The
-    filtration rows of span(images) . {degree <= D} keep in-window
-    combinations whose high terms cancel.  Still from below: an H element of
+    step may lower degree by 2).  eta acts through integer atoms
+    (``act_on_terms``), each middle step over a halo of its own, the last
+    over idx plus a halo.  The filtration rows of span(images) . {degree <= D}
+    keep in-window combinations whose high terms cancel.  Still from below: an H element of
     degree > D + 2*power whose high terms cancel is missed.
 
     Write eta as a degree-keeping part plus multiplication by q = eta(1).
@@ -518,7 +491,7 @@ def eta_image(key: SliceKey, idx: MonomialIndex, power: int) -> list[dict[int, i
     for step in range(1, power + 1):
         index, top, halo = (idx.index, D, {}) if step == power else ({}, -1, {})
         terms = (zip(map(monos.__getitem__, row), row.values()) for row in rows)
-        rows = [_image_of_terms(atoms, t, index, halo, top) for t in terms]
+        rows = [act_on_terms(atoms, t, index, halo, top) for t in terms]
         monos = list(halo)
     return linalg.restrict_to_zone(linalg.filtration(rows), len(idx))
 
@@ -537,7 +510,7 @@ def eta_span_of_slice(cfg, k_source, source_degree, idx: MonomialIndex) -> list[
     halo: dict = {}
     out = []
     for m in slice_monomials(SliceKey(cfg, k_source, source_degree)):
-        image = _image_of_terms(atoms, ((m, 1),), idx.index, halo, source_degree)
+        image = act_on_terms(atoms, ((m, 1),), idx.index, halo, source_degree)
         if image and max(image) < n:
             out.append(linalg.normalize(image))
     return out
@@ -581,13 +554,13 @@ def _stable_under_action(cfg, rows, ech, idx, D) -> tuple | None:
     """The first (element, position in rows) whose exact image leaves the
     span ech of rows while staying in the window, or None when the span is
     action-stable on the window."""
-    n = len(idx)
+    n, monos = len(idx), idx.monomials
     halo: dict = {}
+    terms = [[(monos[j], c) for j, c in row.items()] for row in rows]
     # a Cartan element keeps every weight space, so it never leaks
-    for e in osp_basis(cfg, "roots"):
-        atoms = _int_atoms(rep_element(cfg, e))
-        for i, row in enumerate(rows):
-            image = _int_image(atoms, row, idx, halo, D)
+    for e, atoms in idx.element_atoms(cfg, "roots"):
+        for i, row_terms in enumerate(terms):
+            image = act_on_terms(atoms, row_terms, idx.index, halo, D)
             if image and max(image) < n and not ech.contains(image):
                 return e, i
     return None

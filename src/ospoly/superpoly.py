@@ -24,8 +24,10 @@ Two conventions are pinned here and relied on everywhere else:
 
 Every atomic action (multiply by or differentiate by one variable) sends a
 monomial to an integer multiple of a single monomial, or to 0, so a chain
-acts on one monomial at a time with an integer factor (``act_on_monomial``);
-``apply_operator`` and ``derive`` only sum such images.
+acts on one monomial at a time with an integer factor.  ``act_on_terms`` is
+the one kernel that applies chains: it sums the images of a sum of terms
+as a sparse row over a caller's monomial index, and is the one home of the
+sign rule.  ``apply_operator`` and ``derive`` call it with an empty index.
 
 Both choices are validated downstream by demanding that the matrix-unit
 realizations actually define representations and that the quadratic
@@ -251,42 +253,73 @@ def derive(p: SuperPolynomial, var: tuple[str, int]) -> SuperPolynomial:
         chain = ((DER_T, idx - 1),)
     else:
         raise ValueError(f"unknown variable kind {kind!r}")
-    out: dict[SuperMonomial, Fraction] = {}
-    for m, c in p.terms.items():
-        hit = act_on_monomial(chain, m)
-        if hit is not None:  # a derivative is injective on monomials
-            out[hit[1]] = c * hit[0]
-    return SuperPolynomial(p.sig, out)
+    return _act(((1, chain),), p)
 
 
-def act_on_monomial(chain, mono: SuperMonomial):
-    """Apply an action chain, rightmost action first, to one monomial.
+def act_on_terms(atoms, terms, index: dict, halo: dict, D: int) -> dict:
+    """Image of sum(c * mono for mono, c in terms) under the atoms, a sum of
+    a * chain for a, chain in atoms, as a sparse row {position: coefficient}.
 
-    Returns (factor, monomial) with an int factor, or None when the image
-    vanishes: every atomic action sends a monomial to +-e times a single
-    monomial (e a bosonic exponent) or to 0.  This is the one home of the
-    sign rule: t_q enters or leaves past the fermionic factors below it.
+    Each chain acts rightmost action first.  Every atomic action sends a
+    monomial to +-e times a single monomial (e a bosonic exponent) or to 0,
+    so each (term, atom) pair adds a multiple of one monomial.  This is the
+    one home of the sign rule: t_q enters or leaves past the fermionic
+    factors below it.
+
+    An image monomial in index gets its position there; index is looked up
+    by the plain (bos, mask) tuple, which hashes and compares equal to a
+    SuperMonomial key.  Any other image monomial of degree > D gets a
+    position >= len(index), numbered in halo (SuperMonomial keys) on first
+    sight; one of degree <= D raises KeyError.  With an empty index and
+    D = -1 every image monomial is numbered in halo.  Coefficients may be
+    ints or Fractions; no zero entry is kept.
     """
-    bos, mask = list(mono.bos), mono.mask
-    factor = 1
-    for kind, i in reversed(chain):
-        if kind == MUL_X:
-            bos[i] += 1
-        elif kind == DER_X:
-            e = bos[i]
-            if e == 0:
-                return None
-            factor *= e
-            bos[i] = e - 1
-        else:
-            bit = 1 << i
-            # MUL_T needs t_q absent, DER_T (a left derivative) present
-            if bool(mask & bit) != (kind == DER_T):
-                return None
-            if (mask & (bit - 1)).bit_count() & 1:
-                factor = -factor
-            mask ^= bit
-    return factor, SuperMonomial(tuple(bos), mask)
+    base = len(index)
+    at_index, at_halo = index.get, halo.get
+    out: dict = {}
+    for (bos0, mask0), c in terms:
+        for a, chain in atoms:
+            bos, mask, f = list(bos0), mask0, a
+            for kind, i in reversed(chain):
+                if kind == MUL_X:
+                    bos[i] += 1
+                elif kind == DER_X:
+                    e = bos[i]
+                    if not e:
+                        break
+                    f *= e
+                    bos[i] = e - 1
+                else:
+                    bit = 1 << i
+                    # MUL_T needs t_q absent, DER_T (a left derivative) present
+                    if bool(mask & bit) != (kind == DER_T):
+                        break
+                    if (mask & (bit - 1)).bit_count() & 1:
+                        f = -f
+                    mask ^= bit
+            else:
+                key = (tuple(bos), mask)
+                j = at_index(key)
+                if j is None:
+                    j = at_halo(key)
+                    if j is None:
+                        m = SuperMonomial(*key)
+                        if m.total_degree <= D:
+                            raise KeyError(f"monomial {m} outside the slice")
+                        j = halo[m] = base + len(halo)
+                s = out.get(j, 0) + c * f
+                if s:
+                    out[j] = s
+                else:
+                    del out[j]
+    return out
+
+
+def _act(atoms, p: SuperPolynomial) -> SuperPolynomial:
+    """The atoms applied to p, through ``act_on_terms`` with an empty index."""
+    halo: dict = {}
+    image = act_on_terms(atoms, p.terms.items(), {}, halo, -1)
+    return SuperPolynomial(p.sig, {m: image[j] for m, j in halo.items() if j in image})
 
 
 class SuperOperator:
@@ -362,21 +395,9 @@ def apply_operator(op: SuperOperator, p: SuperPolynomial) -> SuperPolynomial:
     """Apply op to p exactly.  Chains act rightmost-first; atoms are summed."""
     if op.sig != p.sig:
         raise ValueError(f"signature mismatch: {op.sig} vs {p.sig}")
-    out: dict[SuperMonomial, Fraction] = {}
-    for coeff, chain in op.atoms:
-        if coeff.denominator == 1:
-            coeff = coeff.numerator  # one Fraction product per term, not two
-        for mono, c in p.terms.items():
-            hit = act_on_monomial(chain, mono)
-            if hit is None:
-                continue
-            factor, m = hit
-            s = out.get(m, 0) + c * (coeff * factor)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return SuperPolynomial(p.sig, out)
+    # integral coefficients as ints: one Fraction product per term, not several
+    atoms = [(a.numerator if a.denominator == 1 else a, chain) for a, chain in op.atoms]
+    return _act(atoms, p)
 
 
 # -- text format -------------------------------------------------------

@@ -3,8 +3,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ospoly.linalg import (
     Echelon,
+    _eliminate,
     filtration,
     intersect,
     kernel,
@@ -62,6 +66,32 @@ def test_column_index_matches_scan_based_insert():
                 assert ech.insert(v) == scan_insert(ref, v)
                 assert ech.rows == ref
                 assert ech.cols == _non_pivot_support(ech.rows)
+
+
+sparse_rows = st.dictionaries(st.integers(0, 11), st.integers(-5, 5), min_size=1, max_size=5)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(sparse_rows, min_size=1, max_size=8),
+    st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+    st.dictionaries(st.integers(0, 11), st.integers(-2, 2), max_size=4),
+)
+def test_one_pass_reduce_matches_sequential_elimination(vecs, combo, noise):
+    """reduce clears every hit pivot in one pass scaled by the lcm of the
+    hit pivot entries; after normalizing it equals eliminating the hits one
+    at a time.  The reduced vector combines several stored rows, so it hits
+    several pivots, plus noise that may hold zero entries."""
+    ech = span(vecs)
+    vec = dict(noise)
+    for c, row in zip(combo, ech.basis()):
+        for k, v in row.items():
+            vec[k] = vec.get(k, 0) + c * v
+    want = {k: v for k, v in vec.items() if v}
+    for p in [k for k in want if k in ech.rows]:
+        want = _eliminate(want, ech.rows[p], p)
+    assert ech.reduce(vec) == normalize(want)
+    assert ech.contains(vec) == (not want)
 
 
 def test_reduced_echelon_is_canonical_under_shuffle():

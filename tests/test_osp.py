@@ -25,6 +25,7 @@ from ospoly.osp import (
     weight_to_fundamental,
     _dense_solve,
 )
+from ospoly.linalg import span, vec_from_fractions
 from ospoly.slices import SliceKey, slice_monomials
 from ospoly.superpoly import SuperMonomial, SuperPolynomial, theta_word
 from oracles import low_degree_monomials
@@ -450,3 +451,33 @@ def test_aprime_normalize():
     # transport is invertible (an involution up to sign), so no collapse
     p = SuperPolynomial.x(sig, 2) * SuperPolynomial.x(sig, 4)
     assert not transport(p).is_zero()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [config_aprime(1, 2, {1, 4}), config_aprime(1, 2, {3, 4}), config_aprime(2, 2, {2, 3})],
+    ids=["Aprime12-T14", "Aprime12-T34", "Aprime22-T23"],
+)
+def test_aprime_normalize_intertwines_the_actions(cfg):
+    """transport(e . p) lies in span{e' . transport(p) : e' in the normal
+    form's osp basis}, for every osp element e and 40 monomials p: the
+    transport maps the action of cfg into that of the normal form, up to an
+    automorphism of the algebra.  Coordinates number monomials on first
+    sight, so a transported image off the span's monomials is outside it."""
+    normal, transport = aprime_normalize(cfg)
+    sig = cfg.signature
+    ops = [rep_element(cfg, e) for e in osp_basis(cfg)]
+    normal_ops = [rep_element(normal, e) for e in osp_basis(normal)]
+    for m in random.Random(3).sample(low_degree_monomials(sig, 3), 40):
+        p = SuperPolynomial.from_monomial(sig, m)
+        q = transport(p)
+        coords = {}
+
+        def vec(poly):
+            return vec_from_fractions(
+                {coords.setdefault(mono, len(coords)): c for mono, c in poly.terms.items()}
+            )
+
+        ech = span(vec(op(q)) for op in normal_ops)
+        for e, op in zip(osp_basis(cfg), ops):
+            assert ech.contains(vec(transport(op(p)))), (str(e), m)

@@ -33,9 +33,9 @@ from ospoly.slices import (
     SliceKey,
     _generates_layer,
     _int_atoms,
-    _int_image,
     _lowering_kernel,
     _monos_up_to,
+    _weight_table,
     bigraded_harmonic,
     bigraded_monomials,
     eta_image,
@@ -56,6 +56,7 @@ from ospoly.superpoly import (
     SuperMonomial,
     SuperOperator,
     SuperPolynomial,
+    act_on_terms,
     apply_operator,
     theta_word,
 )
@@ -598,7 +599,7 @@ def test_int_image_matches_the_polynomial_action(cfg, k, D):
             atoms = _int_atoms(op)
             scale = atoms[0][0] / op.atoms[0][0]
             for i, m in enumerate(idx.monomials):
-                image = _int_image(atoms, {i: 1}, idx, halo, top)
+                image = act_on_terms(atoms, ((m, 1),), idx.index, halo, top)
                 p = SuperPolynomial.from_monomial(sig, m)
                 want = naive_apply(op, p)
                 assert apply_operator(op, p) == want, (e, m)
@@ -721,6 +722,50 @@ def test_weight_codes_sort_and_separate_weights_a_root_apart(cfg, k, D):
     assert len({weight_code(v, base) for v in reach}) == len(reach)
 
 
+@pytest.mark.parametrize(
+    "cfg, k, D",
+    [
+        (config_a(2, 1, 1), 2, 6),
+        (config_a(1, 2, 1, "odd"), 1, 5),
+        (config_a(3, 1, 2), 2, 6),
+        (config_aprime(2, 2, {1, 3}), 1, 6),
+        (config_aprime(1, 2, {3, 4}), 1, 6),
+        (config_aprime(1, 2, {2}, "odd"), 1, 5),
+    ],
+    ids=["A211", "A121-odd", "A312", "Aprime22-T13", "Aprime12-T34", "Aprime12-T2-odd"],
+)
+def test_weight_table_gives_monomial_weight(cfg, k, D):
+    """The affine table evaluated on a monomial's exponents and mask bits is
+    its monomial_weight, and weight_codes codes exactly that weight, on every
+    monomial of a slice holding swapped variables to positive powers."""
+    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
+    table, nf = _weight_table(cfg), cfg.signature.num_fermionic
+    codes, base = idx.weight_codes(cfg)
+    swapped = [i for i, w in enumerate(variable_k_weights(cfg)[0]) if w < 0]
+    assert any(m.bos[i] for m in idx.monomials for i in swapped)
+    for m, code in zip(idx.monomials, codes):
+        exps = m.bos + tuple(m.mask >> p & 1 for p in range(nf))
+        w = monomial_weight(cfg, m)
+        assert tuple(c + sum(a * e for a, e in zip(row, exps)) for c, row in table) == (
+            w.eps_so + w.eps_sp
+        ), m
+        assert code == weight_code(w, base), m
+
+
+def test_a_verifier_builds_each_element_operator_once(monkeypatch):
+    """singular_vectors, generate_submodule and _stable_under_action take
+    their atoms from the verifier's index: one composition-series check
+    builds each element's operator once for "positive" and once for
+    "roots", however many layers, closures and stability checks it runs."""
+    cfg = config_a(2, 1, 1)
+    built = []
+    real = slices.rep_element
+    monkeypatch.setattr(slices, "rep_element", lambda cfg, e: built.append(e) or real(cfg, e))
+    rep = verify_composition_series(cfg, 2, 6, 2)
+    assert len(rep.dims) == 3 and len(rep.witnesses) == 3
+    assert len(built) == len(osp_basis(cfg, "positive")) + len(osp_basis(cfg, "roots"))
+
+
 def test_closures_that_fill_the_slice():
     """The A'(2,2,{1,3}) k1 D6 closures reach the whole slice, where every
     image is skipped once its weight space is full."""
@@ -740,13 +785,12 @@ def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
     key = SliceKey(cfg, 2, 6)
     idx = MonomialIndex(slice_monomials(key))
     built = []
-    real = slices._int_image
 
-    def counting(atoms, row, *args):
+    def counting(atoms, *args):
         built.append(atoms)
-        return real(atoms, row, *args)
+        return act_on_terms(atoms, *args)
 
-    monkeypatch.setattr(slices, "_int_image", counting)
+    monkeypatch.setattr(slices, "act_on_terms", counting)
     rows = generate_submodule(key, idx, [idx.vec(SuperPolynomial.x(cfg.signature, 2) ** 2)])
     cartan = [slices._int_atoms(rep_element(cfg, h)) for h in osp_basis(cfg, "cartan")]
     assert built and not any(atoms in cartan for atoms in built)

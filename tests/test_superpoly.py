@@ -12,6 +12,7 @@ from ospoly.superpoly import (
     SuperOperator,
     SuperPolynomial,
     VariableSignature,
+    act_on_terms,
     apply_operator,
     derive,
     format_poly,
@@ -23,7 +24,7 @@ from ospoly.superpoly import (
     DER_X,
     DER_T,
 )
-from oracles import naive_derive_ferm, naive_mono_mul
+from oracles import naive_apply, naive_derive_ferm, naive_mono_mul
 
 SIG22 = VariableSignature(2, 2)
 
@@ -204,6 +205,62 @@ def test_chain_is_rightmost_first():
 def test_operator_parity_validation():
     with pytest.raises(ValueError):
         SuperOperator(SIG22, [(Fraction(1), ((DER_T, 0),))], 0)
+
+
+SIG23 = VariableSignature(2, 3)
+
+
+@st.composite
+def chains(draw):
+    """Chains of 1-3 atomic actions on SIG23; from length 2 on, two of them
+    act on one variable (x_i d_i d_i, d_t t_q on the same q, ...), and the
+    order is shuffled, so fermionic actions come in every order."""
+
+    def variable():
+        fermionic = draw(st.booleans())
+        return fermionic, draw(st.integers(0, 2 if fermionic else 1))
+
+    def action(var):
+        fermionic, i = var
+        return draw(st.sampled_from((MUL_T, DER_T) if fermionic else (MUL_X, DER_X))), i
+
+    length = draw(st.integers(1, 3))
+    twice = variable()
+    chain = [action(twice) for _ in range(min(length, 2))]
+    chain += [action(variable()) for _ in range(length - 2)]
+    return tuple(draw(st.permutations(chain)))
+
+
+monomials23 = st.builds(
+    SuperMonomial, st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 7)
+)
+
+
+@settings(deadline=None)
+@given(
+    chains(),
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.tuples(monomials23, st.integers(-3, 3).filter(bool)), min_size=1, max_size=4),
+    st.lists(monomials23, max_size=6),
+)
+def test_kernel_matches_naive_action_on_random_chains(chain, a, terms, indexed):
+    """apply_operator, and act_on_terms over an index of some monomials
+    (every other image monomial numbered in the halo), both give the oracle's
+    image of a sum of terms; the index and halo numbering is mapped back."""
+    parity = sum(kind in (MUL_T, DER_T) for kind, _ in chain) & 1
+    op = SuperOperator(SIG23, [(a, chain)], parity)
+    p = SuperPolynomial.zero(SIG23)
+    for m, c in terms:
+        p = p + SuperPolynomial.from_monomial(SIG23, m, c)
+    want = naive_apply(op, p)
+    assert apply_operator(op, p) == want
+    index = {m: i for i, m in enumerate(dict.fromkeys(indexed))}
+    halo = {}
+    row = act_on_terms([(a, chain)], p.terms.items(), index, halo, -1)
+    assert all(type(m) is SuperMonomial for m in halo)
+    numbered = {**index, **halo}
+    assert {m: row[j] for m, j in numbered.items() if j in row} == want.terms
+    assert len(row) == len(want.terms)
 
 
 def random_poly(rng, sig=SIG22, terms=3, max_exp=3):
