@@ -2,12 +2,12 @@
 
 Vectors are sparse dicts mapping a coordinate index (position of a monomial
 in some fixed ordered list) to an integer coefficient.  Rational inputs are
-cleared to integers first; elimination itself is fraction-free: a pivot step
-replaces v by a*v - b*row and every stored row is normalized by removing the
-integer content and making the pivot entry positive.  With the pivot rule
-"smallest coordinate index wins" the resulting reduced echelon rows are a
-canonical basis of the span, so two runs that see the same vectors in any
-order produce identical bases.
+cleared to integers first; elimination itself is fraction-free: one step,
+``_eliminate``, replaces v by a*v - b*row.  ``Echelon`` normalizes every
+stored row by removing the integer content and making the pivot entry
+positive.  With the pivot rule "smallest coordinate index wins" its reduced
+echelon rows are a canonical basis of the span, so two runs that see the
+same vectors in any order produce identical bases.
 
 An Echelon also keeps a column index, ``cols``: for every column c it maps c
 to the set of pivots whose stored row has a nonzero non-pivot entry at c
@@ -15,6 +15,9 @@ to the set of pivots whose stored row has a nonzero non-pivot entry at c
 fully reduced).  Inserting a row with pivot p back-reduces exactly the rows
 named by ``cols[p]``, so an insert never scans the stored rows that do not
 contain p.
+
+``kernel`` runs the same step forward only, on images extended by one tag
+coordinate each: the tags of an image that cancels are a kernel vector.
 
 ``filtration`` uses the opposite rule, "largest coordinate index wins", by
 running the same Echelon on negated indices.  Its rows sorted by pivot hold a
@@ -35,32 +38,20 @@ Vec = dict[int, int]
 def vec_from_fractions(items) -> Vec:
     """Clear denominators of {index: Fraction} to a content-free int vector.
 
-    Only valid where a vector matters up to scale (spans, membership); for
-    kernel computations use exact_int_columns, which rescales all columns by
-    one common factor so combination coordinates stay meaningful.
+    Each vector gets its own scale, so this is only valid where a vector
+    matters up to scale (spans, membership).  ``kernel`` combinations need
+    images on one common scale: integer rows built from integer atoms.
     """
     items = {k: Fraction(v) for k, v in items.items() if v != 0}
-    if not items:
-        return {}
-    lcm = 1
-    for v in items.values():
-        d = v.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    out = {k: int(v * lcm) for k, v in items.items()}
-    return normalize(out)
+    scale = lcm(*(v.denominator for v in items.values()))
+    return normalize({k: int(v * scale) for k, v in items.items()})
 
 
+# No src caller; kept only while bench/tracer.py LAYERS names it (ROADMAP item 5).
 def exact_int_columns(frac_cols) -> list[Vec]:
     """Scale a list of Fraction vectors by one global factor to integers."""
-    lcm = 1
-    for col in frac_cols:
-        for v in col.values():
-            d = Fraction(v).denominator
-            lcm = lcm // gcd(lcm, d) * d
-    return [
-        {k: int(Fraction(v) * lcm) for k, v in col.items() if v != 0}
-        for col in frac_cols
-    ]
+    scale = lcm(*(Fraction(v).denominator for col in frac_cols for v in col.values()))
+    return [{k: int(Fraction(v) * scale) for k, v in col.items() if v != 0} for col in frac_cols]
 
 
 def normalize(vec: Vec) -> Vec:
@@ -82,9 +73,7 @@ def _eliminate(vec: Vec, row: Vec, pivot: int) -> Vec:
     """Return a*vec - b*row with the pivot coordinate cancelled (a=row[pivot])."""
     a = row[pivot]
     b = vec[pivot]
-    out = {}
-    for k, v in vec.items():
-        out[k] = a * v
+    out = {k: a * v for k, v in vec.items()}
     for k, v in row.items():
         s = out.get(k, 0) - b * v
         if s:
@@ -144,6 +133,7 @@ class Echelon:
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
 
+    # No src caller; kept only while bench/tracer.py LAYERS names it (ROADMAP item 5).
     def reduce_fraction(self, vec) -> dict[int, Fraction]:
         """Exact representative of vec modulo the span (no rescaling)."""
         vec = {k: Fraction(v) for k, v in vec.items() if v}
@@ -198,59 +188,6 @@ class Echelon:
         return [self.rows[p] for p in sorted(self.rows)]
 
 
-class TrackedEchelon:
-    """Echelon that tracks how each row was combined from the inputs.
-
-    insert(vec, tag) reduces vec against the stored rows, mirroring every
-    elimination on the combination vector (coordinates = input tags).  When
-    vec reduces to zero the returned combination is a kernel element of the
-    map input -> vector.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: dict[int, tuple[Vec, Vec]] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def insert(self, vec: Vec, tag: int) -> Vec | None:
-        vec = {k: v for k, v in vec.items() if v}
-        combo: Vec = {tag: 1}
-        while vec:
-            p = min(vec)
-            entry = self.rows.get(p)
-            if entry is None:
-                self.rows[p] = (vec, combo)
-                return None
-            row, row_combo = entry
-            a = row[p]
-            b = vec[p]
-            nxt = {}
-            for k, v in vec.items():
-                nxt[k] = a * v
-            for k, v in row.items():
-                s = nxt.get(k, 0) - b * v
-                if s:
-                    nxt[k] = s
-                else:
-                    nxt.pop(k, None)
-            vec = nxt
-            ncombo = {}
-            for k, v in combo.items():
-                ncombo[k] = a * v
-            for k, v in row_combo.items():
-                s = ncombo.get(k, 0) - b * v
-                if s:
-                    ncombo[k] = s
-                else:
-                    ncombo.pop(k, None)
-            combo = ncombo
-        return normalize(combo)
-
-
 def span(vectors) -> Echelon:
     ech = Echelon()
     for v in vectors:
@@ -261,24 +198,31 @@ def span(vectors) -> Echelon:
 def kernel(images: list[Vec]) -> list[Vec]:
     """Nullspace of the map e_i -> images[i], as combination vectors.
 
-    The returned combinations are reduced to a canonical echelon basis over
-    the input coordinates.
+    Image i gets the tag coordinate off + i, past every image coordinate, and
+    is eliminated forward against the rows stored so far.  Its pivot lands on
+    a tag exactly when its image part cancels.  The combinations come back
+    as a canonical echelon basis over the input coordinates.
     """
-    tracked = TrackedEchelon()
+    off = 1 + max(map(max, filter(None, images)), default=-1)
+    rows: dict[int, Vec] = {}
     combos = []
     for i, img in enumerate(images):
-        combo = tracked.insert(img, i)
-        if combo is not None:
-            combos.append(combo)
+        vec = {k: v for k, v in img.items() if v}
+        vec[off + i] = 1
+        while (p := min(vec)) in rows:
+            vec = _eliminate(vec, rows[p], p)
+        if p < off:
+            rows[p] = vec
+        else:
+            combos.append(normalize({k - off: v for k, v in vec.items()}))
     return span(combos).basis()
 
 
 def intersect(u_vectors: list[Vec], v_vectors: list[Vec]) -> list[Vec]:
     """Basis of span(u) . span(v) via kernel of (a, b) -> a - b."""
-    images = [dict(v) for v in u_vectors] + [dict(v) for v in v_vectors]
     nu = len(u_vectors)
     out = []
-    for combo in kernel(images):
+    for combo in kernel(u_vectors + v_vectors):
         vec: Vec = {}
         for i, c in combo.items():
             if i >= nu:

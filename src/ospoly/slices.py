@@ -73,13 +73,20 @@ class SliceKey:
 
 
 class MonomialIndex:
-    """Canonically ordered monomial list of a slice with index lookup.
+    """One window: its key and its monomials in canonical order, with index
+    lookup.
 
-    A verifier builds one index and uses one cfg throughout, so the index
-    also keeps what is built once per cfg: weight codes and element atoms.
+    ``MonomialIndex(key)`` enumerates ``slice_monomials(key)``.  A bigraded
+    cell passes its own monomials with a key whose slice holds them.  The
+    helpers that work on a window take the index alone and read ``key`` and
+    ``cfg`` from it; it keeps what they build once per window: weight codes
+    and element atoms.
     """
 
-    def __init__(self, monomials):
+    def __init__(self, key: SliceKey, monomials=None):
+        self.key, self.cfg = key, key.cfg
+        if monomials is None:
+            monomials = slice_monomials(key)
         self.monomials = sorted(monomials, key=lambda m: m.sort_key())
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self._weights = None
@@ -88,16 +95,17 @@ class MonomialIndex:
     def __len__(self):
         return len(self.monomials)
 
-    def weight_codes(self, cfg: RepConfig) -> tuple[list[int], int]:
+    def weight_codes(self) -> tuple[list[int], int]:
         """Per position, the ``weight_code`` of its monomial's weight, and
-        the code's base.  Computed once per cfg, from ``_weight_table``.
+        the code's base.  Computed once, from ``_weight_table``.
 
         The base exceeds 2 * top + 4, top the largest coordinate size of a
         slice weight, so codes sort as the weights do and stay one-to-one on
         the slice's weights and on every weight a root (coordinates at most
         2 in size) away.
         """
-        if self._weights is None or self._weights[0] != cfg:
+        if self._weights is None:
+            cfg = self.cfg
             table, nf = _weight_table(cfg), cfg.signature.num_fermionic
             bits = [tuple(mask >> p & 1 for p in range(nf)) for mask in range(1 << nf)]
             weights = [
@@ -108,17 +116,17 @@ class MonomialIndex:
             top = max((abs(c) for w in distinct for c in w), default=0)
             base = 2 * top + 5
             codes = {w: weight_code(Weight(w[: cfg.m1], w[cfg.m1 :]), base) for w in distinct}
-            self._weights = (cfg, [codes[w] for w in weights], base)
-        return self._weights[1:]
+            self._weights = ([codes[w] for w in weights], base)
+        return self._weights
 
-    def element_atoms(self, cfg: RepConfig, part: str) -> tuple:
+    def element_atoms(self, part: str) -> tuple:
         """(element, ``_int_atoms`` of its operator) for each element of
-        ``osp_basis(cfg, part)``, in that order.  Built once per (cfg, part)."""
-        if (cfg, part) not in self._atoms:
-            self._atoms[cfg, part] = tuple(
-                (e, _int_atoms(rep_element(cfg, e))) for e in osp_basis(cfg, part)
+        ``osp_basis(cfg, part)``, in that order.  Built once per part."""
+        if part not in self._atoms:
+            self._atoms[part] = tuple(
+                (e, _int_atoms(rep_element(self.cfg, e))) for e in osp_basis(self.cfg, part)
             )
-        return self._atoms[cfg, part]
+        return self._atoms[part]
 
     def vec(self, poly: SuperPolynomial) -> dict[int, int]:
         """Content-free integer row of poly; a monomial outside the index
@@ -131,10 +139,10 @@ class MonomialIndex:
             out[i] = c
         return linalg.vec_from_fractions(out)
 
-    def poly(self, sig, row: dict[int, int]) -> SuperPolynomial:
+    def poly(self, row: dict[int, int]) -> SuperPolynomial:
         frac = linalg.row_to_fractions(row)
         return SuperPolynomial(
-            sig, {self.monomials[i]: c for i, c in frac.items()}
+            self.cfg.signature, {self.monomials[i]: c for i, c in frac.items()}
         )
 
 
@@ -170,6 +178,11 @@ class VerificationReport:
     dims: list[dict] = field(default_factory=list)
     witnesses: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        # every verifier builds its report first, so this guards all three
+        if not 0 <= self.margin <= self.max_degree:
+            raise ValueError(f"margin must lie in 0..D={self.max_degree}, got {self.margin}")
 
     def to_dict(self) -> dict:
         return {
@@ -244,7 +257,7 @@ def _exponents_with_sum(nvars, total):
 # harmonic kernels
 
 
-def _lowering_kernel(cfg: RepConfig, idx: MonomialIndex) -> list[dict[int, int]]:
+def _lowering_kernel(idx: MonomialIndex) -> list[dict[int, int]]:
     """Exact kernel of the lowering operator on the span of idx's monomials.
 
     The operator becomes integer atoms once.  Each monomial's image is an
@@ -252,7 +265,7 @@ def _lowering_kernel(cfg: RepConfig, idx: MonomialIndex) -> list[dict[int, int]]
     the numbering does not matter, since the kernel comes back as its
     canonical echelon basis.  Returns integer rows over idx.
     """
-    atoms = _int_atoms(delta_eta(cfg)[0])
+    atoms = _int_atoms(delta_eta(idx.cfg)[0])
     seen: dict = {}
     return linalg.kernel(
         [act_on_terms(atoms, ((m, 1),), {}, seen, -1) for m in idx.monomials]
@@ -261,8 +274,8 @@ def _lowering_kernel(cfg: RepConfig, idx: MonomialIndex) -> list[dict[int, int]]
 
 def harmonic_space(key: SliceKey) -> list[SuperPolynomial]:
     """Exact kernel of the lowering operator on the slice."""
-    idx = MonomialIndex(slice_monomials(key))
-    return [idx.poly(key.cfg.signature, row) for row in _lowering_kernel(key.cfg, idx)]
+    idx = MonomialIndex(key)
+    return [idx.poly(row) for row in _lowering_kernel(idx)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +283,6 @@ def harmonic_space(key: SliceKey) -> list[SuperPolynomial]:
 
 
 def singular_vectors(
-    key: SliceKey,
     idx: MonomialIndex,
     part: str = "positive",
     within: str = "H",
@@ -278,13 +290,12 @@ def singular_vectors(
 ) -> list[dict[int, int]]:
     """Weight vectors annihilated by the chosen positive set on the slice.
 
-    idx indexes the slice's monomials; ``modulo`` and the returned vectors
-    are integer rows over it.  within "H" intersects with the kernel of the
-    lowering operator; "A" does not.  With ``modulo`` the annihilation
-    conditions are relaxed to "image lies in the span of these rows"
-    (quotient singular vectors; the span is used as given, so from-below
-    inputs keep the result from-below sound: every reported vector
-    genuinely maps into the provided span).
+    ``modulo`` and the returned vectors are integer rows over idx.  within
+    "H" intersects with the kernel of the lowering operator; "A" does not.
+    With ``modulo`` the annihilation conditions are relaxed to "image lies
+    in the span of these rows" (quotient singular vectors; the span is used
+    as given, so from-below inputs keep the result from-below sound: every
+    reported vector genuinely maps into the provided span).
 
     Every returned vector is exactly annihilated (resp. mapped into the
     span): operator images are computed without truncation.
@@ -295,16 +306,16 @@ def singular_vectors(
     Positive images are taken modulo the span, echelonized once per call, by
     ``Echelon.remainder`` with one common multiple of its pivot entries, so
     the remainder stays linear in the image.  Each weight group of idx
-    (``idx.weight_codes``, computed once per index) stacks its images under
-    rows keyed by (operator, image index); its kernel is the canonical
-    echelon basis over the group's positions, so neither row labels nor the
-    per-operator and common scale factors affect the result.
+    (``idx.weight_codes``) stacks its images under rows keyed by (operator,
+    image index); its kernel is the canonical echelon basis over the group's
+    positions, so neither row labels nor the per-operator and common scale
+    factors affect the result.
     """
-    cfg, D = key.cfg, key.max_degree
+    cfg, D = idx.cfg, idx.key.max_degree
     halo: dict = {}
     # (atoms, index, halo, D); images of the first num_mod operators are
     # taken modulo the span, the lowering operator must annihilate outright
-    ops = [(atoms, idx.index, halo, D) for _, atoms in idx.element_atoms(cfg, part)]
+    ops = [(atoms, idx.index, halo, D) for _, atoms in idx.element_atoms(part)]
     num_mod = len(ops) if modulo else 0
     if within == "H":
         ops.append((_int_atoms(delta_eta(cfg)[0]), {}, {}, -1))
@@ -316,7 +327,7 @@ def singular_vectors(
         pivots_lcm = lcm(*(row[q] for q, row in mod_ech.rows.items()))
 
     groups: dict = {}
-    for i, w in enumerate(idx.weight_codes(cfg)[0]):
+    for i, w in enumerate(idx.weight_codes()[0]):
         groups.setdefault(w, []).append(i)
 
     out = []
@@ -349,7 +360,7 @@ def _int_atoms(op: SuperOperator) -> list[tuple[int, tuple]]:
 
 
 def generate_submodule(
-    key: SliceKey, idx: MonomialIndex, gens: list[dict[int, int]]
+    idx: MonomialIndex, gens: list[dict[int, int]]
 ) -> list[dict[int, int]]:
     """Breadth-first closure of gens under the action, capped at degree D.
 
@@ -357,13 +368,13 @@ def generate_submodule(
     entirely (never truncated), so the span is a subspace of the true
     submodule; callers compare against it only on degrees <= D - margin.
 
-    idx indexes the slice's monomials; gens and the returned canonical
-    echelon basis are integer rows over it.  Each osp operator becomes
-    integer atoms once (``MonomialIndex.element_atoms``), each accepted row
-    is queued as ``Echelon.insert`` returns it, and a popped row's terms
-    are built once for all its images, which ``act_on_terms`` builds over
-    idx and a halo.  An image is skipped exactly when a coefficient on a
-    monomial of degree > D (its halo) is nonzero after cancellation.
+    gens and the returned canonical echelon basis are integer rows over idx.
+    Each osp operator becomes integer atoms once (``idx.element_atoms``),
+    each accepted row is queued as ``Echelon.insert`` returns it, and a
+    popped row's terms are built once for all its images, which
+    ``act_on_terms`` builds over idx and a halo.  An image is skipped
+    exactly when a coefficient on a monomial of degree > D (its halo) is
+    nonzero after cancellation.
 
     An image is not built at all when weights alone show it cannot add a
     row.  Precondition: every generator is a weight vector (its positions
@@ -380,17 +391,17 @@ def generate_submodule(
     """
     if not gens:
         raise ValueError("empty generator list")
-    cfg, D = key.cfg, key.max_degree
+    cfg, D = idx.cfg, idx.key.max_degree
     n, monos = len(idx), idx.monomials
-    codes, base = idx.weight_codes(cfg)
+    codes, base = idx.weight_codes()
     if all(len({codes[i] for i in g}) <= 1 for g in gens):
         ops = [
             (atoms, weight_code(element_root(cfg, e), base))
-            for e, atoms in idx.element_atoms(cfg, "roots")
+            for e, atoms in idx.element_atoms("roots")
         ]
     else:
         codes = [0] * n
-        ops = [(atoms, 0) for _, atoms in idx.element_atoms(cfg, "all")]
+        ops = [(atoms, 0) for _, atoms in idx.element_atoms("all")]
     room = Counter(codes)
     halo: dict = {}
     ech = Echelon()
@@ -426,7 +437,7 @@ def _monos_up_to(idx: MonomialIndex, d: int) -> int:
     return bisect_right(idx.monomials, d, key=lambda m: m.total_degree)
 
 
-def _check_direct_sum(rep, idx, first, second, margin, meet_note, level_dims):
+def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
     """Do span(first) and span(second) meet trivially and fill the slice?
 
     Both spans lie inside the true spaces they stand for, so a common vector
@@ -442,13 +453,13 @@ def _check_direct_sum(rep, idx, first, second, margin, meet_note, level_dims):
     if common:
         statuses.append("fail")
         for wrow in common[:2]:
-            rep.witnesses.append(str(idx.poly(rep.cfg.signature, wrow)))
+            rep.witnesses.append(str(idx.poly(wrow)))
         rep.notes.append(meet_note)
-    statuses += _fill_levels(rep, idx, linalg.filtration(first + second), margin, level_dims)
+    statuses += _fill_levels(rep, idx, linalg.filtration(first + second), level_dims)
     rep.status = _combine(statuses) if statuses else "inconclusive-window"
 
 
-def _fill_levels(rep, idx, rows, margin, level_dims) -> list[str]:
+def _fill_levels(rep, idx, rows, level_dims) -> list[str]:
     """Does span(rows) fill the slice on each nonempty level d <= D - margin?
 
     rows are filtration rows; a level's part is the prefix below dimA, the
@@ -456,7 +467,7 @@ def _fill_levels(rep, idx, rows, margin, level_dims) -> list[str]:
     level_dims(dimA, filled) plus degree and status, and returns the statuses.
     """
     statuses = []
-    for d in range(0, rep.max_degree - margin + 1):
+    for d in range(0, rep.max_degree - rep.margin + 1):
         dim_a = _monos_up_to(idx, d)
         if dim_a == 0:
             continue
@@ -467,8 +478,9 @@ def _fill_levels(rep, idx, rows, margin, level_dims) -> list[str]:
     return statuses
 
 
-def eta_image(key: SliceKey, idx: MonomialIndex, power: int) -> list[dict[int, int]]:
-    """eta^power of the harmonic space H(key.k - 2*power), as span . window.
+def eta_image(idx: MonomialIndex, power: int) -> list[dict[int, int]]:
+    """eta^power of the harmonic space H(k - 2*power), as span . window of
+    idx, the slice (k, <= D).
 
     H is the exact kernel on its slice of degree <= D + 2*power (each eta
     step may lower degree by 2).  eta acts through integer atoms
@@ -484,10 +496,10 @@ def eta_image(key: SliceKey, idx: MonomialIndex, power: int) -> list[dict[int, i
     term is eta^p H(k - 2p) on degree <= D - 2p, and the source degrees
     above it add no row.  Where q is nilpotent (family A') they do.
     """
-    cfg, D = key.cfg, key.max_degree
-    src = MonomialIndex(slice_monomials(SliceKey(cfg, key.k - 2 * power, D + 2 * power)))
+    cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
+    src = MonomialIndex(SliceKey(cfg, k - 2 * power, D + 2 * power))
     atoms = _int_atoms(delta_eta(cfg)[1])
-    rows, monos = _lowering_kernel(cfg, src), src.monomials
+    rows, monos = _lowering_kernel(src), src.monomials
     for step in range(1, power + 1):
         index, top, halo = (idx.index, D, {}) if step == power else ({}, -1, {})
         terms = (zip(map(monos.__getitem__, row), row.values()) for row in rows)
@@ -496,21 +508,21 @@ def eta_image(key: SliceKey, idx: MonomialIndex, power: int) -> list[dict[int, i
     return linalg.restrict_to_zone(linalg.filtration(rows), len(idx))
 
 
-def eta_span_of_slice(cfg, k_source, source_degree, idx: MonomialIndex) -> list[dict]:
-    """eta applied to every monomial of the (k_source, <= source_degree)
-    slice, as content-free integer rows over idx, the slice of grading
-    k_source + 2 and total degree <= source_degree.
+def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
+    """eta applied to every monomial of the slice (k - 2, <= D), as
+    content-free integer rows over idx, the slice (k, <= D).
 
     An image is dropped, never truncated, when it is zero or when a halo
-    index (a monomial of degree > source_degree) survives cancellation, so
-    the span lies inside the true raised space.
+    index (a monomial of degree > D) survives cancellation, so the span lies
+    inside the true raised space.
     """
+    cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
     atoms = _int_atoms(delta_eta(cfg)[1])
     n = len(idx)
     halo: dict = {}
     out = []
-    for m in slice_monomials(SliceKey(cfg, k_source, source_degree)):
-        image = act_on_terms(atoms, ((m, 1),), idx.index, halo, source_degree)
+    for m in slice_monomials(SliceKey(cfg, k - 2, D)):
+        image = act_on_terms(atoms, ((m, 1),), idx.index, halo, D)
         if image and max(image) < n:
             out.append(linalg.normalize(image))
     return out
@@ -531,14 +543,13 @@ def verify_direct_sum(
     """
     D = max_degree
     rep = VerificationReport("direct-sum", cfg, k, D, margin, seed, "pass")
-    key = SliceKey(cfg, k, D)
-    idx = MonomialIndex(slice_monomials(key))
+    idx = MonomialIndex(SliceKey(cfg, k, D))
     # the kernel side is exact and the image side from below
-    h_vecs = _lowering_kernel(cfg, idx)
-    img_vecs = eta_span_of_slice(cfg, k - 2, D, idx)
+    h_vecs = _lowering_kernel(idx)
+    img_vecs = eta_span_of_slice(idx)
     h_rows = linalg.filtration(h_vecs)
     _check_direct_sum(
-        rep, idx, h_vecs, img_vecs, margin, "kernel meets the raised space",
+        rep, idx, h_vecs, img_vecs, "kernel meets the raised space",
         lambda dim_a, filled: {
             "dimA": dim_a,
             "dimH": len(linalg.restrict_to_zone(h_rows, dim_a)),
@@ -550,15 +561,15 @@ def verify_direct_sum(
     return rep
 
 
-def _stable_under_action(cfg, rows, ech, idx, D) -> tuple | None:
+def _stable_under_action(rows, ech, idx) -> tuple | None:
     """The first (element, position in rows) whose exact image leaves the
     span ech of rows while staying in the window, or None when the span is
     action-stable on the window."""
-    n, monos = len(idx), idx.monomials
+    n, monos, D = len(idx), idx.monomials, idx.key.max_degree
     halo: dict = {}
     terms = [[(monos[j], c) for j, c in row.items()] for row in rows]
     # a Cartan element keeps every weight space, so it never leaks
-    for e, atoms in idx.element_atoms(cfg, "roots"):
+    for e, atoms in idx.element_atoms("roots"):
         for i, row_terms in enumerate(terms):
             image = act_on_terms(atoms, row_terms, idx.index, halo, D)
             if image and max(image) < n and not ech.contains(image):
@@ -566,7 +577,7 @@ def _stable_under_action(cfg, rows, ech, idx, D) -> tuple | None:
     return None
 
 
-def _generates_layer(seed_row, top_rows, bottom_rows, key, idx):
+def _generates_layer(seed_row, top_rows, bottom_rows, idx):
     """Does <seed> + bottom cover top on the verified window levels?
 
     seed_row and bottom_rows are integer rows over idx; top_rows are top's
@@ -577,7 +588,7 @@ def _generates_layer(seed_row, top_rows, bottom_rows, key, idx):
 
     Returns (True, -1) or (False, first failing degree level).
     """
-    lhs = linalg.span(generate_submodule(key, idx, [seed_row]) + bottom_rows)
+    lhs = linalg.span(generate_submodule(idx, [seed_row]) + bottom_rows)
     for r in top_rows:
         if not lhs.contains(r):
             return False, idx.monomials[max(r)].total_degree
@@ -630,13 +641,11 @@ def verify_composition_series(
             raise ValueError("k below the window")
         power, k_inner = k - n, -k + 2 * n
 
-    key = SliceKey(cfg, k, D)
-    idx = MonomialIndex(slice_monomials(key))
-    sig = cfg.signature
-    chain = [("eta^%d H(k=%d)" % (power, k_inner), eta_image(key, idx, power))]
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    chain = [("eta^%d H(k=%d)" % (power, k_inner), eta_image(idx, power))]
     if r > 0 and r >= m1 - 1:  # the last branch: H > <x_m1^k> > eta^j H' > 0
-        x_power = idx.vec(SuperPolynomial.x(sig, m1) ** k)
-        chain.insert(0, ("<x%d^%d>" % (m1, k), generate_submodule(key, idx, [x_power])))
+        x_power = idx.vec(SuperPolynomial.x(cfg.signature, m1) ** k)
+        chain.insert(0, ("<x%d^%d>" % (m1, k), generate_submodule(idx, [x_power])))
 
     # each term once as a span (membership) and once as its filtration rows
     # on the verified window; a window row lies in the window part of a span
@@ -644,7 +653,7 @@ def verify_composition_series(
     top_level = D - margin
     bound = _monos_up_to(idx, top_level)
     terms = []
-    for name, rows in [("H", _lowering_kernel(cfg, idx))] + chain + [("0", [])]:
+    for name, rows in [("H", _lowering_kernel(idx))] + chain + [("0", [])]:
         window_rows = linalg.restrict_to_zone(linalg.filtration(rows), bound)
         terms.append((name, rows, linalg.span(rows), window_rows))
     statuses = []
@@ -655,7 +664,7 @@ def verify_composition_series(
     for name, rows in chain:
         for row in rows:
             if not h_ech.contains(row):
-                rep.witnesses.append(str(idx.poly(sig, row)))
+                rep.witnesses.append(str(idx.poly(row)))
                 rep.notes.append(f"{name}: member not harmonic")
                 statuses.append("fail")
 
@@ -691,18 +700,18 @@ def verify_composition_series(
     # action stability of the middle terms; both are built from below, so a
     # leak outside the exact regime may be a missing in-window combination
     for name, rows, ech, _ in terms[1:-1]:
-        leak = _stable_under_action(cfg, rows, ech, idx, D)
+        leak = _stable_under_action(rows, ech, idx)
         if leak:
             e, i = leak
             statuses.append(miss)
             window = "" if exact else f" (term from below on the window D={D})"
-            member = idx.poly(sig, rows[i])
+            member = idx.poly(rows[i])
             rep.notes.append(f"{name}: action of {e} leaves the span on {member}{window}")
 
     # layer irreducibility evidence: every singular vector of each layer
     # generates the layer over the next term down
     for (name_hi, _, ech_hi, rows_hi), (name_lo, lo_rows, ech_lo, _) in layers:
-        sing = singular_vectors(key, idx, "positive", "A", modulo=lo_rows)
+        sing = singular_vectors(idx, "positive", "A", modulo=lo_rows)
         layer_sing = [s for s in sing if ech_hi.contains(s) and not ech_lo.contains(s)]
         if not layer_sing:
             # a layer that is zero on the slice holds no singular vector to find
@@ -710,16 +719,16 @@ def verify_composition_series(
             rep.notes.append(f"no singular vector found for layer {name_hi}/{name_lo}")
             continue
         for s in layer_sing:
-            ok, bad_d = _generates_layer(s, rows_hi, lo_rows, key, idx)
+            ok, bad_d = _generates_layer(s, rows_hi, lo_rows, idx)
             if not ok:
                 statuses.append(miss)
                 rep.notes.append(
-                    f"singular vector {idx.poly(sig, s)} does not reach layer "
+                    f"singular vector {idx.poly(s)} does not reach layer "
                     f"{name_hi}/{name_lo} at d={bad_d}"
                 )
             else:
                 statuses.append("pass")
-                rep.witnesses.append(str(idx.poly(sig, s)))
+                rep.witnesses.append(str(idx.poly(s)))
 
     rep.status = _combine(statuses)
     return rep
@@ -751,7 +760,9 @@ def verify_aprime_structure(
     Otherwise the configuration is normalized to T = {1..n}; away from
     k = m1 the same closure test applies (seeded by the known extreme
     vector); at k = m1 the two generated blocks must meet trivially and sum
-    to the slice on each verified level.
+    to the slice on each verified level.  num_seeds random slice monomials
+    seed closures besides the extreme vector; a count that would build no
+    seed is a ValueError.
     """
     if cfg.family != "Aprime":
         raise ValueError("expects an Aprime configuration")
@@ -766,9 +777,11 @@ def verify_aprime_structure(
             rep.notes.append(f"normalized to {work.describe()}")
     else:
         split_case = False
+    least = 0 if split_case else 1  # the split case seeds its extreme vector
+    if num_seeds < least:
+        raise ValueError(f"num_seeds must be >= {least} here, got {num_seeds}")
 
-    key = SliceKey(work, k, D)
-    idx = MonomialIndex(slice_monomials(key))
+    idx = MonomialIndex(SliceKey(work, k, D))
     sig = work.signature
     if len(idx) == 0:
         rep.status = "inconclusive-window"
@@ -793,9 +806,9 @@ def verify_aprime_structure(
             seeds.append(SuperPolynomial.from_monomial(sig, m))
         statuses = []
         for s in seeds:
-            reached = linalg.filtration(generate_submodule(key, idx, [idx.vec(s)]))
+            reached = linalg.filtration(generate_submodule(idx, [idx.vec(s)]))
             statuses += _fill_levels(
-                rep, idx, reached, margin,
+                rep, idx, reached,
                 lambda dim_a, got: {"seed": str(s), "dim_reached": got, "dimA": dim_a},
             )
         rep.status = _combine(statuses) if statuses else "inconclusive-window"
@@ -810,10 +823,10 @@ def verify_aprime_structure(
         SuperPolynomial.x(sig, n - 1) * SuperPolynomial.x(sig, 2 * n)
         - SuperPolynomial.x(sig, n) * SuperPolynomial.x(sig, 2 * n - 1)
     )
-    gen1 = generate_submodule(key, idx, [idx.vec(word)])
-    gen2 = generate_submodule(key, idx, [idx.vec(pluecker * word)])
+    gen1 = generate_submodule(idx, [idx.vec(word)])
+    gen2 = generate_submodule(idx, [idx.vec(pluecker * word)])
     _check_direct_sum(
-        rep, idx, gen1, gen2, margin, "the two blocks meet nontrivially",
+        rep, idx, gen1, gen2, "the two blocks meet nontrivially",
         lambda dim_a, filled: {
             "dim_block1": len(gen1), "dim_block2": len(gen2), "dimSum": filled, "dimA": dim_a
         },
@@ -847,7 +860,15 @@ def bigraded_monomials(cfg: RepConfig, s: int, t: int) -> list[SuperMonomial]:
     return [SuperMonomial(bos, mask) for _, bos, mask in sorted(out)]
 
 
+def _cell_index(cfg: RepConfig, s: int, t: int) -> MonomialIndex:
+    """The (s, t) cell as a window: its key is the slice of grading s + t up
+    to the cell's top degree, which holds every cell monomial."""
+    cell = bigraded_monomials(cfg, s, t)
+    top = max((m.total_degree for m in cell), default=0)
+    return MonomialIndex(SliceKey(cfg, s + t, top), cell)
+
+
 def bigraded_harmonic(cfg: RepConfig, s: int, t: int) -> list[SuperPolynomial]:
     """Exact kernel of the lowering operator on the finite (s, t) cell."""
-    idx = MonomialIndex(bigraded_monomials(cfg, s, t))
-    return [idx.poly(cfg.signature, row) for row in _lowering_kernel(cfg, idx)]
+    idx = _cell_index(cfg, s, t)
+    return [idx.poly(row) for row in _lowering_kernel(idx)]

@@ -180,11 +180,11 @@ def reference_closure(key, gens, ops=None):
     """
     from ospoly.linalg import Echelon
     from ospoly.osp import osp_basis, rep_element
-    from ospoly.slices import MonomialIndex, slice_monomials
+    from ospoly.slices import MonomialIndex
 
     cfg, D = key.cfg, key.max_degree
     sig = cfg.signature
-    idx = MonomialIndex(slice_monomials(key))
+    idx = MonomialIndex(key)
     if ops is None:
         ops = [rep_element(cfg, e) for e in osp_basis(cfg, "all")]
     ech = Echelon()
@@ -192,7 +192,7 @@ def reference_closure(key, gens, ops=None):
     for g in gens:
         row = ech.insert(idx.vec(g))
         if row is not None:
-            queue.append(idx.poly(sig, row))
+            queue.append(idx.poly(row))
     while queue:
         v = queue.pop()
         for op in ops:
@@ -201,8 +201,8 @@ def reference_closure(key, gens, ops=None):
                 continue
             row = ech.insert(idx.vec(image))
             if row is not None:
-                queue.append(idx.poly(sig, row))
-    return [idx.poly(sig, row) for row in ech.basis()]
+                queue.append(idx.poly(row))
+    return [idx.poly(row) for row in ech.basis()]
 
 
 def scan_insert(rows, vec):

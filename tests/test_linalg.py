@@ -123,6 +123,72 @@ def test_kernel_matches_dense_oracle():
         assert ech.contains(intified)
 
 
+# sparse images over coordinates 0..5; explicit zero entries and {} included
+sparse_vectors = st.dictionaries(st.integers(0, 5), st.integers(-3, 3), max_size=4)
+
+
+@st.composite
+def dependent_lists(draw):
+    """Vectors with repeats and dependent members: some are integer
+    combinations of two earlier ones, then the list is shuffled."""
+    vectors = draw(st.lists(sparse_vectors, max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if vectors else 0):
+        a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+        s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        vectors.append({k: s * a.get(k, 0) + t * b.get(k, 0) for k in set(a) | set(b)})
+    return [vectors[i] for i in draw(st.permutations(range(len(vectors))))]
+
+
+def _canonical(vectors):
+    """span(vectors).basis() of rational dense vectors."""
+    return span(
+        vec_from_fractions({i: c for i, c in enumerate(v) if c}) for v in vectors
+    ).basis()
+
+
+def _dense_kernel(images):
+    """dense_nullspace of the column matrix of e_i -> images[i], as dense
+    rational combination vectors."""
+    ncols = 1 + max((k for img in images for k in img), default=-1)
+    dense = [[img.get(c, 0) for img in images] for c in range(ncols)]
+    return dense_nullspace(dense, len(images))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_lists())
+def test_kernel_is_the_canonical_basis_of_the_dense_nullspace(images):
+    assert kernel(images) == _canonical(_dense_kernel(images))
+
+
+def test_kernel_edge_cases():
+    assert kernel([]) == []
+    assert kernel([{}, {0: 0}]) == [{0: 1}, {1: 1}]
+    assert kernel([{2: 3}, {2: 3}]) == [{0: 1, 1: -1}]
+    assert kernel([{0: 1}, {}, {0: -2}]) == [{0: 2, 2: 1}, {1: 1}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dependent_lists(), dependent_lists(), st.data())
+def test_intersect_is_the_canonical_basis_of_the_meet(u, v, data):
+    """span(u) . span(v) is the u-part of the dense nullspace of [u | v];
+    v also holds combinations of u, so the meet is often nonzero."""
+    for _ in range(data.draw(st.integers(0, 2)) if u else 0):
+        a, b = data.draw(st.sampled_from(u)), data.draw(st.sampled_from(u))
+        v.append({k: a.get(k, 0) - 2 * b.get(k, 0) for k in set(a) | set(b)})
+    nu, width = len(u), 1 + max((k for w in u + v for k in w), default=-1)
+    meet = [
+        [sum(c * u[i].get(k, 0) for i, c in enumerate(combo[:nu])) for k in range(width)]
+        for combo in _dense_kernel(u + v)
+    ]
+    assert intersect(u, v) == _canonical(meet)
+
+
+def test_intersect_edge_cases():
+    assert intersect([], []) == []
+    assert intersect([{0: 1}], []) == []
+    assert intersect([{}, {0: 2}, {0: 1}], [{0: -3}]) == [{0: 1}]
+
+
 def test_kernel_vectors_annihilate():
     images = [{0: 1}, {0: 2}, {1: 1}, {0: 1, 1: 1}]
     for combo in kernel(images):

@@ -31,6 +31,7 @@ from ospoly.osp import (
 from ospoly.slices import (
     MonomialIndex,
     SliceKey,
+    _cell_index,
     _generates_layer,
     _int_atoms,
     _lowering_kernel,
@@ -69,17 +70,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def singular_polys(key, part, within):
     """singular_vectors over the key's own slice index, as polynomials."""
-    idx = MonomialIndex(slice_monomials(key))
-    rows = singular_vectors(key, idx, part, within)
-    return [idx.poly(key.cfg.signature, row) for row in rows]
+    idx = MonomialIndex(key)
+    rows = singular_vectors(idx, part, within)
+    return [idx.poly(row) for row in rows]
 
 
 def closure_polys(key, gens):
     """generate_submodule of polynomial generators over the key's own slice
     index, as polynomials."""
-    idx = MonomialIndex(slice_monomials(key))
-    rows = generate_submodule(key, idx, [idx.vec(g) for g in gens])
-    return [idx.poly(key.cfg.signature, row) for row in rows]
+    idx = MonomialIndex(key)
+    rows = generate_submodule(idx, [idx.vec(g) for g in gens])
+    return [idx.poly(row) for row in rows]
 
 
 def oracle_slice(cfg, k, D):
@@ -205,22 +206,22 @@ def test_harmonic_action_invariance():
             assert lower(rep_element(cfg, e)(v)).is_zero()
 
 
-# name: (cfg, monomial list, public harmonic polynomials), one slice per
+# name: (cfg, window index, public harmonic polynomials), one slice per
 # family variant and one bigraded cell of the normal-form second family
 LOWERING_CASES = {
     "A211-k2": (
         config_a(2, 1, 1),
-        lambda cfg: slice_monomials(SliceKey(cfg, 2, 5)),
+        lambda cfg: MonomialIndex(SliceKey(cfg, 2, 5)),
         lambda cfg: harmonic_space(SliceKey(cfg, 2, 5)),
     ),
     "A111-odd": (
         config_a(1, 1, 1, "odd"),
-        lambda cfg: slice_monomials(SliceKey(cfg, 1, 4)),
+        lambda cfg: MonomialIndex(SliceKey(cfg, 1, 4)),
         lambda cfg: harmonic_space(SliceKey(cfg, 1, 4)),
     ),
     "Aprime12-cell": (
         config_aprime(1, 2, {1, 2}),
-        lambda cfg: bigraded_monomials(cfg, -1, 2),
+        lambda cfg: _cell_index(cfg, -1, 2),
         lambda cfg: bigraded_harmonic(cfg, -1, 2),
     ),
 }
@@ -230,8 +231,8 @@ LOWERING_CASES = {
 def test_integer_lowering_kernel_matches_the_polynomial_action(case):
     """The integer-row kernel equals the dense nullspace of naive_apply's
     images, and the public polynomials span the same space."""
-    cfg, monos, public = LOWERING_CASES[case]
-    idx = MonomialIndex(monos(cfg))
+    cfg, index, public = LOWERING_CASES[case]
+    idx = index(cfg)
     sig = cfg.signature
     lower, _ = delta_eta(cfg)
     images = [
@@ -245,7 +246,7 @@ def test_integer_lowering_kernel_matches_the_polynomial_action(case):
     ]
     want = span(oracle).basis()
     assert 0 < len(want) < len(idx)
-    assert _lowering_kernel(cfg, idx) == want
+    assert _lowering_kernel(idx) == want
     polys = public(cfg)
     assert len(polys) == len(want)
     assert span(idx.vec(p) for p in polys).basis() == want
@@ -263,7 +264,7 @@ def test_integer_lowering_kernel_matches_the_polynomial_action(case):
 def test_eta_span_matches_the_polynomial_action(cfg, k, D):
     """One row per nonzero in-window eta image, spanning what the polynomial
     images with max_degree() <= D span; the window drops some image."""
-    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
+    idx = MonomialIndex(SliceKey(cfg, k, D))
     sig = cfg.signature
     _, eta = delta_eta(cfg)
     want, dropped = [], 0
@@ -275,7 +276,7 @@ def test_eta_span_matches_the_polynomial_action(cfg, k, D):
             dropped += 1
             continue
         want.append(idx.vec(image))
-    rows = eta_span_of_slice(cfg, k - 2, D, idx)
+    rows = eta_span_of_slice(idx)
     assert dropped and want
     assert len(rows) == len(want)
     assert span(rows).basis() == span(want).basis()
@@ -320,10 +321,10 @@ def test_abelian_orthogonal_factor_boundary_split():
     key = SliceKey(A11_R0, 3, 3)
     hs = harmonic_space(key)
     assert len(hs) == 8
-    idx = MonomialIndex(slice_monomials(key))
-    sing = singular_vectors(key, idx, "positive", "H")
+    idx = MonomialIndex(key)
+    sing = singular_vectors(idx, "positive", "H")
     assert len(sing) == 2
-    gens = [generate_submodule(key, idx, [s]) for s in sing]
+    gens = [generate_submodule(idx, [s]) for s in sing]
     dims = sorted(len(g) for g in gens)
     assert dims == [4, 4]
     # the two closures are disjoint complements inside the kernel space
@@ -377,13 +378,13 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     """
     sig = cfg.signature
     key = SliceKey(cfg, k, D)
-    idx = MonomialIndex(slice_monomials(key))
-    mod_rows = eta_image(key, idx, 1)
-    modulo = [idx.poly(sig, row) for row in mod_rows]
-    rows = singular_vectors(key, idx, "positive", within, modulo=mod_rows)
+    idx = MonomialIndex(key)
+    mod_rows = eta_image(idx, 1)
+    modulo = [idx.poly(row) for row in mod_rows]
+    rows = singular_vectors(idx, "positive", within, modulo=mod_rows)
     assert modulo and rows
-    assert singular_vectors(key, idx, "positive", within, modulo=mod_rows[::-1]) == rows
-    sing = [idx.poly(sig, row) for row in rows]
+    assert singular_vectors(idx, "positive", within, modulo=mod_rows[::-1]) == rows
+    sing = [idx.poly(row) for row in rows]
 
     pos_ops = [rep_element(cfg, e) for e in osp_basis(cfg, "positive")]
     lower, _ = delta_eta(cfg)
@@ -453,11 +454,13 @@ def test_eta_image_is_the_window_part_of_the_polynomial_span(cfg, k, D, power):
         for _ in range(power):
             p = eta(p)
         images.append(p)
-    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
-    wide = MonomialIndex({m for p in images for m in p.terms} | set(idx.monomials))
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    # H has degree <= D + 2p and eta^p raises degree by at most 2p
+    wide_monos = {m for p in images for m in p.terms} | set(idx.monomials)
+    wide = MonomialIndex(SliceKey(cfg, k, D + 4 * power), wide_monos)
     assert wide.monomials[: len(idx)] == idx.monomials
     want = restrict_to_zone(filtration([wide.vec(p) for p in images]), len(idx))
-    got = eta_image(SliceKey(cfg, k, D), idx, power)
+    got = eta_image(idx, power)
     assert want and span(got).basis() == span(want).basis()
 
 
@@ -469,12 +472,12 @@ def test_eta_image_keeps_an_in_window_combination():
     cfg = config_a(3, 1, 2)
     sig = cfg.signature
     key = SliceKey(cfg, 2, 4)
-    idx = MonomialIndex(slice_monomials(key))
+    idx = MonomialIndex(key)
     x = lambda i: SuperPolynomial.x(sig, i)
     member = SuperPolynomial.theta(sig, 1) * SuperPolynomial.theta(sig, 2) + x(3) * x(6)
     e = next(e for e in osp_basis(cfg) if str(e) == "E(4,2)-E(5,1)")
     moved = rep_element(cfg, e)(member)
-    term = span(eta_image(key, idx, 1))
+    term = span(eta_image(idx, 1))
     assert term.contains(idx.vec(member)) and term.contains(idx.vec(moved))
     _, eta = delta_eta(cfg)
     low = [eta(p) for p in harmonic_space(SliceKey(cfg, 0, 4))]
@@ -496,13 +499,13 @@ def test_eta_image_needs_source_degree_at_most_D_minus_2p(cfg, k, D, power):
     <= D - 2p lands in the window (idx.vec raises otherwise) and spans what
     eta_image spans."""
     _, eta = delta_eta(cfg)
-    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
+    idx = MonomialIndex(SliceKey(cfg, k, D))
     want = []
     for p in harmonic_space(SliceKey(cfg, k - 2 * power, D - 2 * power)):
         for _ in range(power):
             p = eta(p)
         want.append(idx.vec(p))
-    got = eta_image(SliceKey(cfg, k, D), idx, power)
+    got = eta_image(idx, power)
     assert want and span(got).basis() == span(want).basis()
 
 
@@ -538,11 +541,11 @@ def test_extreme_vector_generates_harmonics():
 
 def test_generator_outside_slice_rejected():
     key = SliceKey(A11_R0, 1, 4)
-    idx = MonomialIndex(slice_monomials(key))
+    idx = MonomialIndex(key)
     with pytest.raises(ValueError):
-        generate_submodule(key, idx, [idx.vec(SuperPolynomial.one(A11_R0.signature))])
+        generate_submodule(idx, [idx.vec(SuperPolynomial.one(A11_R0.signature))])
     with pytest.raises(ValueError):
-        generate_submodule(key, idx, [])
+        generate_submodule(idx, [])
 
 
 def test_generator_above_the_window_rejected():
@@ -551,12 +554,12 @@ def test_generator_above_the_window_rejected():
     cfg = A11_R1
     sig = cfg.signature
     key = SliceKey(cfg, 0, 4)
-    idx = MonomialIndex(slice_monomials(key))
+    idx = MonomialIndex(key)
     p = SuperPolynomial.x(sig, 1) ** 3 * SuperPolynomial.x(sig, 2) ** 3
     assert k_degree(cfg, next(iter(p.terms))) == 0
     outside = r"SuperMonomial\(bos=\(3, 3\), mask=0\) outside the slice"
     with pytest.raises(ValueError, match=outside):
-        generate_submodule(key, idx, [idx.vec(p)])
+        generate_submodule(idx, [idx.vec(p)])
 
 
 def test_closure_monotone_in_window():
@@ -565,8 +568,8 @@ def test_closure_monotone_in_window():
     dims, low = [], []
     for D in (4, 6, 8):
         key = SliceKey(cfg, 1, D)
-        idx = MonomialIndex(slice_monomials(key))
-        gen = generate_submodule(key, idx, [idx.vec(x2)])
+        idx = MonomialIndex(key)
+        gen = generate_submodule(idx, [idx.vec(x2)])
         dims.append(len(gen))
         # verified dimension at degree <= 2, read through the filtration
         rows = filtration(gen)
@@ -592,7 +595,7 @@ def test_int_image_matches_the_polynomial_action(cfg, k, D):
     sig = cfg.signature
     past = set()
     for top in (D, D + 1):
-        idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, top)))
+        idx = MonomialIndex(SliceKey(cfg, k, top))
         halo = {}
         for e in osp_basis(cfg, "all"):
             op = rep_element(cfg, e)
@@ -684,7 +687,7 @@ def test_closure_matches_reference_oracle(case):
     which skips an image whose max_degree() exceeds D."""
     cfg, k, D, gens = CLOSURE_CASES[case]
     key = SliceKey(cfg, k, D)
-    gens = gens(cfg, MonomialIndex(slice_monomials(key)))
+    gens = gens(cfg, MonomialIndex(key))
     assert closure_polys(key, gens) == reference_closure(key, gens)
 
 
@@ -701,8 +704,8 @@ def test_weight_codes_sort_and_separate_weights_a_root_apart(cfg, k, D):
     """The index's weight codes sort as the weights do, and the code of
     weight + root is one-to-one over every slice weight and root, and
     equals code(weight) + code(root)."""
-    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
-    codes, base = idx.weight_codes(cfg)
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    codes, base = idx.weight_codes()
     weights = [monomial_weight(cfg, m) for m in idx.monomials]
     assert len(set(weights)) > 1
     assert sorted(range(len(idx)), key=codes.__getitem__) == sorted(
@@ -738,9 +741,9 @@ def test_weight_table_gives_monomial_weight(cfg, k, D):
     """The affine table evaluated on a monomial's exponents and mask bits is
     its monomial_weight, and weight_codes codes exactly that weight, on every
     monomial of a slice holding swapped variables to positive powers."""
-    idx = MonomialIndex(slice_monomials(SliceKey(cfg, k, D)))
+    idx = MonomialIndex(SliceKey(cfg, k, D))
     table, nf = _weight_table(cfg), cfg.signature.num_fermionic
-    codes, base = idx.weight_codes(cfg)
+    codes, base = idx.weight_codes()
     swapped = [i for i, w in enumerate(variable_k_weights(cfg)[0]) if w < 0]
     assert any(m.bos[i] for m in idx.monomials for i in swapped)
     for m, code in zip(idx.monomials, codes):
@@ -750,6 +753,42 @@ def test_weight_table_gives_monomial_weight(cfg, k, D):
             w.eps_so + w.eps_sp
         ), m
         assert code == weight_code(w, base), m
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D",
+    [
+        (config_a(2, 1, 1), 2, 6),
+        (config_a(1, 1, 1, "odd"), 1, 4),
+        (config_aprime(1, 2, {3, 4}), 1, 5),
+    ],
+    ids=["A211", "A111-odd", "Aprime12-T34"],
+)
+def test_index_of_a_key_is_its_slice(cfg, k, D):
+    key = SliceKey(cfg, k, D)
+    idx = MonomialIndex(key)
+    assert idx.key == key and idx.cfg == cfg
+    assert idx.monomials == slice_monomials(key)
+    assert idx.index == {m: i for i, m in enumerate(idx.monomials)}
+
+
+def test_a_cell_index_lies_inside_its_keys_slice():
+    cfg = config_aprime(1, 2, {1, 2})
+    for s, t in [(0, 1), (1, 1), (-1, 2), (0, 2), (1, 2)]:
+        idx = _cell_index(cfg, s, t)
+        assert idx.key.cfg == cfg and idx.key.k == s + t
+        assert idx.monomials and set(idx.monomials) <= set(slice_monomials(idx.key)), (s, t)
+        assert sorted(idx.monomials) == sorted(bigraded_monomials(cfg, s, t))
+
+
+def test_index_builds_weight_codes_and_atoms_once(monkeypatch):
+    idx = MonomialIndex(SliceKey(config_a(2, 1, 1), 2, 5))
+    codes = idx.weight_codes()
+    atoms = {part: idx.element_atoms(part) for part in ("positive", "roots", "all")}
+    monkeypatch.setattr(slices, "_weight_table", None)
+    monkeypatch.setattr(slices, "rep_element", None)
+    assert idx.weight_codes() is codes
+    assert all(idx.element_atoms(part) is got for part, got in atoms.items())
 
 
 def test_a_verifier_builds_each_element_operator_once(monkeypatch):
@@ -772,8 +811,8 @@ def test_closures_that_fill_the_slice():
     for case in ("Aprime22-T13-word", "Aprime22-T13-seed0", "Aprime22-T13-seed1"):
         cfg, k, D, gens = CLOSURE_CASES[case]
         key = SliceKey(cfg, k, D)
-        idx = MonomialIndex(slice_monomials(key))
-        rows = generate_submodule(key, idx, [idx.vec(g) for g in gens(cfg, idx)])
+        idx = MonomialIndex(key)
+        rows = generate_submodule(idx, [idx.vec(g) for g in gens(cfg, idx)])
         assert len(rows) == len(idx) == 136, case
 
 
@@ -783,7 +822,7 @@ def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
     for a Cartan element."""
     cfg = config_a(2, 1, 1)
     key = SliceKey(cfg, 2, 6)
-    idx = MonomialIndex(slice_monomials(key))
+    idx = MonomialIndex(key)
     built = []
 
     def counting(atoms, *args):
@@ -791,7 +830,7 @@ def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
         return act_on_terms(atoms, *args)
 
     monkeypatch.setattr(slices, "act_on_terms", counting)
-    rows = generate_submodule(key, idx, [idx.vec(SuperPolynomial.x(cfg.signature, 2) ** 2)])
+    rows = generate_submodule(idx, [idx.vec(SuperPolynomial.x(cfg.signature, 2) ** 2)])
     cartan = [slices._int_atoms(rep_element(cfg, h)) for h in osp_basis(cfg, "cartan")]
     assert built and not any(atoms in cartan for atoms in built)
     assert len(built) < len(rows) * len(osp_basis(cfg, "roots"))
@@ -834,11 +873,11 @@ def test_row_paths_never_apply_a_polynomial_operator(monkeypatch):
     with pytest.raises(AssertionError, match="apply_operator called"):
         rep_element(cfg, osp_basis(cfg)[0])(SuperPolynomial.one(sig))
     key = SliceKey(cfg, 2, 6)
-    idx = MonomialIndex(slice_monomials(key))
-    raised = eta_span_of_slice(cfg, 0, 6, idx)
-    assert singular_vectors(key, idx, "positive", "H")
-    assert singular_vectors(key, idx, "positive", "A", modulo=raised)
-    assert generate_submodule(key, idx, [idx.vec(SuperPolynomial.x(sig, 2) ** 2)])
+    idx = MonomialIndex(key)
+    raised = eta_span_of_slice(idx)
+    assert singular_vectors(idx, "positive", "H")
+    assert singular_vectors(idx, "positive", "A", modulo=raised)
+    assert generate_submodule(idx, [idx.vec(SuperPolynomial.x(sig, 2) ** 2)])
     assert verify_direct_sum(cfg, 2, 8, 4).dims
     # the seeded closures, and the normalized two-block split
     assert verify_aprime_structure(config_aprime(1, 2, set()), 1, 6, 3).dims
@@ -897,12 +936,12 @@ def test_generates_layer_reports_the_degree_of_the_missed_row():
     cfg = A11_R1
     sig = cfg.signature
     key = SliceKey(cfg, 1, 5)
-    idx = MonomialIndex(slice_monomials(key))
+    idx = MonomialIndex(key)
     x1, x2 = SuperPolynomial.x(sig, 1), SuperPolynomial.x(sig, 2)
     top = filtration([idx.vec(x2 + x1 * x2**2)])
     seed = idx.vec(x2)
-    assert _generates_layer(seed, top, [], key, idx) == (False, 3)
-    assert _generates_layer(seed, filtration([seed]), [], key, idx) == (True, -1)
+    assert _generates_layer(seed, top, [], idx) == (False, 3)
+    assert _generates_layer(seed, filtration([seed]), [], idx) == (True, -1)
 
 
 def test_series_term_not_inside_the_next(monkeypatch):
@@ -911,7 +950,7 @@ def test_series_term_not_inside_the_next(monkeypatch):
     cfg = config_a(2, 2, 0)
     sig = cfg.signature
     stray = SuperPolynomial.x(sig, 1) * SuperPolynomial.x(sig, 3)  # not harmonic
-    monkeypatch.setattr(slices, "eta_image", lambda key, idx, power: [idx.vec(stray)])
+    monkeypatch.setattr(slices, "eta_image", lambda idx, power: [idx.vec(stray)])
     rep = verify_composition_series(cfg, 2, 6, margin=2)
     assert rep.status == "fail"
     assert "eta^1 H(k=0) not inside H on the window" in rep.notes
@@ -921,7 +960,7 @@ def test_series_term_not_inside_the_next(monkeypatch):
     # r = m1-1: eta^1 H(k=0) replaced by all of H, which <x2^2> does not hold
     cfg = config_a(2, 1, 1)
     monkeypatch.setattr(
-        slices, "eta_image", lambda key, idx, power: _lowering_kernel(key.cfg, idx)
+        slices, "eta_image", lambda idx, power: _lowering_kernel(idx)
     )
     rep = verify_composition_series(cfg, 2, 6, margin=2)
     assert rep.status == "inconclusive-window"
@@ -946,7 +985,7 @@ def test_series_stability_leak_fails_only_on_an_exact_slice(monkeypatch):
     cfg = config_a(3, 1, 1)
     assert not slice_is_exact(cfg, 1, 5)
     t1 = SuperPolynomial.theta(cfg.signature, 1)
-    monkeypatch.setattr(slices, "eta_image", lambda key, idx, power: [idx.vec(t1)])
+    monkeypatch.setattr(slices, "eta_image", lambda idx, power: [idx.vec(t1)])
     monkeypatch.setattr(slices, "_generates_layer", lambda *args: (True, -1))
     rep = verify_composition_series(cfg, 1, 5, margin=2)
     assert rep.status == "inconclusive-window"
@@ -962,7 +1001,7 @@ def test_series_stability_leak_fails_only_on_an_exact_slice(monkeypatch):
     cfg = config_a(2, 2, 0)
     assert slice_is_exact(cfg, 2, 6)
     x1_squared = SuperPolynomial.x(cfg.signature, 1) ** 2
-    monkeypatch.setattr(slices, "eta_image", lambda key, idx, power: [idx.vec(x1_squared)])
+    monkeypatch.setattr(slices, "eta_image", lambda idx, power: [idx.vec(x1_squared)])
     rep = verify_composition_series(cfg, 2, 6, margin=2)
     assert rep.status == "fail"
     assert rep.notes == ["eta^1 H(k=0): action of E(2,1)-E(3,4) leaves the span on 1 * x1^2"]
@@ -978,14 +1017,14 @@ def test_series_zero_layer_is_inconclusive_not_fail(monkeypatch):
     eta_rows = []
     real_eta, real_kernel = slices.eta_image, slices._lowering_kernel
 
-    def eta_term(key, idx, power):
-        eta_rows.extend(real_eta(key, idx, power))
+    def eta_term(idx, power):
+        eta_rows.extend(real_eta(idx, power))
         return eta_rows
 
     # the verifier builds the eta term (and its source kernel) before H
     monkeypatch.setattr(slices, "eta_image", eta_term)
     monkeypatch.setattr(
-        slices, "_lowering_kernel", lambda cfg, idx: list(eta_rows) or real_kernel(cfg, idx)
+        slices, "_lowering_kernel", lambda idx: list(eta_rows) or real_kernel(idx)
     )
     rep = verify_composition_series(cfg, 2, 6, margin=0)
     assert rep.status == "inconclusive-window"
@@ -1129,6 +1168,48 @@ def test_aprime_normalizes_before_split():
     assert any("normalized" in s for s in rep.notes)
 
 
+VERIFIER_CASES = [
+    pytest.param(verify_direct_sum, config_a(2, 1, 1), 2, 6, {}, id="direct-sum"),
+    pytest.param(verify_composition_series, config_a(2, 1, 1), 2, 6, {}, id="series"),
+    pytest.param(verify_aprime_structure, config_aprime(1, 2, ()), 1, 4, {"num_seeds": 1},
+                 id="aprime"),
+]
+
+
+@pytest.mark.parametrize("verify, cfg, k, D, options", VERIFIER_CASES)
+@pytest.mark.parametrize("margin", [-2, -1, "D+1", 9])
+def test_verifiers_reject_a_margin_outside_0_to_D(verify, cfg, k, D, options, margin):
+    """A negative margin would verify levels above D, where the window has
+    no monomials to test; one above D verifies no level at all."""
+    margin = D + 1 if margin == "D+1" else margin
+    with pytest.raises(ValueError, match=rf"^margin must lie in 0\.\.D={D}, got {margin}$"):
+        verify(cfg, k, D, margin=margin, **options)
+
+
+@pytest.mark.parametrize("verify, cfg, k, D, options", VERIFIER_CASES)
+def test_verifiers_accept_margin_D(verify, cfg, k, D, options):
+    """margin = D verifies level 0 only, which these slices leave empty."""
+    rep = verify(cfg, k, D, margin=D, **options)
+    assert all(d["d"] <= 0 for d in rep.dims)
+
+
+@pytest.mark.parametrize("num_seeds", [-1, 0])
+def test_aprime_rejects_a_seed_count_that_builds_no_seed(num_seeds):
+    """num_seeds=-1 would run all seeds but one (pool[:-1]); 0 would run none."""
+    with pytest.raises(ValueError, match=rf"^num_seeds must be >= 1 here, got {num_seeds}$"):
+        verify_aprime_structure(config_aprime(1, 2, ()), 1, 4, margin=0, num_seeds=num_seeds)
+
+
+def test_aprime_split_case_seeds_its_extreme_vector_alone():
+    """Away from k = m1 the split case seeds the extreme vector, so no
+    random seed is needed; a negative count is still rejected."""
+    cfg = config_aprime(1, 2, {1, 2})
+    rep = verify_aprime_structure(cfg, 2, 4, margin=0, num_seeds=0)
+    assert rep.dims and {d["seed"] for d in rep.dims} == {"1 * x4 t1"}
+    with pytest.raises(ValueError, match=r"^num_seeds must be >= 0 here, got -1$"):
+        verify_aprime_structure(cfg, 2, 4, margin=0, num_seeds=-1)
+
+
 def test_aprime_split_needs_two_pairs():
     with pytest.raises(ValueError, match=r"the split generator needs n >= 2"):
         verify_aprime_structure(config_aprime(1, 1, {1}), 1, 4, margin=2)
@@ -1167,7 +1248,7 @@ def test_bigraded_cell_splits():
         harmonic = bigraded_harmonic(cfg, s, t)
         lower_cell = bigraded_monomials(cfg, s - 1, t - 1)
         raised = [eta(SuperPolynomial.from_monomial(sig, m)) for m in lower_cell]
-        idx = MonomialIndex(cell)
+        idx = _cell_index(cfg, s, t)
         ech = Echelon()
         for p in harmonic + raised:
             if not p.is_zero():
