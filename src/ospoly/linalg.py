@@ -244,10 +244,19 @@ def filtration(vectors) -> list[Vec]:
     Rows come sorted by pivot (their largest index), so for every bound b the
     rows with pivot < b are a basis of span . {v : support(v) < b}.
     """
-    ech = span({-k: c for k, c in v.items()} for v in vectors)
-    return [
-        {-k: c for k, c in ech.rows[p].items()} for p in sorted(ech.rows, reverse=True)
-    ]
+    return filtration_ranks(vectors)[0]
+
+
+def filtration_ranks(*parts) -> tuple[list[Vec], list[int]]:
+    """filtration of the parts joined, and the rank after each part.  The
+    rows do not depend on the parts' order, since the reduced basis is canonical."""
+    ech, ranks = Echelon(), []
+    for part in parts:
+        for v in part:
+            ech.insert({-k: c for k, c in v.items()})
+        ranks.append(ech.dim)
+    rows = sorted(ech.rows, reverse=True)
+    return [{-k: c for k, c in ech.rows[p].items()} for p in rows], ranks
 
 
 def restrict_to_zone(rows: list[Vec], bound: int) -> list[Vec]:

@@ -441,11 +441,6 @@ class Weight(NamedTuple):
     eps_so: tuple[int | Fraction, ...]
     eps_sp: tuple[int | Fraction, ...]
 
-    def render(self) -> str:
-        so = ",".join(str(c) for c in self.eps_so)
-        sp = ",".join(str(c) for c in self.eps_sp)
-        return f"({so} | {sp})"
-
 
 def weight_of(cfg: RepConfig, p: SuperPolynomial) -> Weight | None:
     """Simultaneous Cartan eigenvalue vector of p, or None if p is not one."""

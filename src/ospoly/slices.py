@@ -36,7 +36,6 @@ from math import lcm
 from operator import mul
 
 from . import linalg
-from .linalg import Echelon
 from .osp import (
     RepConfig,
     Weight,
@@ -369,12 +368,13 @@ def generate_submodule(
     submodule; callers compare against it only on degrees <= D - margin.
 
     gens and the returned canonical echelon basis are integer rows over idx.
-    Each osp operator becomes integer atoms once (``idx.element_atoms``),
-    each accepted row is queued as ``Echelon.insert`` returns it, and a
-    popped row's terms are built once for all its images, which
-    ``act_on_terms`` builds over idx and a halo.  An image is skipped
-    exactly when a coefficient on a monomial of degree > D (its halo) is
-    nonzero after cancellation.
+    The queue starts as the canonical basis of span(gens), so the result does
+    not depend on the order of gens.  Each osp operator becomes integer atoms
+    once (``idx.element_atoms``), each accepted row is queued as
+    ``Echelon.insert`` returns it, and a popped row's terms are built once
+    for all its images, which ``act_on_terms`` builds over idx and a halo.
+    An image is skipped exactly when a coefficient on a monomial of degree
+    > D (its halo) is nonzero after cancellation.
 
     An image is not built at all when weights alone show it cannot add a
     row.  Precondition: every generator is a weight vector (its positions
@@ -404,12 +404,10 @@ def generate_submodule(
         ops = [(atoms, 0) for _, atoms in idx.element_atoms("all")]
     room = Counter(codes)
     halo: dict = {}
-    ech = Echelon()
-    queue = []
-    for row in map(ech.insert, gens):
-        if row is not None:
-            room[codes[min(row)]] -= 1
-            queue.append(row)
+    ech = linalg.span(gens)
+    queue = ech.basis()
+    for row in queue:
+        room[codes[min(row)]] -= 1
     while queue:
         v = queue.pop()
         w = codes[min(v)]
@@ -440,22 +438,22 @@ def _monos_up_to(idx: MonomialIndex, d: int) -> int:
 def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
     """Do span(first) and span(second) meet trivially and fill the slice?
 
-    Both spans lie inside the true spaces they stand for, so a common vector
-    is a genuine witness: it fails the check and is recorded with meet_note.
-    The sum must fill the slice on each nonempty level d <= D - margin; a
-    degree-d element may decompose through higher-degree pieces, so the sum
-    is assembled on the whole window, as one filtration, and each level is
-    read off it by ``_fill_levels``.  Sets rep.status; a report with no
-    verified level is inconclusive.
+    first must be linearly independent.  The sum is one filtration with second
+    inserted first, so Grassmann's formula gives dim(meet) = len(first) +
+    rank(second) - rank(sum); only a nonzero meet runs ``intersect``, whose
+    first two rows are genuine witnesses (both spans lie inside the true
+    spaces), recorded with meet_note.  Each nonempty level d <= D - margin must
+    be filled; ``_fill_levels`` reads it off the whole-window filtration, as a
+    degree-d element may decompose through higher-degree pieces.  Sets rep.status.
     """
     statuses = []
-    common = linalg.intersect(first, second)
-    if common:
+    rows, (rank_second, rank_sum) = linalg.filtration_ranks(second, first)
+    if len(first) + rank_second > rank_sum:
         statuses.append("fail")
-        for wrow in common[:2]:
+        for wrow in linalg.intersect(first, second)[:2]:
             rep.witnesses.append(str(idx.poly(wrow)))
         rep.notes.append(meet_note)
-    statuses += _fill_levels(rep, idx, linalg.filtration(first + second), level_dims)
+    statuses += _fill_levels(rep, idx, rows, level_dims)
     rep.status = _combine(statuses) if statuses else "inconclusive-window"
 
 

@@ -61,10 +61,6 @@ class SuperMonomial(NamedTuple):
     mask: int
 
     @property
-    def fermionic_degree(self) -> int:
-        return _popcount(self.mask)
-
-    @property
     def total_degree(self) -> int:
         return sum(self.bos) + _popcount(self.mask)
 

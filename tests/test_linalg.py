@@ -10,6 +10,7 @@ from ospoly.linalg import (
     Echelon,
     _eliminate,
     filtration,
+    filtration_ranks,
     intersect,
     kernel,
     normalize,
@@ -187,6 +188,45 @@ def test_intersect_edge_cases():
     assert intersect([], []) == []
     assert intersect([{0: 1}], []) == []
     assert intersect([{}, {0: 2}, {0: 1}], [{0: -3}]) == [{0: 1}]
+
+
+def _meet_dim(first, second):
+    """Grassmann's formula on the ranks filtration_ranks reads: first is
+    independent, so dim(span first . span second) = len(first) + rank(second)
+    - rank(second + first)."""
+    rows, (rank_second, rank_sum) = filtration_ranks(second, first)
+    assert rows == filtration(first + second)
+    return len(first) + rank_second - rank_sum
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_lists(), dependent_lists(), st.data())
+def test_rank_count_is_the_dimension_of_the_meet(u, v, data):
+    """first is an echelon basis; second has repeats, dependent and zero rows,
+    and rows inside span(first).  Either side may be empty."""
+    first = span(u).basis()
+    second = v + data.draw(st.lists(st.just({}), max_size=2))
+    for _ in range(data.draw(st.integers(0, 2)) if first else 0):
+        a, b = data.draw(st.sampled_from(first)), data.draw(st.sampled_from(first))
+        second.append({k: 3 * a.get(k, 0) + b.get(k, 0) for k in set(a) | set(b)})
+    second = [second[i] for i in data.draw(st.permutations(range(len(second))))]
+    assert _meet_dim(first, second) == len(intersect(first, second))
+
+
+def test_rank_count_edge_cases():
+    assert _meet_dim([], []) == 0
+    assert _meet_dim([], [{0: 1}, {}]) == 0
+    assert _meet_dim([{0: 1}], []) == 0
+    assert _meet_dim([{0: 1}], [{0: -2}, {0: 0}]) == 1
+    assert _meet_dim([{0: 1, 1: 1}, {2: 1}], [{0: 1, 1: 1, 2: 2}, {0: 1}]) == 1
+
+
+def test_filtration_ranks_after_each_part():
+    parts = ([{0: 1}, {0: 2}], [], [{1: 1}, {0: 1, 1: 1}], [{2: 1}])
+    rows, ranks = filtration_ranks(*parts)
+    assert ranks == [1, 1, 2, 3]
+    assert rows == filtration([v for part in parts for v in part])
+    assert filtration_ranks() == ([], [])
 
 
 def test_kernel_vectors_annihilate():

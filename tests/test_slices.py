@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ospoly import slices, superpoly
+from ospoly import linalg, slices, superpoly
 from ospoly.linalg import Echelon, filtration, restrict_to_zone, span, vec_from_fractions
 from ospoly.osp import (
     Weight,
@@ -1112,6 +1112,8 @@ GOLDEN_OPTIONS = {"aprime_A12_k1_D6_m3_seed5": {"seed": 5, "num_seeds": 2}}
         # pass: the eta^1 H(k=0) and eta^1 H(k=1) terms as span . window
         ("series_A312_k2_D6_m2", config_a(3, 1, 2), 2, 6, 2),
         ("series_A322_k3_D6_m2", config_a(3, 2, 2), 3, 6, 2),
+        # a zero meet at D=20, found by rank count alone
+        ("direct_sum_A221_k2_D20_m4", config_a(2, 2, 1), 2, 20, 4),
     ],
 )
 def test_series_report_matches_golden(name, cfg, k, D, margin):
@@ -1120,6 +1122,60 @@ def test_series_report_matches_golden(name, cfg, k, D, margin):
     rep = verify(cfg, k, D, margin, **GOLDEN_OPTIONS.get(name, {}))
     got = json.dumps(rep.to_dict(), indent=1, sort_keys=True) + "\n"
     assert got == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "verify, cfg, k, D, margin, golden, calls",
+    [
+        (verify_direct_sum, config_a(2, 2, 2), 2, 8, 4, "direct_sum_A222_k2_D8_m4", 0),
+        # the normalized two-block split at k = m1
+        (verify_aprime_structure, config_aprime(1, 2, {3, 4}), 1, 6, 3,
+         "aprime_A12_T34_k1_D6_m3", 0),
+        (verify_direct_sum, config_a(1, 1, 0), 2, 4, 0, "direct_sum_A110_k2_D4_m0", 1),
+    ],
+    ids=["direct-sum-pass", "aprime-split-pass", "direct-sum-fail"],
+)
+def test_intersect_runs_only_on_a_nonzero_meet(
+    monkeypatch, verify, cfg, k, D, margin, golden, calls
+):
+    """The rank count finds a zero meet without intersect; a nonzero meet
+    still runs it once and names the golden's witnesses."""
+    seen = []
+    real = linalg.intersect
+    monkeypatch.setattr(linalg, "intersect", lambda u, v: seen.append(1) or real(u, v))
+    rep = verify(cfg, k, D, margin)
+    want = json.loads((GOLDEN / f"{golden}.json").read_text())
+    assert (len(seen), rep.status, rep.witnesses) == (calls, want["status"], want["witnesses"])
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D",
+    [(config_aprime(1, 2, {1, 2}), 1, 6), (config_aprime(2, 2, {1, 3}), 1, 4),
+     (config_a(2, 1, 1), 2, 6), (config_a(2, 2, 1), 2, 6)],
+    ids=["Aprime12-T12", "Aprime22-T13", "A211", "A221"],
+)
+def test_closure_does_not_depend_on_generator_order(cfg, k, D):
+    """generate_submodule starts from the canonical basis of span(gens), so
+    shuffled and reversed generators give the identical basis.  The window
+    drops images per queued row, so closures queued from two bases of one
+    span can reach different spans."""
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    codes, _ = idx.weight_codes()
+    rng = random.Random(1)
+    for trial in range(6):
+        pos = rng.sample(range(len(idx)), 2 + trial % 3)
+        gens = [{i: 1} for i in pos]
+        # one two-term weight vector, and once a generator that is none
+        same = [j for j in range(len(idx)) if codes[j] == codes[pos[0]] and j != pos[0]]
+        if same:
+            gens.append({pos[0]: 2, rng.choice(same): -3})
+        if trial == 5:
+            gens.append({pos[0]: 1, rng.randrange(len(idx)): 1})
+        want = generate_submodule(idx, gens)
+        assert generate_submodule(idx, gens[::-1]) == want
+        for _ in range(3):
+            rng.shuffle(gens)
+            assert generate_submodule(idx, gens) == want
 
 
 @pytest.mark.parametrize(
