@@ -286,6 +286,7 @@ def singular_vectors(
     part: str = "positive",
     within: str = "H",
     modulo: list[dict[int, int]] | None = None,
+    weights=None,
 ) -> list[dict[int, int]]:
     """Weight vectors annihilated by the chosen positive set on the slice.
 
@@ -309,6 +310,13 @@ def singular_vectors(
     image index); its kernel is the canonical echelon basis over the group's
     positions, so neither row labels nor the per-operator and common scale
     factors affect the result.
+
+    ``weights``, a set of weight codes, solves only those groups: each group
+    is solved on its own, so the result is the unrestricted one filtered to
+    them, in the same order.  A caller that keeps only the vectors in a
+    span hi of weight vectors and outside a span lo may pass the weights of
+    hi's echelon rows outside lo: those rows are weight vectors, so a weight
+    whose rows all lie in lo holds no vector of hi outside lo.
     """
     cfg, D = idx.cfg, idx.key.max_degree
     halo: dict = {}
@@ -321,13 +329,14 @@ def singular_vectors(
     elif within != "A":
         raise ValueError("within must be 'H' or 'A'")
 
-    if modulo:
-        mod_ech = linalg.span(modulo)
-        pivots_lcm = lcm(*(row[q] for q, row in mod_ech.rows.items()))
-
     groups: dict = {}
     for i, w in enumerate(idx.weight_codes()[0]):
-        groups.setdefault(w, []).append(i)
+        if weights is None or w in weights:
+            groups.setdefault(w, []).append(i)
+
+    if modulo and groups:
+        mod_ech = linalg.span(modulo)
+        pivots_lcm = lcm(*(row[q] for q, row in mod_ech.rows.items()))
 
     out = []
     for w in sorted(groups):
@@ -359,9 +368,9 @@ def _int_atoms(op: SuperOperator) -> list[tuple[int, tuple]]:
 
 
 def generate_submodule(
-    idx: MonomialIndex, gens: list[dict[int, int]]
+    idx: MonomialIndex, gens: list[dict[int, int]], on_row=None
 ) -> list[dict[int, int]]:
-    """Breadth-first closure of gens under the action, capped at degree D.
+    """Closure of gens under the action, capped at degree D.
 
     An operator application whose image would leave the window is skipped
     entirely (never truncated), so the span is a subspace of the true
@@ -375,6 +384,17 @@ def generate_submodule(
     for all its images, which ``act_on_terms`` builds over idx and a halo.
     An image is skipped exactly when a coefficient on a monomial of degree
     > D (its halo) is nonzero after cancellation.
+
+    The queue is last-in first-out, and that order is part of the result:
+    whether an image leaves the window depends on which representative of a
+    class was queued, so another order can give another windowed span.
+    First-in first-out moves A'(2,2,{1,3}) k1 D8 m3 from "pass" to
+    "inconclusive-window".
+
+    ``on_row``, when given, is called with each row the closure adds, first
+    the rows of the generators' basis, and together these rows span the
+    closure so far.  A true return stops the closure; the basis returned is
+    then that of the span so far.
 
     An image is not built at all when weights alone show it cannot add a
     row.  Precondition: every generator is a weight vector (its positions
@@ -408,7 +428,8 @@ def generate_submodule(
     queue = ech.basis()
     for row in queue:
         room[codes[min(row)]] -= 1
-    while queue:
+    stop = on_row is not None and any(map(on_row, queue))
+    while queue and not stop:
         v = queue.pop()
         w = codes[min(v)]
         terms = [(monos[i], c) for i, c in v.items()]
@@ -423,6 +444,8 @@ def generate_submodule(
             if row is not None:
                 room[u] -= 1
                 queue.append(row)
+                if on_row is not None and (stop := on_row(row)):
+                    break
     return ech.basis()
 
 
@@ -584,13 +607,28 @@ def _generates_layer(seed_row, top_rows, bottom_rows, idx):
     row outside span(lhs) names the first failing level: the total degree
     of its pivot monomial.
 
+    lhs grows from bottom by each row the closure of seed adds, and full
+    from bottom + top alike.  Top lies in lhs exactly when the two have one
+    dim, and stays there as rows are added, so the closure stops at the
+    first row that covers top, and none is built when bottom does.  A
+    closure that never covers top runs to its end: lhs is then the whole
+    closure + bottom.
+
     Returns (True, -1) or (False, first failing degree level).
     """
-    lhs = linalg.span(generate_submodule(idx, [seed_row]) + bottom_rows)
-    for r in top_rows:
-        if not lhs.contains(r):
-            return False, idx.monomials[max(r)].total_degree
-    return True, -1
+    lhs, full = linalg.span(bottom_rows), linalg.span(bottom_rows + top_rows)
+
+    def covered(row):
+        if lhs.insert(row) is not None:
+            full.insert(row)
+        return lhs.dim == full.dim
+
+    if lhs.dim < full.dim:
+        generate_submodule(idx, [seed_row], covered)
+    if lhs.dim == full.dim:
+        return True, -1
+    missed = next(r for r in top_rows if not lhs.contains(r))
+    return False, idx.monomials[max(missed)].total_degree
 
 
 def verify_composition_series(
@@ -707,9 +745,14 @@ def verify_composition_series(
             rep.notes.append(f"{name}: action of {e} leaves the span on {member}{window}")
 
     # layer irreducibility evidence: every singular vector of each layer
-    # generates the layer over the next term down
+    # generates the layer over the next term down; singular vectors are
+    # solved only on the weights where the layer is nonzero
+    codes = idx.weight_codes()[0]
     for (name_hi, _, ech_hi, rows_hi), (name_lo, lo_rows, ech_lo, _) in layers:
-        sing = singular_vectors(idx, "positive", "A", modulo=lo_rows)
+        live = {codes[p] for p, row in ech_hi.rows.items() if not ech_lo.contains(row)}
+        if any(len({codes[i] for i in row}) > 1 for row in ech_hi.rows.values()):
+            live = None  # not a weight-graded span: solve every weight
+        sing = singular_vectors(idx, "positive", "A", modulo=lo_rows, weights=live)
         layer_sing = [s for s in sing if ech_hi.contains(s) and not ech_lo.contains(s)]
         if not layer_sing:
             # a layer that is zero on the slice holds no singular vector to find

@@ -6,6 +6,7 @@ Expected dimensions are frozen from the brute-force oracles in oracles.py
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -384,6 +385,13 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     rows = singular_vectors(idx, "positive", within, modulo=mod_rows)
     assert modulo and rows
     assert singular_vectors(idx, "positive", within, modulo=mod_rows[::-1]) == rows
+    # a set of weight codes solves only those groups: the same rows, filtered
+    codes, _ = idx.weight_codes()
+    some = set(sorted(set(codes))[::2])
+    assert some < set(codes)
+    kept = [row for row in rows if codes[min(row)] in some]
+    assert singular_vectors(idx, "positive", within, modulo=mod_rows, weights=some) == kept
+    assert singular_vectors(idx, "positive", within, modulo=mod_rows, weights=set()) == []
     sing = [idx.poly(row) for row in rows]
 
     pos_ops = [rep_element(cfg, e) for e in osp_basis(cfg, "positive")]
@@ -816,6 +824,22 @@ def test_closures_that_fill_the_slice():
         assert len(rows) == len(idx) == 136, case
 
 
+def test_closure_hook_sees_rows_that_span_the_closure():
+    """on_row gets the generators' basis first, then each added row, and
+    those rows span the closure; a true return stops the closure there."""
+    cfg = config_a(2, 1, 1)
+    idx = MonomialIndex(SliceKey(cfg, 2, 6))
+    gens = [idx.vec(SuperPolynomial.x(cfg.signature, 2) ** 2)]
+    seen = []
+    rows = generate_submodule(idx, gens, seen.append)
+    assert rows == generate_submodule(idx, gens) and len(rows) > 1
+    assert seen[:1] == span(gens).basis() and span(seen).basis() == rows
+    assert generate_submodule(idx, gens, lambda row: True) == span(gens).basis()
+    two = []
+    partial = generate_submodule(idx, gens, lambda row: two.append(row) or len(two) == 2)
+    assert len(two) == 2 and partial == span(two).basis()
+
+
 def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
     """The closure of x2^2 on A(2,1,1) k2 D6 builds only images whose weight
     space still has room: fewer than one per (row, element) pair, and none
@@ -930,7 +954,7 @@ def test_series_window_boundary_anomaly():
     assert any("x2 t1" in s for s in rep.notes)
 
 
-def test_generates_layer_reports_the_degree_of_the_missed_row():
+def test_generates_layer_reports_the_degree_of_the_missed_row(monkeypatch):
     # on this window <x2> misses x1 x2^2, so x2 + x1 x2^2 is first missed at
     # d=3, the degree of its top monomial, not d=1
     cfg = A11_R1
@@ -942,6 +966,132 @@ def test_generates_layer_reports_the_degree_of_the_missed_row():
     seed = idx.vec(x2)
     assert _generates_layer(seed, top, [], idx) == (False, 3)
     assert _generates_layer(seed, filtration([seed]), [], idx) == (True, -1)
+    # bottom alone covers top: no closure is built
+    monkeypatch.setattr(slices, "generate_submodule", None)
+    assert _generates_layer(seed, top, [seed, idx.vec(x1 * x2**2)], idx) == (True, -1)
+
+
+def _whole_closure_layer_check(seed_row, top_rows, bottom_rows, idx, closure):
+    """The layer check on the whole closure: span it with bottom, then name
+    the degree of the first top row outside."""
+    lhs = span(closure(idx, [seed_row]) + bottom_rows)
+    for r in top_rows:
+        if not lhs.contains(r):
+            return False, idx.monomials[max(r)].total_degree
+    return True, -1
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D, margin, want",
+    [
+        (config_a(1, 1, 0), 2, 4, 0, [(False, 2), (False, 2), (True, -1)]),
+        # each closure stops once it covers the layer on the window
+        (config_a(2, 2, 0), 2, 8, 4, [(True, -1)] * 2),
+        (config_a(2, 1, 1), 2, 10, 4, [(True, -1)] * 3),
+        # the verified window (degree <= 2) holds no row of any layer
+        (config_a(1, 2, 0), 3, 4, 2, [(True, -1)] * 3),
+    ],
+    ids=["A110-fail", "A220", "A211", "A120-empty-window"],
+)
+def test_layer_check_stops_early_with_the_whole_closure_answer(
+    monkeypatch, cfg, k, D, margin, want
+):
+    """_generates_layer stops its closure once top is covered, and builds
+    none when bottom covers top; every answer is that of the whole closure."""
+    real_layer, real_closure = slices._generates_layer, slices.generate_submodule
+    closures, answers = [], []
+
+    def counted_closure(*args):
+        closures.append(args)
+        return real_closure(*args)
+
+    def checked_layer(seed_row, top_rows, bottom_rows, idx):
+        before = len(closures)
+        got = real_layer(seed_row, top_rows, bottom_rows, idx)
+        assert got == _whole_closure_layer_check(seed_row, top_rows, bottom_rows, idx, real_closure)
+        answers.append(got)
+        if not top_rows:
+            assert len(closures) == before
+        return got
+
+    monkeypatch.setattr(slices, "generate_submodule", counted_closure)
+    monkeypatch.setattr(slices, "_generates_layer", checked_layer)
+    verify_composition_series(cfg, k, D, margin)
+    assert answers == want
+
+
+def _record_solved_weights(monkeypatch):
+    """The weights argument of every singular_vectors call, in order."""
+    seen, real = [], slices.singular_vectors
+
+    def recording(*args, weights=None, **kwargs):
+        seen.append(weights)
+        return real(*args, weights=weights, **kwargs)
+
+    monkeypatch.setattr(slices, "singular_vectors", recording)
+    return seen
+
+
+# (golden, cfg, k, D, eta power, <x_m1^k> term)
+SERIES_GOLDEN_TERMS = [
+    ("series_A211_k2_D12_m4", config_a(2, 1, 1), 2, 12, 1, True),
+    ("series_A311_k1_D6_m2", config_a(3, 1, 1), 1, 6, 1, False),
+    ("series_A311_k2_D6_m2", config_a(3, 1, 1), 2, 6, 2, False),
+    ("series_A110_k2_D8_m4", config_a(1, 1, 0), 2, 8, 1, False),
+    ("series_A312_k2_D6_m2", config_a(3, 1, 2), 2, 6, 1, True),
+    ("series_A322_k3_D6_m2", config_a(3, 2, 2), 3, 6, 1, True),
+]
+
+
+@pytest.mark.parametrize(
+    "name, cfg, k, D, power, x_term", SERIES_GOLDEN_TERMS, ids=[g[0] for g in SERIES_GOLDEN_TERMS]
+)
+def test_series_terms_are_weight_graded(monkeypatch, name, cfg, k, D, power, x_term):
+    """Every echelon row of H, eta^p H' and <x_m1^k> is a weight vector, the
+    precondition of solving singular vectors on a layer's live weights only;
+    the verifier then passes a set of weights for every layer."""
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    codes, _ = idx.weight_codes()
+    terms = {"H": _lowering_kernel(idx), f"eta^{power}": eta_image(idx, power)}
+    if x_term:
+        x_power = idx.vec(SuperPolynomial.x(cfg.signature, cfg.m1) ** k)
+        terms[f"<x{cfg.m1}^{k}>"] = generate_submodule(idx, [x_power])
+    golden = (GOLDEN / f"{name}.json").read_text()
+    for term, rows in terms.items():
+        assert term in golden and rows, term
+        assert all(len({codes[i] for i in row}) == 1 for row in span(rows).rows.values()), term
+
+    seen = _record_solved_weights(monkeypatch)
+    verify_composition_series(cfg, k, D, json.loads(golden)["margin"])
+    assert seen and all(w is not None for w in seen)
+
+
+def test_series_solves_every_weight_of_a_term_that_is_no_weight_vector(monkeypatch):
+    """A term whose echelon rows mix weights gives no live weights to read:
+    its layer's singular vectors are solved on every weight."""
+    cfg = config_a(2, 2, 0)
+    sig = cfg.signature
+    x1, x3 = SuperPolynomial.x(sig, 1), SuperPolynomial.x(sig, 3)
+    mixed = x1**2 + x1 * x3
+    monkeypatch.setattr(slices, "eta_image", lambda idx, power: [idx.vec(mixed)])
+    seen = _record_solved_weights(monkeypatch)
+    verify_composition_series(cfg, 2, 6, margin=2)
+    assert seen[0] is not None and seen[1] is None
+
+
+def test_series_layer_checks_skip_dead_weights_and_covered_closures(monkeypatch):
+    """On A(2,1,1) k2 D10 m4 the layer checks solve singular vectors on live
+    weights only and stop each closure once the window is covered: kernels
+    and operator images each at most half of what solving every weight and
+    closing fully took (350 kernels, 8,565 images).  Counts, unlike times,
+    repeat exactly from run to run."""
+    calls = Counter()
+    real_kernel, real_act = linalg.kernel, slices.act_on_terms
+    monkeypatch.setattr(linalg, "kernel", lambda *a: calls.update(["kernel"]) or real_kernel(*a))
+    monkeypatch.setattr(slices, "act_on_terms", lambda *a: calls.update(["act"]) or real_act(*a))
+    rep = verify_composition_series(config_a(2, 1, 1), 2, 10, 4)
+    assert rep.status == "pass"
+    assert calls["kernel"] <= 350 // 2 and calls["act"] <= 8565 // 2, calls
 
 
 def test_series_term_not_inside_the_next(monkeypatch):
