@@ -9,9 +9,9 @@ one to a slice vector produces its exact image (possibly of degree D+1 or
 D+2).  What *is* windowed is closure: when generating a submodule we skip an
 operator application whose image would leave the degree-D window, so the
 computed span is always a subspace of the true submodule ("from below").
-The eta terms of a composition series are from below too: span . window of
-eta^p applied to a harmonic space of bounded degree.
-Comparisons between such spans are therefore made only on degrees
+The eta terms of a composition series are exact instead: eta^p raises degree
+by exactly 2p there, so their window part is eta^p of a harmonic slice.
+Comparisons between from-below spans are therefore made only on degrees
 d <= D - margin and reported as from-below evidence; verdicts that could
 flip with a larger window are labeled "inconclusive-window", never "pass".
 
@@ -32,7 +32,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from math import lcm
+from math import inf, lcm
 from operator import mul
 
 from . import linalg
@@ -500,33 +500,32 @@ def _fill_levels(rep, idx, rows, level_dims) -> list[str]:
 
 
 def eta_image(idx: MonomialIndex, power: int) -> list[dict[int, int]]:
-    """eta^power of the harmonic space H(k - 2*power), as span . window of
-    idx, the slice (k, <= D).
+    """eta^power of the harmonic space H(k - 2*power), exactly on the window
+    idx, the slice (k, <= D), as filtration rows over idx.
 
-    H is the exact kernel on its slice of degree <= D + 2*power (each eta
-    step may lower degree by 2).  eta acts through integer atoms
-    (``act_on_terms``), each middle step over a halo of its own, the last
-    over idx plus a halo.  The filtration rows of span(images) . {degree <= D}
-    keep in-window combinations whose high terms cancel.  Still from below: an H element of
-    degree > D + 2*power whose high terms cancel is missed.
-
-    Write eta as a degree-keeping part plus multiplication by q = eta(1).
-    For family A with r < m1, q holds the bosonic term x_m1 x_2m1, so it is
-    no zero divisor: the top-degree part of eta^p f is q^p times that of f,
-    and eta^p f lies in the window exactly when deg f <= D - 2p.  There the
-    term is eta^p H(k - 2p) on degree <= D - 2p, and the source degrees
-    above it add no row.  Where q is nilpotent (family A') they do.
+    Write eta as a degree-keeping part plus multiplication by q = eta(1),
+    which holds x_m1 x_2m1 (family A, r < m1) or x_m^2 (odd m).  So q is no
+    zero divisor, eta^p f has degree deg f + 2p, and the window part of
+    span(eta^p H(k - 2p)) is eta^p of H(k - 2p) on degree <= D - 2p (none
+    when D < 2p).  Each middle eta step runs over a halo of its own; the
+    last lands in idx with no halo, so a monomial outside idx raises
+    KeyError.  Where q is nilpotent (A', and even m with r = m1) eta can
+    lower the degree of a combination: a ValueError.
     """
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
-    src = MonomialIndex(SliceKey(cfg, k - 2 * power, D + 2 * power))
+    if cfg.family != "A" or (cfg.m_parity == "even" and cfg.r == cfg.m1):
+        raise ValueError(f"{cfg.describe()}: q = eta(1) is nilpotent, so eta^p H is not exact")
+    if D < 2 * power:
+        return []
+    src = MonomialIndex(SliceKey(cfg, k - 2 * power, D - 2 * power))
     atoms = _int_atoms(delta_eta(cfg)[1])
     rows, monos = _lowering_kernel(src), src.monomials
     for step in range(1, power + 1):
-        index, top, halo = (idx.index, D, {}) if step == power else ({}, -1, {})
+        index, top, halo = (idx.index, inf, {}) if step == power else ({}, -1, {})
         terms = (zip(map(monos.__getitem__, row), row.values()) for row in rows)
         rows = [act_on_terms(atoms, t, index, halo, top) for t in terms]
         monos = list(halo)
-    return linalg.restrict_to_zone(linalg.filtration(rows), len(idx))
+    return linalg.filtration(rows)
 
 
 def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
@@ -636,17 +635,19 @@ def verify_composition_series(
 ) -> VerificationReport:
     """Check the claimed chain of submodules inside the harmonic slice.
 
-    Dispatches on the swap range:
-      r = 0, window (n-m1+1) < k <= 2(n-m1+1): chain H > eta^j H' > 0;
-      0 < r < m1 - 1, k > n-m1+r+1:            chain H > eta^j H' > 0;
-      r = m1 - 1,     k > n:                   chain H > <x_m1^k> > eta^{k-n} H' > 0;
-      r = m1 >= 1:                             rejected (x_m1 is swapped);
-      m1 = 0:                                  rejected (no bosonic variable).
+    With c = n - m1 + r + 1 the eta term is eta^(k-c) H(k = 2c - k):
+      r = 0,          c < k <= 2c: chain H > eta^(k-c) H' > 0;
+      0 < r < m1 - 1, c < k:       the same chain;
+      r = m1 - 1 > 0, c = n < k:   chain H > <x_m1^k> > eta^(k-c) H' > 0;
+      r = m1 >= 1:                 rejected (x_m1 is swapped);
+      m1 = 0:                      rejected (no bosonic variable).
+    For r > 0, k > 2c gives k_inner < 0, which swapped variables allow
+    (A(3,1,1) k2 builds eta^2 H(k=-2)).
     Checks: membership of each term in the next one up, action stability,
     strictness on the window, and that every singular vector of each layer
     generates it (windowed sufficient criterion for layer irreducibility).
     Terms are integer rows over the slice index, printed through it; the
-    eta term is span . window from below (``eta_image``).
+    eta term is exact (``eta_image``), only <x_m1^k> is from below.
     """
     D = max_degree
     m1, n, r = cfg.m1, cfg.n, cfg.r
@@ -658,28 +659,20 @@ def verify_composition_series(
             "m1 = 0: with no bosonic variable H is zero at every k > n, "
             "so the window (n+1, 2(n+1)] holds no chain to check"
         )
-    if r == 0:
-        lo, hi = n - m1 + 1, 2 * (n - m1 + 1)
-        if not lo < k <= hi:
-            raise ValueError(f"k={k} outside the window ({lo}, {hi}]")
-        power, k_inner = k - (n - m1 + 1), 2 * (n - m1 + 1) - k
-    elif r < m1 - 1:
-        if not k > n - m1 + r + 1:
-            raise ValueError("k below the window")
-        power, k_inner = k - n + m1 - r - 1, -k + 2 * (n - m1 + r + 1)
-    elif r == m1:
+    if r == m1:
         raise ValueError(
             f"r = m1 = {m1}: x{m1} is swapped, so x{m1}^k has grading -k and the "
             "chain H > <x_m1^k> > ... does not apply"
         )
-    else:
-        if not k > n:
-            raise ValueError("k below the window")
-        power, k_inner = k - n, -k + 2 * n
+    c = n - m1 + r + 1
+    top = 2 * c if r == 0 else inf
+    if not c < k <= top:
+        raise ValueError(f"k={k} outside the window ({c}, {top}]")
+    power, k_inner = k - c, 2 * c - k
 
     idx = MonomialIndex(SliceKey(cfg, k, D))
     chain = [("eta^%d H(k=%d)" % (power, k_inner), eta_image(idx, power))]
-    if r > 0 and r >= m1 - 1:  # the last branch: H > <x_m1^k> > eta^j H' > 0
+    if 0 < r == m1 - 1:  # the last branch: H > <x_m1^k> > eta^j H' > 0
         x_power = idx.vec(SuperPolynomial.x(cfg.signature, m1) ** k)
         chain.insert(0, ("<x%d^%d>" % (m1, k), generate_submodule(idx, [x_power])))
 
@@ -733,8 +726,8 @@ def verify_composition_series(
     exact = slice_is_exact(cfg, k, D)
     miss = "fail" if exact else "inconclusive-window"
 
-    # action stability of the middle terms; both are built from below, so a
-    # leak outside the exact regime may be a missing in-window combination
+    # action stability of the middle terms; outside the exact regime a leak
+    # is inconclusive, as <x_m1^k> is from below (the exact eta term alike)
     for name, rows, ech, _ in terms[1:-1]:
         leak = _stable_under_action(rows, ech, idx)
         if leak:

@@ -375,12 +375,13 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     of the modulo matrix (its annihilator) vanishes on v; per weight group
     the quotient singular space is the nullspace of those conditions on the
     positive-operator images (plus lowering-operator annihilation for H).
-    The span is eta of the harmonic slice two gradings down.
+    The span is eta of the harmonic slice two gradings down; for A', whose
+    q = eta(1) is nilpotent, it is the widened span . window.
     """
     sig = cfg.signature
     key = SliceKey(cfg, k, D)
     idx = MonomialIndex(key)
-    mod_rows = eta_image(idx, 1)
+    mod_rows = eta_image(idx, 1) if cfg.family == "A" else widened_eta_rows(idx, 1)
     modulo = [idx.poly(row) for row in mod_rows]
     rows = singular_vectors(idx, "positive", within, modulo=mod_rows)
     assert modulo and rows
@@ -443,33 +444,82 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
         assert found.get(w, 0) == len(dense_nullspace(rows, len(group))), w
 
 
-@pytest.mark.parametrize(
-    "cfg, k, D, power",
-    [
-        pytest.param(config_a(3, 1, 2), 2, 4, 1, id="A312-eta1"),
-        pytest.param(config_a(3, 1, 1), 2, 8, 2, id="A311-eta2"),
-        pytest.param(config_aprime(1, 2, {1, 2}), 2, 4, 1, id="Aprime12-T12-eta1"),
-    ],
-)
-def test_eta_image_is_the_window_part_of_the_polynomial_span(cfg, k, D, power):
-    """eta_image spans span(eta^p H) . window, where eta^p acts as a
-    polynomial operator on every harmonic_space vector of grading k - 2p and
-    degree <= D + 2p.  The window part is the filtration prefix below the
-    slice size, over the slice's monomials followed by those of degree > D."""
+def widened_eta_rows(idx, power):
+    """span(eta^p H) . window of idx, with eta^p acting as a polynomial
+    operator on every harmonic_space vector of grading k - 2p and degree
+    <= D + 2p: eta_image's result computed from a widened source, which
+    needs no regular q = eta(1).  The window part is the filtration prefix
+    below the slice size, over the slice's monomials followed by those of
+    degree > D."""
+    cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
     _, eta = delta_eta(cfg)
     images = []
     for p in harmonic_space(SliceKey(cfg, k - 2 * power, D + 2 * power)):
         for _ in range(power):
             p = eta(p)
         images.append(p)
-    idx = MonomialIndex(SliceKey(cfg, k, D))
     # H has degree <= D + 2p and eta^p raises degree by at most 2p
     wide_monos = {m for p in images for m in p.terms} | set(idx.monomials)
     wide = MonomialIndex(SliceKey(cfg, k, D + 4 * power), wide_monos)
     assert wide.monomials[: len(idx)] == idx.monomials
-    want = restrict_to_zone(filtration([wide.vec(p) for p in images]), len(idx))
+    return restrict_to_zone(filtration([wide.vec(p) for p in images]), len(idx))
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D, power",
+    [
+        pytest.param(config_a(3, 1, 2), 2, 4, 1, id="A312-eta1"),
+        pytest.param(config_a(3, 1, 1), 2, 8, 2, id="A311-eta2"),
+        pytest.param(config_a(2, 1, 1, "odd"), 3, 7, 2, id="A211-odd-eta2"),
+    ],
+)
+def test_eta_image_is_the_window_part_of_the_polynomial_span(cfg, k, D, power):
+    """eta_image, built from the source degrees <= D - 2p alone, spans the
+    window part of the span from the widened source (``widened_eta_rows``)."""
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    want = widened_eta_rows(idx, power)
     got = eta_image(idx, power)
     assert want and span(got).basis() == span(want).basis()
+
+
+@pytest.mark.parametrize(
+    "cfg", [config_aprime(1, 2, {1, 2}), config_a(2, 1, 2)], ids=["Aprime12-T12", "A212"]
+)
+def test_eta_image_rejects_a_nilpotent_q(cfg):
+    """Where q = eta(1) is nilpotent eta can lower the degree of a
+    combination, so eta^p of a bounded-degree source is no exact window term:
+    eta_image raises instead of computing it."""
+    idx = MonomialIndex(SliceKey(cfg, 2, 4))
+    assert len(idx)
+    with pytest.raises(ValueError, match=r"q = eta\(1\) is nilpotent"):
+        eta_image(idx, 1)
+
+
+def test_eta_image_is_empty_below_degree_2p():
+    """eta^p raises degree by exactly 2p, so a window of D < 2p holds none
+    of its images, also where the window itself is not empty (k <= D)."""
+    cfg = config_a(2, 1, 1)
+    for k, D, power in [(2, 1, 1), (1, 1, 1), (2, 3, 2)]:
+        assert eta_image(MonomialIndex(SliceKey(cfg, k, D)), power) == []
+    assert len(MonomialIndex(SliceKey(cfg, 1, 1))) and len(MonomialIndex(SliceKey(cfg, 2, 3)))
+
+
+def test_eta_image_precondition_is_a_bosonic_term_in_q():
+    """eta_image accepts a configuration exactly when eta_polynomial, q, has
+    a term of mask 0, which makes q no zero divisor."""
+    cfgs = [config_a(m1, n, r, parity) for m1 in range(4) for n in range(3)
+            for r in range(m1 + 1) for parity in ("even", "odd")]
+    cfgs += [config_aprime(m1, n, range(1, n + 1)) for m1 in range(1, 4) for n in range(1, 3)]
+    accepted = 0
+    for cfg in cfgs:
+        idx = MonomialIndex(SliceKey(cfg, 2, 2))
+        if any(m.mask == 0 for m in eta_polynomial(cfg).terms):
+            eta_image(idx, 1)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="nilpotent"):
+                eta_image(idx, 1)
+    assert 0 < accepted < len(cfgs)
 
 
 def test_eta_image_keeps_an_in_window_combination():
@@ -1227,6 +1277,50 @@ def test_series_rejects_out_of_window():
         verify_composition_series(A11_R0, 3, 6, margin=2)
 
 
+def three_branch_dispatch(m1, n, r, k):
+    """The chain dispatch as three branches on the swap range: (power,
+    k_inner) of the eta term, or None where the verifier must raise."""
+    if m1 == 0 or r == m1:
+        return None
+    if r == 0:
+        lo, hi = n - m1 + 1, 2 * (n - m1 + 1)
+        return (k - lo, hi - k) if lo < k <= hi else None
+    if r < m1 - 1:
+        c = n - m1 + r + 1
+        return (k - n + m1 - r - 1, -k + 2 * c) if k > c else None
+    return (k - n, -k + 2 * n) if k > n else None
+
+
+def test_series_dispatch_is_one_formula():
+    """With c = n - m1 + r + 1 the verifier's one formula, power k - c and
+    k_inner 2c - k, agrees with the three branches: it raises exactly outside
+    their windows, and inside them names the eta term and, for r = m1 - 1 > 0,
+    the <x_m1^k> term above it.  The windows are D = 2, or D = k where the
+    generator x_m1^k must lie in the slice."""
+    rejection = r"^(m1 = 0|r = m1|k=-?\d+ outside the window)"
+    inside = Counter()
+    for m1 in range(4):
+        for n in range(3):
+            for r in range(m1 + 1):
+                for k in range(-1, 9):
+                    cfg, want = config_a(m1, n, r), three_branch_dispatch(m1, n, r, k)
+                    x_term = 0 < r == m1 - 1
+                    D = max(2, k) if x_term else 2
+                    if want is None:
+                        with pytest.raises(ValueError, match=rejection):
+                            verify_composition_series(cfg, k, D, margin=0)
+                        continue
+                    inside[min(r, 1) + x_term] += 1
+                    rep = verify_composition_series(cfg, k, D, margin=0)
+                    terms = ["H", "eta^%d H(k=%d)" % want, "0"]
+                    if x_term:
+                        terms.insert(1, f"<x{m1}^{k}>")
+                    assert [d["term"] for d in rep.dims] == [
+                        f"{hi} > {lo}" for hi, lo in zip(terms, terms[1:])
+                    ], (m1, n, r, k)
+    assert set(inside) == {0, 1, 2}  # every branch is reached
+
+
 def test_series_fully_swapped_edge():
     cfg = config_a(2, 1, 1)  # r = m1-1 = 1: chain with the generated middle term
     rep = verify_composition_series(cfg, 2, 8, margin=4)
@@ -1264,6 +1358,10 @@ GOLDEN_OPTIONS = {"aprime_A12_k1_D6_m3_seed5": {"seed": 5, "num_seeds": 2}}
         ("series_A322_k3_D6_m2", config_a(3, 2, 2), 3, 6, 2),
         # a zero meet at D=20, found by rank count alone
         ("direct_sum_A221_k2_D20_m4", config_a(2, 2, 1), 2, 20, 4),
+        # eta^p for p >= 2 under <x3^k>: eta^2 H(k=-1) passes, eta^5 H(k=-4)
+        # is inconclusive-window
+        ("series_A312_k3_D8_m2", config_a(3, 1, 2), 3, 8, 2),
+        ("series_A312_k6_D8_m2", config_a(3, 1, 2), 6, 8, 2),
     ],
 )
 def test_series_report_matches_golden(name, cfg, k, D, margin):
