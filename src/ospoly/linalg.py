@@ -3,27 +3,35 @@
 Vectors are sparse dicts mapping a coordinate index (position of a monomial
 in some fixed ordered list) to an integer coefficient.  Rational inputs are
 cleared to integers first; elimination itself is fraction-free: one step,
-``_eliminate``, replaces v by a*v - b*row.  ``Echelon`` normalizes every
-stored row by removing the integer content and making the pivot entry
-positive.  With the pivot rule "smallest coordinate index wins" its reduced
-echelon rows are a canonical basis of the span, so two runs that see the
-same vectors in any order produce identical bases.
+``_eliminate``, replaces v by a*v - b*row, and each result is normalized
+(content removed, leading entry positive), so the entries of every vector
+kept stay small.  The step is used three ways.
 
-An Echelon also keeps a column index, ``cols``: for every column c it maps c
-to the set of pivots whose stored row has a nonzero non-pivot entry at c
-(only nonempty sets are kept, and no stored pivot is a key, since rows are
-fully reduced).  Inserting a row with pivot p back-reduces exactly the rows
-named by ``cols[p]``, so an insert never scans the stored rows that do not
-contain p.
+The canonical echelon.  ``Echelon`` keeps its rows fully reduced against
+each other.  With the pivot rule "smallest coordinate index wins" its rows
+are the canonical basis of the span, so two runs that see the same vectors
+in any order produce identical bases.  It also keeps a column index,
+``cols``: for every column c it maps c to the set of pivots whose stored row
+has a nonzero non-pivot entry at c (only nonempty sets are kept, and no
+stored pivot is a key, since rows are fully reduced).  Inserting a row with
+pivot p back-reduces exactly the rows named by ``cols[p]``, so an insert
+never scans the stored rows that do not contain p.  ``filtration`` uses the
+opposite rule, "largest coordinate index wins", by running the same Echelon
+on negated indices.  Its rows sorted by pivot hold a basis of
+span . {index < b} as a prefix for every bound b at once
+(``restrict_to_zone``).
 
-``kernel`` runs the same step forward only, on images extended by one tag
-coordinate each: the tags of an image that cancels are a kernel vector.
+The forward kernel.  ``kernel_basis`` runs the step forward only, with no
+back-reduction, on images extended by one tag coordinate each: the tags of
+an image that cancels are a kernel vector.  ``kernel`` is the canonical
+echelon basis of the same span.
 
-``filtration`` uses the opposite rule, "largest coordinate index wins", by
-running the same Echelon on negated indices.  Its rows sorted by pivot hold a
-basis of span . {index < b} as a prefix for every bound b at once
-(``restrict_to_zone``); the slice verifiers read each total-degree level of a
-span this way, since monomial indices sort by total degree first.
+The rank profile.  ``rank_profile`` runs the step forward only with the rule
+"largest coordinate index wins" and keeps only the pivots.  The pivot set of
+any echelon form is {max(v) : v in the span}, so the count of pivots below b
+is dim span . {index < b}, as ``filtration`` gives it, without the
+back-reduction.  The slice verifiers read each total-degree level of a span
+this way, since monomial indices sort by total degree first.
 """
 
 from __future__ import annotations
@@ -195,13 +203,15 @@ def span(vectors) -> Echelon:
     return ech
 
 
-def kernel(images: list[Vec]) -> list[Vec]:
-    """Nullspace of the map e_i -> images[i], as combination vectors.
+def kernel_basis(images: list[Vec]) -> list[Vec]:
+    """A basis of the nullspace of the map e_i -> images[i], as combination
+    vectors, by forward elimination alone.
 
     Image i gets the tag coordinate off + i, past every image coordinate, and
     is eliminated forward against the rows stored so far.  Its pivot lands on
-    a tag exactly when its image part cancels.  The combinations come back
-    as a canonical echelon basis over the input coordinates.
+    a tag exactly when its image part cancels; the combination then holds
+    tag i and no later tag, so the combinations are independent.  Each step
+    divides out the content, so stored rows and combinations are content-free.
     """
     off = 1 + max(map(max, filter(None, images)), default=-1)
     rows: dict[int, Vec] = {}
@@ -210,19 +220,25 @@ def kernel(images: list[Vec]) -> list[Vec]:
         vec = {k: v for k, v in img.items() if v}
         vec[off + i] = 1
         while (p := min(vec)) in rows:
-            vec = _eliminate(vec, rows[p], p)
+            vec = normalize(_eliminate(vec, rows[p], p))
         if p < off:
             rows[p] = vec
         else:
-            combos.append(normalize({k - off: v for k, v in vec.items()}))
-    return span(combos).basis()
+            combos.append({k - off: v for k, v in vec.items()})
+    return combos
+
+
+def kernel(images: list[Vec]) -> list[Vec]:
+    """Nullspace of the map e_i -> images[i] as its canonical echelon basis."""
+    return span(kernel_basis(images)).basis()
 
 
 def intersect(u_vectors: list[Vec], v_vectors: list[Vec]) -> list[Vec]:
-    """Basis of span(u) . span(v) via kernel of (a, b) -> a - b."""
+    """Canonical basis of span(u) . span(v), from the u-parts of
+    ``kernel_basis`` of (a, b) -> a - b; any kernel basis gives the meet."""
     nu = len(u_vectors)
     out = []
-    for combo in kernel(u_vectors + v_vectors):
+    for combo in kernel_basis(u_vectors + v_vectors):
         vec: Vec = {}
         for i, c in combo.items():
             if i >= nu:
@@ -242,21 +258,32 @@ def filtration(vectors) -> list[Vec]:
     """Echelon basis of span(vectors) with pivots on the largest index.
 
     Rows come sorted by pivot (their largest index), so for every bound b the
-    rows with pivot < b are a basis of span . {v : support(v) < b}.
+    rows with pivot < b are a basis of span . {v : support(v) < b}.  They are
+    the canonical reduced rows, whatever the order of vectors.
     """
-    return filtration_ranks(vectors)[0]
+    ech = span({-k: c for k, c in v.items()} for v in vectors)
+    return [{-k: c for k, c in ech.rows[p].items()} for p in sorted(ech.rows, reverse=True)]
 
 
-def filtration_ranks(*parts) -> tuple[list[Vec], list[int]]:
-    """filtration of the parts joined, and the rank after each part.  The
-    rows do not depend on the parts' order, since the reduced basis is canonical."""
-    ech, ranks = Echelon(), []
+def rank_profile(*parts) -> tuple[list[int], list[int]]:
+    """The pivots of the parts joined, ascending, and the rank after each part.
+
+    Forward elimination with the rule "largest index wins" and no
+    back-reduction: the pivots are {max(v) : v in the span}, those of
+    ``filtration``'s rows, so the pivots below a bound b count
+    span . {index < b}.  Neither depends on the order of the vectors.
+    """
+    rows: dict[int, Vec] = {}
+    ranks = []
     for part in parts:
         for v in part:
-            ech.insert({-k: c for k, c in v.items()})
-        ranks.append(ech.dim)
-    rows = sorted(ech.rows, reverse=True)
-    return [{-k: c for k, c in ech.rows[p].items()} for p in rows], ranks
+            vec = {k: c for k, c in v.items() if c}
+            while vec and (p := max(vec)) in rows:
+                vec = normalize(_eliminate(vec, rows[p], p))
+            if vec:
+                rows[p] = vec
+        ranks.append(len(rows))
+    return sorted(rows), ranks
 
 
 def restrict_to_zone(rows: list[Vec], bound: int) -> list[Vec]:

@@ -22,13 +22,14 @@ side from below).
 
 All linear algebra is exact over the rationals via fraction-free integer
 elimination with the pivot rule "smallest monomial in graded-lex order";
-degree levels are read from filtrations, which pivot on the largest.
+degree levels are read from filtrations and rank profiles, which pivot on
+the largest.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
@@ -75,8 +76,9 @@ class MonomialIndex:
     """One window: its key and its monomials in canonical order, with index
     lookup.
 
-    ``MonomialIndex(key)`` enumerates ``slice_monomials(key)``.  A bigraded
-    cell passes its own monomials with a key whose slice holds them.  The
+    ``MonomialIndex(key)`` enumerates ``slice_monomials(key)``, which is in
+    canonical order already.  A bigraded cell passes its own monomials, in
+    any order, with a key whose slice holds them; they are sorted.  The
     helpers that work on a window take the index alone and read ``key`` and
     ``cfg`` from it; it keeps what they build once per window: weight codes
     and element atoms.
@@ -85,8 +87,9 @@ class MonomialIndex:
     def __init__(self, key: SliceKey, monomials=None):
         self.key, self.cfg = key, key.cfg
         if monomials is None:
-            monomials = slice_monomials(key)
-        self.monomials = sorted(monomials, key=lambda m: m.sort_key())
+            self.monomials = slice_monomials(key)
+        else:
+            self.monomials = sorted(monomials, key=lambda m: m.sort_key())
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self._weights = None
         self._atoms: dict = {}
@@ -256,19 +259,22 @@ def _exponents_with_sum(nvars, total):
 # harmonic kernels
 
 
-def _lowering_kernel(idx: MonomialIndex) -> list[dict[int, int]]:
-    """Exact kernel of the lowering operator on the span of idx's monomials.
+def _lowering_images(idx: MonomialIndex) -> list[dict[int, int]]:
+    """The lowering operator's image of each of idx's monomials, in order.
 
-    The operator becomes integer atoms once.  Each monomial's image is an
-    integer row whose coordinates number the image monomials on first sight;
-    the numbering does not matter, since the kernel comes back as its
-    canonical echelon basis.  Returns integer rows over idx.
+    The operator becomes integer atoms once.  Each image is an integer row
+    whose coordinates number the image monomials on first sight; the
+    numbering does not change the kernel of e_i -> image i.
     """
     atoms = _int_atoms(delta_eta(idx.cfg)[0])
     seen: dict = {}
-    return linalg.kernel(
-        [act_on_terms(atoms, ((m, 1),), {}, seen, -1) for m in idx.monomials]
-    )
+    return [act_on_terms(atoms, ((m, 1),), {}, seen, -1) for m in idx.monomials]
+
+
+def _lowering_kernel(idx: MonomialIndex) -> list[dict[int, int]]:
+    """Exact kernel of the lowering operator on the span of idx's monomials,
+    as its canonical echelon basis: integer rows over idx."""
+    return linalg.kernel(_lowering_images(idx))
 
 
 def harmonic_space(key: SliceKey) -> list[SuperPolynomial]:
@@ -302,7 +308,7 @@ def singular_vectors(
 
     A monomial's image is an integer row from ``act_on_terms``: over idx
     and a halo for the positive operators, which keep the grading, and over
-    a halo of its own for the lowering operator, as in ``_lowering_kernel``.
+    a halo of its own for the lowering operator, as in ``_lowering_images``.
     Positive images are taken modulo the span, echelonized once per call, by
     ``Echelon.remainder`` with one common multiple of its pivot entries, so
     the remainder stays linear in the image.  Each weight group of idx
@@ -461,30 +467,31 @@ def _monos_up_to(idx: MonomialIndex, d: int) -> int:
 def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
     """Do span(first) and span(second) meet trivially and fill the slice?
 
-    first must be linearly independent.  The sum is one filtration with second
-    inserted first, so Grassmann's formula gives dim(meet) = len(first) +
+    first must be linearly independent.  One ``rank_profile`` of the sum, with
+    second counted first, gives Grassmann's formula dim(meet) = len(first) +
     rank(second) - rank(sum); only a nonzero meet runs ``intersect``, whose
     first two rows are genuine witnesses (both spans lie inside the true
     spaces), recorded with meet_note.  Each nonempty level d <= D - margin must
-    be filled; ``_fill_levels`` reads it off the whole-window filtration, as a
+    be filled; ``_fill_levels`` counts it off the whole-window pivots, as a
     degree-d element may decompose through higher-degree pieces.  Sets rep.status.
     """
     statuses = []
-    rows, (rank_second, rank_sum) = linalg.filtration_ranks(second, first)
+    pivots, (rank_second, rank_sum) = linalg.rank_profile(second, first)
     if len(first) + rank_second > rank_sum:
         statuses.append("fail")
         for wrow in linalg.intersect(first, second)[:2]:
             rep.witnesses.append(str(idx.poly(wrow)))
         rep.notes.append(meet_note)
-    statuses += _fill_levels(rep, idx, rows, level_dims)
+    statuses += _fill_levels(rep, idx, pivots, level_dims)
     rep.status = _combine(statuses) if statuses else "inconclusive-window"
 
 
-def _fill_levels(rep, idx, rows, level_dims) -> list[str]:
-    """Does span(rows) fill the slice on each nonempty level d <= D - margin?
+def _fill_levels(rep, idx, pivots, level_dims) -> list[str]:
+    """Does a span fill the slice on each nonempty level d <= D - margin?
 
-    rows are filtration rows; a level's part is the prefix below dimA, the
-    count of slice monomials of degree <= d.  Appends a dims entry per level,
+    pivots are the span's ``rank_profile`` pivots, ascending.  dimA counts
+    the slice monomials of degree <= d, and the span's part on level d has
+    one dimension per pivot below dimA.  Appends a dims entry per level,
     level_dims(dimA, filled) plus degree and status, and returns the statuses.
     """
     statuses = []
@@ -492,28 +499,34 @@ def _fill_levels(rep, idx, rows, level_dims) -> list[str]:
         dim_a = _monos_up_to(idx, d)
         if dim_a == 0:
             continue
-        filled = len(linalg.restrict_to_zone(rows, dim_a))
+        filled = bisect_left(pivots, dim_a)
         status = "pass" if filled == dim_a else "inconclusive-window"
         statuses.append(status)
         rep.dims.append({"d": d, **level_dims(dim_a, filled), "status": status})
     return statuses
 
 
+def _q_is_regular(cfg: RepConfig) -> bool:
+    """Does q = eta(1) hold a purely bosonic term: x_m1 x_2m1 (family A,
+    r < m1) or x_m^2 (odd m)?  Then q is no zero divisor, and eta f has the
+    degree of f plus 2 (eta keeps degree apart from multiplication by q)."""
+    return cfg.family == "A" and not (cfg.m_parity == "even" and cfg.r == cfg.m1)
+
+
 def eta_image(idx: MonomialIndex, power: int) -> list[dict[int, int]]:
     """eta^power of the harmonic space H(k - 2*power), exactly on the window
     idx, the slice (k, <= D), as filtration rows over idx.
 
-    Write eta as a degree-keeping part plus multiplication by q = eta(1),
-    which holds x_m1 x_2m1 (family A, r < m1) or x_m^2 (odd m).  So q is no
-    zero divisor, eta^p f has degree deg f + 2p, and the window part of
-    span(eta^p H(k - 2p)) is eta^p of H(k - 2p) on degree <= D - 2p (none
-    when D < 2p).  Each middle eta step runs over a halo of its own; the
-    last lands in idx with no halo, so a monomial outside idx raises
-    KeyError.  Where q is nilpotent (A', and even m with r = m1) eta can
-    lower the degree of a combination: a ValueError.
+    Write eta as a degree-keeping part plus multiplication by q = eta(1).
+    Where q is regular (``_q_is_regular``) eta^p f has degree deg f + 2p, and
+    the window part of span(eta^p H(k - 2p)) is eta^p of H(k - 2p) on degree
+    <= D - 2p (none when D < 2p).  Each middle eta step runs over a halo of
+    its own; the last lands in idx with no halo, so a monomial outside idx
+    raises KeyError.  Where q is nilpotent (A', and even m with r = m1) eta
+    can lower the degree of a combination: a ValueError.
     """
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
-    if cfg.family != "A" or (cfg.m_parity == "even" and cfg.r == cfg.m1):
+    if not _q_is_regular(cfg):
         raise ValueError(f"{cfg.describe()}: q = eta(1) is nilpotent, so eta^p H is not exact")
     if D < 2 * power:
         return []
@@ -534,14 +547,19 @@ def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
 
     An image is dropped, never truncated, when it is zero or when a halo
     index (a monomial of degree > D) survives cancellation, so the span lies
-    inside the true raised space.
+    inside the true raised space.  Where q = eta(1) is regular the image of
+    a monomial of degree > D - 2 has degree > D and is always dropped, so
+    the source stops at degree D - 2 (none when D < 2).
     """
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
+    top = D - 2 if _q_is_regular(cfg) else D
+    if top < 0:
+        return []
     atoms = _int_atoms(delta_eta(cfg)[1])
     n = len(idx)
     halo: dict = {}
     out = []
-    for m in slice_monomials(SliceKey(cfg, k - 2, D)):
+    for m in slice_monomials(SliceKey(cfg, k - 2, top)):
         image = act_on_terms(atoms, ((m, 1),), idx.index, halo, D)
         if image and max(image) < n:
             out.append(linalg.normalize(image))
@@ -564,15 +582,16 @@ def verify_direct_sum(
     D = max_degree
     rep = VerificationReport("direct-sum", cfg, k, D, margin, seed, "pass")
     idx = MonomialIndex(SliceKey(cfg, k, D))
-    # the kernel side is exact and the image side from below
-    h_vecs = _lowering_kernel(idx)
+    # the kernel side is exact and the image side from below; the forward
+    # kernel basis is independent, as _check_direct_sum needs
+    h_vecs = linalg.kernel_basis(_lowering_images(idx))
     img_vecs = eta_span_of_slice(idx)
-    h_rows = linalg.filtration(h_vecs)
+    h_pivots, _ = linalg.rank_profile(h_vecs)
     _check_direct_sum(
         rep, idx, h_vecs, img_vecs, "kernel meets the raised space",
         lambda dim_a, filled: {
             "dimA": dim_a,
-            "dimH": len(linalg.restrict_to_zone(h_rows, dim_a)),
+            "dimH": bisect_left(h_pivots, dim_a),
             "dimSum": filled,
         },
     )
@@ -642,7 +661,8 @@ def verify_composition_series(
       r = m1 >= 1:                 rejected (x_m1 is swapped);
       m1 = 0:                      rejected (no bosonic variable).
     For r > 0, k > 2c gives k_inner < 0, which swapped variables allow
-    (A(3,1,1) k2 builds eta^2 H(k=-2)).
+    (A(3,1,1) k2 builds eta^2 H(k=-2)).  For k > D the slice is empty, and
+    every branch reports each term empty: "inconclusive-window".
     Checks: membership of each term in the next one up, action stability,
     strictness on the window, and that every singular vector of each layer
     generates it (windowed sufficient criterion for layer irreducibility).
@@ -673,8 +693,11 @@ def verify_composition_series(
     idx = MonomialIndex(SliceKey(cfg, k, D))
     chain = [("eta^%d H(k=%d)" % (power, k_inner), eta_image(idx, power))]
     if 0 < r == m1 - 1:  # the last branch: H > <x_m1^k> > eta^j H' > 0
-        x_power = idx.vec(SuperPolynomial.x(cfg.signature, m1) ** k)
-        chain.insert(0, ("<x%d^%d>" % (m1, k), generate_submodule(idx, [x_power])))
+        x_rows = []
+        if k <= D:  # x_m1^k has degree k; for k > D the slice is empty
+            x_power = SuperPolynomial.x(cfg.signature, m1) ** k
+            x_rows = generate_submodule(idx, [idx.vec(x_power)])
+        chain.insert(0, ("<x%d^%d>" % (m1, k), x_rows))
 
     # each term once as a span (membership) and once as its filtration rows
     # on the verified window; a window row lies in the window part of a span
@@ -840,7 +863,7 @@ def verify_aprime_structure(
             seeds.append(SuperPolynomial.from_monomial(sig, m))
         statuses = []
         for s in seeds:
-            reached = linalg.filtration(generate_submodule(idx, [idx.vec(s)]))
+            reached, _ = linalg.rank_profile(generate_submodule(idx, [idx.vec(s)]))
             statuses += _fill_levels(
                 rep, idx, reached,
                 lambda dim_a, got: {"seed": str(s), "dim_reached": got, "dimA": dim_a},

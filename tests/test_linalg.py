@@ -10,10 +10,11 @@ from ospoly.linalg import (
     Echelon,
     _eliminate,
     filtration,
-    filtration_ranks,
     intersect,
     kernel,
+    kernel_basis,
     normalize,
+    rank_profile,
     restrict_to_zone,
     row_to_fractions,
     span,
@@ -161,6 +162,22 @@ def test_kernel_is_the_canonical_basis_of_the_dense_nullspace(images):
     assert kernel(images) == _canonical(_dense_kernel(images))
 
 
+@settings(max_examples=300, deadline=None)
+@given(dependent_lists())
+def test_forward_kernel_basis_is_independent_and_spans_the_kernel(images):
+    """kernel_basis is a basis of the kernel: as many combinations as its
+    span has dimensions, each annihilating, with kernel its canonical form."""
+    raw = kernel_basis(images)
+    assert span(raw).dim == len(raw)
+    assert span(raw).basis() == kernel(images)
+    for combo in raw:
+        acc = {}
+        for i, c in combo.items():
+            for k, v in images[i].items():
+                acc[k] = acc.get(k, 0) + c * v
+        assert not any(acc.values())
+
+
 def test_kernel_edge_cases():
     assert kernel([]) == []
     assert kernel([{}, {0: 0}]) == [{0: 1}, {1: 1}]
@@ -191,11 +208,11 @@ def test_intersect_edge_cases():
 
 
 def _meet_dim(first, second):
-    """Grassmann's formula on the ranks filtration_ranks reads: first is
+    """Grassmann's formula on the ranks rank_profile reads: first is
     independent, so dim(span first . span second) = len(first) + rank(second)
     - rank(second + first)."""
-    rows, (rank_second, rank_sum) = filtration_ranks(second, first)
-    assert rows == filtration(first + second)
+    pivots, (rank_second, rank_sum) = rank_profile(second, first)
+    assert pivots == [max(row) for row in filtration(first + second)]
     return len(first) + rank_second - rank_sum
 
 
@@ -221,12 +238,26 @@ def test_rank_count_edge_cases():
     assert _meet_dim([{0: 1, 1: 1}, {2: 1}], [{0: 1, 1: 1, 2: 2}, {0: 1}]) == 1
 
 
-def test_filtration_ranks_after_each_part():
+def test_rank_profile_after_each_part():
     parts = ([{0: 1}, {0: 2}], [], [{1: 1}, {0: 1, 1: 1}], [{2: 1}])
-    rows, ranks = filtration_ranks(*parts)
+    pivots, ranks = rank_profile(*parts)
     assert ranks == [1, 1, 2, 3]
-    assert rows == filtration([v for part in parts for v in part])
-    assert filtration_ranks() == ([], [])
+    assert pivots == [max(row) for row in filtration([v for part in parts for v in part])]
+    assert rank_profile() == ([], [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_lists(), st.data())
+def test_rank_profile_is_the_pivot_set_of_the_filtration(vectors, data):
+    """Forward elimination keeps the pivots of the reduced filtration, and
+    the rank after each part is that of the parts so far; the cuts make
+    empty parts too."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(vectors)), max_size=3)))
+    bounds = [0, *cuts, len(vectors)]
+    parts = [vectors[a:b] for a, b in zip(bounds, bounds[1:])]
+    pivots, ranks = rank_profile(*parts)
+    assert pivots == [max(row) for row in filtration(vectors)]
+    assert ranks == [len(filtration(vectors[:b])) for b in bounds[1:]]
 
 
 def test_kernel_vectors_annihilate():

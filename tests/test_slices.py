@@ -283,6 +283,55 @@ def test_eta_span_matches_the_polynomial_action(cfg, k, D):
     assert span(rows).basis() == span(want).basis()
 
 
+def unbounded_eta_span(idx):
+    """eta_span_of_slice with the source slice (k - 2) up to degree D, and
+    how many kept rows come from a source monomial of degree > D - 2."""
+    cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
+    atoms, halo = _int_atoms(delta_eta(cfg)[1]), {}
+    rows, late = [], 0
+    for m in slice_monomials(SliceKey(cfg, k - 2, D)):
+        image = act_on_terms(atoms, ((m, 1),), idx.index, halo, D)
+        if image and max(image) < len(idx):
+            rows.append(linalg.normalize(image))
+            late += m.total_degree > D - 2
+    return rows, late
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D, regular",
+    [
+        (config_a(2, 1, 1), 2, 5, True),
+        (config_a(1, 1, 1, "odd"), 1, 4, True),
+        (config_a(2, 2, 1), 2, 8, True),
+        (config_a(3, 1, 2), 2, 6, True),
+        (config_a(2, 1, 1), 2, 1, True),
+        (config_a(2, 2, 2), 2, 8, False),
+        (config_aprime(1, 2, {1, 2}), 1, 5, False),
+    ],
+    ids=["A211", "A111-odd", "A221", "A312", "A211-D1", "A222", "Aprime12-T12"],
+)
+def test_eta_span_source_stops_at_D_minus_2_where_q_is_regular(
+    monkeypatch, cfg, k, D, regular
+):
+    """Where q = eta(1) is regular an image from source degree > D - 2 never
+    lands in the window, so the bounded source gives the unbounded rows,
+    and none at all for D < 2; where q is nilpotent such images are kept,
+    and the source runs to D."""
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    want, late = unbounded_eta_span(idx)
+    tops = []
+    real = slices.slice_monomials
+    monkeypatch.setattr(
+        slices, "slice_monomials", lambda key: tops.append(key.max_degree) or real(key)
+    )
+    assert eta_span_of_slice(idx) == want
+    assert (late == 0) == regular
+    if regular and D < 2:
+        assert (tops, want) == ([], [])
+    else:
+        assert tops == [D - 2 if regular else D]
+
+
 # -- singular vectors ------------------------------------------------------
 
 
@@ -830,6 +879,19 @@ def test_index_of_a_key_is_its_slice(cfg, k, D):
     assert idx.index == {m: i for i, m in enumerate(idx.monomials)}
 
 
+def test_an_index_sorts_the_monomials_passed_in():
+    """Passed-in monomials, in any order, are put in canonical order; a
+    key's own slice comes from slice_monomials in that order already."""
+    key = SliceKey(config_a(2, 1, 1), 2, 6)
+    want = MonomialIndex(key)
+    monos = list(want.monomials)
+    rng = random.Random(3)
+    for _ in range(3):
+        rng.shuffle(monos)
+        idx = MonomialIndex(key, monos)
+        assert idx.monomials == want.monomials and idx.index == want.index
+
+
 def test_a_cell_index_lies_inside_its_keys_slice():
     cfg = config_aprime(1, 2, {1, 2})
     for s, t in [(0, 1), (1, 1), (-1, 2), (0, 2), (1, 2)]:
@@ -984,6 +1046,38 @@ def test_direct_sum_fully_swapped():
     assert rep.status == "pass", rep.dims
     rep = verify_direct_sum(A11_R1, 2, 7, margin=4)
     assert rep.status == "pass", rep.dims
+
+
+def test_direct_sum_eliminates_with_small_stored_rows(monkeypatch):
+    """Every row the forward kernel, the rank profile and the meet eliminate
+    against is content-free, so on A(3,2,2) k3 D10 (a Delta kernel on 3,984
+    monomials) no stored entry passes 8 bits (the largest has 6); without
+    dividing out the content after each step they reached 347,354 bits.
+    Bit sizes, unlike times, repeat exactly."""
+    bits = []
+    real = linalg._eliminate
+
+    def spy(vec, row, pivot):
+        bits.append(max(abs(c).bit_length() for c in row.values()))
+        return real(vec, row, pivot)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    rep = verify_direct_sum(config_a(3, 2, 2), 3, 10, 4)
+    assert rep.status == "fail" and bits
+    assert max(bits) <= 8
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D, margin",
+    [(config_a(2, 2, 2), 2, 8, 4), (config_a(2, 2, 1), 2, 12, 4)],
+    ids=["A222", "A221"],
+)
+def test_direct_sum_with_a_zero_meet_builds_no_echelon(monkeypatch, cfg, k, D, margin):
+    """A zero meet is found from pivot counts alone: the forward kernel and
+    the rank profile build no Echelon and cut no filtration."""
+    monkeypatch.setattr(linalg, "Echelon", None)
+    monkeypatch.setattr(linalg, "restrict_to_zone", None)
+    assert verify_direct_sum(cfg, k, D, margin).status != "fail"
 
 
 def test_series_window_case():
@@ -1321,6 +1415,31 @@ def test_series_dispatch_is_one_formula():
     assert set(inside) == {0, 1, 2}  # every branch is reached
 
 
+@pytest.mark.parametrize(
+    "cfg, k, D, terms",
+    [
+        (config_a(2, 2, 0), 2, 1, ["H", "eta^1 H(k=0)", "0"]),
+        (config_a(3, 1, 1), 2, 1, ["H", "eta^2 H(k=-2)", "0"]),
+        (config_a(2, 0, 1), 3, 2, ["H", "<x2^3>", "eta^3 H(k=-3)", "0"]),
+    ],
+    ids=["r0", "r-inner", "r-m1-minus-1"],
+)
+def test_series_above_the_window_reports_every_term_empty(cfg, k, D, terms):
+    """For k > D the slice is empty: every branch, the <x_m1^k> one too,
+    reports each inclusion as not strict, with no witness."""
+    rep = verify_composition_series(cfg, k, D, margin=0)
+    pairs = list(zip(terms, terms[1:]))
+    assert rep.status == "inconclusive-window" and not rep.witnesses
+    assert rep.dims == [
+        {"d": D, "term": f"{hi} > {lo}", "dim_outer": 0, "dim_inner": 0,
+         "status": "inconclusive-window"}
+        for hi, lo in pairs
+    ]
+    assert rep.notes == [f"inclusion {hi} > {lo} not strict on window" for hi, lo in pairs] + [
+        f"no singular vector found for layer {hi}/{lo}" for hi, lo in pairs
+    ]
+
+
 def test_series_fully_swapped_edge():
     cfg = config_a(2, 1, 1)  # r = m1-1 = 1: chain with the generated middle term
     rep = verify_composition_series(cfg, 2, 8, margin=4)
@@ -1362,6 +1481,9 @@ GOLDEN_OPTIONS = {"aprime_A12_k1_D6_m3_seed5": {"seed": 5, "num_seeds": 2}}
         # is inconclusive-window
         ("series_A312_k3_D8_m2", config_a(3, 1, 2), 3, 8, 2),
         ("series_A312_k6_D8_m2", config_a(3, 1, 2), 6, 8, 2),
+        # a fail on 19k monomials, frozen before the elimination kept rows
+        # content-free
+        ("direct_sum_A422_k2_D10_m4", config_a(4, 2, 2), 2, 10, 4),
     ],
 )
 def test_series_report_matches_golden(name, cfg, k, D, margin):
