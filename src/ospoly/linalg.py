@@ -117,16 +117,20 @@ class Echelon:
         """scale times the exact remainder of vec modulo the span.
 
         scale must be a multiple of the pivot entry of every stored row whose
-        pivot vec hits; it defaults to their lcm.  No stored row holds
-        another's pivot, so one pass clears every hit pivot q: subtract
-        vec[q] * (scale / row_q[q]) * row_q from scale * vec.  For a fixed
-        scale the result is linear in vec.
+        pivot vec hits; it defaults to their lcm, 1 when every such entry is
+        1.  No stored row holds another's pivot, so one pass clears every hit
+        pivot q: subtract vec[q] * (scale / row_q[q]) * row_q from
+        scale * vec.  For a fixed scale the result is linear in vec.  Zero
+        entries of vec are allowed and dropped.
         """
         rows = self.rows
-        hits = [j for j, c in vec.items() if c and j in rows]
+        if 0 in vec.values():
+            vec = {j: c for j, c in vec.items() if c}
+        hits = [j for j in vec if j in rows]
         if scale is None:
-            scale = lcm(*[rows[q][q] for q in hits])
-        out = {j: c * scale for j, c in vec.items() if c}
+            leads = [rows[q][q] for q in hits]
+            scale = lcm(*leads) if leads.count(1) < len(leads) else 1
+        out = dict(vec) if scale == 1 else {j: c * scale for j, c in vec.items()}
         for q in hits:
             row = rows[q]
             f = vec[q] * (scale // row[q])
@@ -139,7 +143,7 @@ class Echelon:
         return out
 
     def contains(self, vec: Vec) -> bool:
-        return not self.reduce(vec)
+        return not self.remainder(vec)
 
     # No src caller; kept only while bench/tracer.py LAYERS names it (ROADMAP item 5).
     def reduce_fraction(self, vec) -> dict[int, Fraction]:

@@ -51,12 +51,18 @@ from .osp import (
     weight_code,
 )
 from .superpoly import (
+    CodeLayout,
     SuperMonomial,
     SuperOperator,
     SuperPolynomial,
     act_on_terms,
+    compile_atoms,
     theta_word,
 )
+
+# Every atom of an osp element, of the lowering and of the raising operator
+# is a chain of two actions, so an image lies at most 2 degrees past its source.
+_CHAIN = 2
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,11 @@ class MonomialIndex:
     canonical order already.  A bigraded cell passes its own monomials, in
     any order, with a key whose slice holds them; they are sorted.  The
     helpers that work on a window take the index alone and read ``key`` and
-    ``cfg`` from it; it keeps what they build once per window: weight codes
-    and element atoms.
+    ``cfg`` from it; it keeps what they build once per window: the packed
+    code of each monomial in ``layout`` (bound D + 2, as every atom is a
+    chain of two actions), the code -> position map ``position``, the total
+    degrees, weight codes, and the compiled programs of the elements and of
+    the lowering and raising operators.
     """
 
     def __init__(self, key: SliceKey, monomials=None):
@@ -91,8 +100,12 @@ class MonomialIndex:
         else:
             self.monomials = sorted(monomials, key=lambda m: m.sort_key())
         self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.layout = CodeLayout(self.cfg.signature, key.max_degree + _CHAIN)
+        self.codes = [self.layout.pack(m) for m in self.monomials]
+        self.position = {code: i for i, code in enumerate(self.codes)}
+        self.degrees = [m.total_degree for m in self.monomials]
         self._weights = None
-        self._atoms: dict = {}
+        self._programs: dict = {}
 
     def __len__(self):
         return len(self.monomials)
@@ -121,14 +134,25 @@ class MonomialIndex:
             self._weights = ([codes[w] for w in weights], base)
         return self._weights
 
-    def element_atoms(self, part: str) -> tuple:
-        """(element, ``_int_atoms`` of its operator) for each element of
-        ``osp_basis(cfg, part)``, in that order.  Built once per part."""
-        if part not in self._atoms:
-            self._atoms[part] = tuple(
-                (e, _int_atoms(rep_element(self.cfg, e))) for e in osp_basis(self.cfg, part)
+    def element_programs(self, part: str) -> tuple:
+        """(element, its operator's ``_int_atoms`` compiled for ``layout``)
+        for each element of ``osp_basis(cfg, part)``, in that order.  Built
+        once per part."""
+        if part not in self._programs:
+            self._programs[part] = tuple(
+                (e, self._compile(rep_element(self.cfg, e))) for e in osp_basis(self.cfg, part)
             )
-        return self._atoms[part]
+        return self._programs[part]
+
+    def delta_eta_programs(self) -> tuple:
+        """The lowering and raising operators of ``delta_eta`` compiled for
+        ``layout``.  Built once."""
+        if "delta_eta" not in self._programs:
+            self._programs["delta_eta"] = tuple(map(self._compile, delta_eta(self.cfg)))
+        return self._programs["delta_eta"]
+
+    def _compile(self, op: SuperOperator):
+        return compile_atoms(_int_atoms(op), self.layout)
 
     def vec(self, poly: SuperPolynomial) -> dict[int, int]:
         """Content-free integer row of poly; a monomial outside the index
@@ -262,13 +286,13 @@ def _exponents_with_sum(nvars, total):
 def _lowering_images(idx: MonomialIndex) -> list[dict[int, int]]:
     """The lowering operator's image of each of idx's monomials, in order.
 
-    The operator becomes integer atoms once.  Each image is an integer row
-    whose coordinates number the image monomials on first sight; the
-    numbering does not change the kernel of e_i -> image i.
+    The operator's program is compiled once per window.  Each image is an
+    integer row whose coordinates number the image monomials on first sight;
+    the numbering does not change the kernel of e_i -> image i.
     """
-    atoms = _int_atoms(delta_eta(idx.cfg)[0])
+    program = idx.delta_eta_programs()[0]
     seen: dict = {}
-    return [act_on_terms(atoms, ((m, 1),), {}, seen, -1) for m in idx.monomials]
+    return [act_on_terms(program, ((code, 1),), {}, seen, -1) for code in idx.codes]
 
 
 def _lowering_kernel(idx: MonomialIndex) -> list[dict[int, int]]:
@@ -324,14 +348,14 @@ def singular_vectors(
     hi's echelon rows outside lo: those rows are weight vectors, so a weight
     whose rows all lie in lo holds no vector of hi outside lo.
     """
-    cfg, D = idx.cfg, idx.key.max_degree
+    D, codes = idx.key.max_degree, idx.codes
     halo: dict = {}
-    # (atoms, index, halo, D); images of the first num_mod operators are
+    # (program, index, halo, D); images of the first num_mod operators are
     # taken modulo the span, the lowering operator must annihilate outright
-    ops = [(atoms, idx.index, halo, D) for _, atoms in idx.element_atoms(part)]
+    ops = [(program, idx.position, halo, D) for _, program in idx.element_programs(part)]
     num_mod = len(ops) if modulo else 0
     if within == "H":
-        ops.append((_int_atoms(delta_eta(cfg)[0]), {}, {}, -1))
+        ops.append((idx.delta_eta_programs()[0], {}, {}, -1))
     elif within != "A":
         raise ValueError("within must be 'H' or 'A'")
 
@@ -349,9 +373,9 @@ def singular_vectors(
         cols = groups[w]
         rows: dict = {}
         stacked: list[dict[int, int]] = [{} for _ in cols]
-        for oi, (atoms, index, op_halo, top) in enumerate(ops):
+        for oi, (program, index, op_halo, top) in enumerate(ops):
             for col, i in zip(stacked, cols):
-                image = act_on_terms(atoms, ((idx.monomials[i], 1),), index, op_halo, top)
+                image = act_on_terms(program, ((codes[i], 1),), index, op_halo, top)
                 if oi < num_mod:
                     image = mod_ech.remainder(image, pivots_lcm)
                 for j, c in image.items():
@@ -384,12 +408,17 @@ def generate_submodule(
 
     gens and the returned canonical echelon basis are integer rows over idx.
     The queue starts as the canonical basis of span(gens), so the result does
-    not depend on the order of gens.  Each osp operator becomes integer atoms
-    once (``idx.element_atoms``), each accepted row is queued as
-    ``Echelon.insert`` returns it, and a popped row's terms are built once
-    for all its images, which ``act_on_terms`` builds over idx and a halo.
-    An image is skipped exactly when a coefficient on a monomial of degree
-    > D (its halo) is nonzero after cancellation.
+    not depend on the order of gens.  Each osp operator is compiled once per
+    window (``idx.element_programs``), and a popped row's (code, coefficient)
+    terms are built once for all its images, which ``act_on_terms`` builds
+    over idx and a halo.  An image is skipped exactly when a coefficient on a
+    monomial of degree > D (its halo) is nonzero after cancellation.
+
+    Most in-window images already lie in the span.  Each goes through one
+    ``Echelon.remainder`` call, with no normalization; an image whose
+    remainder is zero is rejected there, and only a nonzero remainder
+    reaches ``Echelon.insert``, which stores it as a new row and queues it
+    as it returns it.
 
     The queue is last-in first-out, and that order is part of the result:
     whether an image leaves the window depends on which representative of a
@@ -418,40 +447,42 @@ def generate_submodule(
     if not gens:
         raise ValueError("empty generator list")
     cfg, D = idx.cfg, idx.key.max_degree
-    n, monos = len(idx), idx.monomials
-    codes, base = idx.weight_codes()
-    if all(len({codes[i] for i in g}) <= 1 for g in gens):
+    n, position, codes = len(idx), idx.position, idx.codes
+    weights, base = idx.weight_codes()
+    if all(len({weights[i] for i in g}) <= 1 for g in gens):
         ops = [
-            (atoms, weight_code(element_root(cfg, e), base))
-            for e, atoms in idx.element_atoms("roots")
+            (program, weight_code(element_root(cfg, e), base))
+            for e, program in idx.element_programs("roots")
         ]
     else:
-        codes = [0] * n
-        ops = [(atoms, 0) for _, atoms in idx.element_atoms("all")]
-    room = Counter(codes)
+        weights = [0] * n
+        ops = [(program, 0) for _, program in idx.element_programs("all")]
+    room = Counter(weights)
     halo: dict = {}
     ech = linalg.span(gens)
     queue = ech.basis()
     for row in queue:
-        room[codes[min(row)]] -= 1
+        room[weights[min(row)]] -= 1
     stop = on_row is not None and any(map(on_row, queue))
     while queue and not stop:
         v = queue.pop()
-        w = codes[min(v)]
-        terms = [(monos[i], c) for i, c in v.items()]
-        for atoms, step in ops:
+        w = weights[min(v)]
+        terms = [(codes[i], c) for i, c in v.items()]
+        for program, step in ops:
             u = w + step
             if not room.get(u):  # a weight outside the slice has no entry
                 continue
-            image = act_on_terms(atoms, terms, idx.index, halo, D)
+            image = act_on_terms(program, terms, position, halo, D)
             if not image or max(image) >= n:
                 continue
-            row = ech.insert(image)
-            if row is not None:
-                room[u] -= 1
-                queue.append(row)
-                if on_row is not None and (stop := on_row(row)):
-                    break
+            rest = ech.remainder(image)
+            if not rest:
+                continue
+            row = ech.insert(rest)
+            room[u] -= 1
+            queue.append(row)
+            if on_row is not None and (stop := on_row(row)):
+                break
     return ech.basis()
 
 
@@ -461,7 +492,7 @@ def generate_submodule(
 
 def _monos_up_to(idx: MonomialIndex, d: int) -> int:
     """Slice monomials of total degree <= d (the index sorts by degree first)."""
-    return bisect_right(idx.monomials, d, key=lambda m: m.total_degree)
+    return bisect_right(idx.degrees, d)
 
 
 def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
@@ -531,13 +562,14 @@ def eta_image(idx: MonomialIndex, power: int) -> list[dict[int, int]]:
     if D < 2 * power:
         return []
     src = MonomialIndex(SliceKey(cfg, k - 2 * power, D - 2 * power))
-    atoms = _int_atoms(delta_eta(cfg)[1])
-    rows, monos = _lowering_kernel(src), src.monomials
+    program = idx.delta_eta_programs()[1]
+    # src packs in a layout of its own; the steps run in idx's
+    rows, codes = _lowering_kernel(src), list(map(idx.layout.pack, src.monomials))
     for step in range(1, power + 1):
-        index, top, halo = (idx.index, inf, {}) if step == power else ({}, -1, {})
-        terms = (zip(map(monos.__getitem__, row), row.values()) for row in rows)
-        rows = [act_on_terms(atoms, t, index, halo, top) for t in terms]
-        monos = list(halo)
+        index, top, halo = (idx.position, inf, {}) if step == power else ({}, -1, {})
+        terms = (zip(map(codes.__getitem__, row), row.values()) for row in rows)
+        rows = [act_on_terms(program, t, index, halo, top) for t in terms]
+        codes = list(halo)
     return linalg.filtration(rows)
 
 
@@ -555,12 +587,12 @@ def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
     top = D - 2 if _q_is_regular(cfg) else D
     if top < 0:
         return []
-    atoms = _int_atoms(delta_eta(cfg)[1])
+    program, pack = idx.delta_eta_programs()[1], idx.layout.pack
     n = len(idx)
     halo: dict = {}
     out = []
     for m in slice_monomials(SliceKey(cfg, k - 2, top)):
-        image = act_on_terms(atoms, ((m, 1),), idx.index, halo, D)
+        image = act_on_terms(program, ((pack(m), 1),), idx.position, halo, D)
         if image and max(image) < n:
             out.append(linalg.normalize(image))
     return out
@@ -604,13 +636,13 @@ def _stable_under_action(rows, ech, idx) -> tuple | None:
     """The first (element, position in rows) whose exact image leaves the
     span ech of rows while staying in the window, or None when the span is
     action-stable on the window."""
-    n, monos, D = len(idx), idx.monomials, idx.key.max_degree
+    n, codes, D = len(idx), idx.codes, idx.key.max_degree
     halo: dict = {}
-    terms = [[(monos[j], c) for j, c in row.items()] for row in rows]
+    terms = [[(codes[j], c) for j, c in row.items()] for row in rows]
     # a Cartan element keeps every weight space, so it never leaks
-    for e, atoms in idx.element_atoms("roots"):
+    for e, program in idx.element_programs("roots"):
         for i, row_terms in enumerate(terms):
-            image = act_on_terms(atoms, row_terms, idx.index, halo, D)
+            image = act_on_terms(program, row_terms, idx.position, halo, D)
             if image and max(image) < n and not ech.contains(image):
                 return e, i
     return None
@@ -646,7 +678,7 @@ def _generates_layer(seed_row, top_rows, bottom_rows, idx):
     if lhs.dim == full.dim:
         return True, -1
     missed = next(r for r in top_rows if not lhs.contains(r))
-    return False, idx.monomials[max(missed)].total_degree
+    return False, idx.degrees[max(missed)]
 
 
 def verify_composition_series(

@@ -26,8 +26,24 @@ Every atomic action (multiply by or differentiate by one variable) sends a
 monomial to an integer multiple of a single monomial, or to 0, so a chain
 acts on one monomial at a time with an integer factor.  ``act_on_terms`` is
 the one kernel that applies chains: it sums the images of a sum of terms
-as a sparse row over a caller's monomial index, and is the one home of the
-sign rule.  ``apply_operator`` and ``derive`` call it with an empty index.
+as a sparse row over a caller's monomial index.  ``apply_operator`` and
+``derive`` call it with an empty index.
+
+The kernel works on packed monomial codes.  A ``CodeLayout`` for a degree
+bound B packs a monomial of total degree <= B into one int: the fermionic
+mask in the low nf bits, then one field of B.bit_length() bits per bosonic
+exponent (x_1 lowest), and the total degree in the top bits.
+``compile_atoms`` turns integer atoms into an ``ActionProgram`` for one
+layout: per atom, the derivative reads (field shift and the exponent change
+of the actions before them in the chain), one mask test for the fermionic
+factors the chain needs present or absent, one sign mask, and one net code
+delta, which carries the atom's degree shift into the degree field.  The
+sign rule lives in ``compile_atoms``: t_q enters or leaves past the
+fermionic factors below it, so each fermionic action contributes the
+parity of the mask bits below q at that point, and the XOR of those masks
+gives the whole chain's sign as one parity of the source mask.  A program
+refuses (``ValueError``) a source whose degree plus the largest shift of
+its atoms would pass B, so no field ever wraps.
 
 Both choices are validated downstream by demanding that the matrix-unit
 realizations actually define representations and that the quadratic
@@ -44,6 +60,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from math import inf
 from typing import Iterable, NamedTuple
 
 
@@ -252,57 +270,154 @@ def derive(p: SuperPolynomial, var: tuple[str, int]) -> SuperPolynomial:
     return _act(((1, chain),), p)
 
 
-def act_on_terms(atoms, terms, index: dict, halo: dict, D: int) -> dict:
-    """Image of sum(c * mono for mono, c in terms) under the atoms, a sum of
-    a * chain for a, chain in atoms, as a sparse row {position: coefficient}.
+class CodeLayout:
+    """Packing of the monomials of total degree <= bound into one int each.
 
-    Each chain acts rightmost action first.  Every atomic action sends a
-    monomial to +-e times a single monomial (e a bosonic exponent) or to 0,
-    so each (term, atom) pair adds a multiple of one monomial.  This is the
-    one home of the sign rule: t_q enters or leaves past the fermionic
-    factors below it.
-
-    An image monomial in index gets its position there; index is looked up
-    by the plain (bos, mask) tuple, which hashes and compares equal to a
-    SuperMonomial key.  Any other image monomial of degree > D gets a
-    position >= len(index), numbered in halo (SuperMonomial keys) on first
-    sight; one of degree <= D raises KeyError.  With an empty index and
-    D = -1 every image monomial is numbered in halo.  Coefficients may be
-    ints or Fractions; no zero entry is kept.
+    Bit layout, from the lowest bit: the fermionic mask (num_fermionic bits),
+    one field of ``width`` = bound.bit_length() bits per bosonic exponent,
+    x_1 lowest, then the total degree, which is not bounded by the layout.
     """
+
+    __slots__ = ("num_bosonic", "num_fermionic", "bound", "width", "field_mask", "degree_shift")
+
+    def __init__(self, sig: VariableSignature, bound: int):
+        self.num_bosonic, self.num_fermionic = sig
+        self.bound = bound
+        self.width = bound.bit_length()
+        self.field_mask = (1 << self.width) - 1
+        self.degree_shift = self.num_fermionic + self.num_bosonic * self.width
+
+    def pack(self, mono: SuperMonomial) -> int:
+        """The code of mono; a ValueError past the bound or the signature."""
+        bos, mask = mono
+        degree = sum(bos) + mask.bit_count()
+        if degree > self.bound:
+            raise ValueError(f"monomial {mono} past the code layout's degree bound {self.bound}")
+        if len(bos) != self.num_bosonic or mask >> self.num_fermionic:
+            raise ValueError(f"monomial {mono} outside the code layout's signature")
+        code = degree
+        for e in reversed(bos):
+            code = code << self.width | e
+        return code << self.num_fermionic | mask
+
+    def unpack(self, code: int) -> SuperMonomial:
+        mask = code & ((1 << self.num_fermionic) - 1)
+        code >>= self.num_fermionic
+        bos = []
+        for _ in range(self.num_bosonic):
+            bos.append(code & self.field_mask)
+            code >>= self.width
+        return SuperMonomial(tuple(bos), mask)
+
+
+class ActionProgram(NamedTuple):
+    """Integer atoms compiled for one ``CodeLayout`` (``compile_atoms``).
+
+    ops holds one (coefficient, check mask, check value, sign mask, reads,
+    delta) per atom that is not identically zero; a source code at or above
+    limit would let an image pass the layout's bound.
+    """
+
+    layout: CodeLayout
+    ops: tuple
+    limit: int
+
+
+def compile_atoms(atoms, layout: CodeLayout) -> ActionProgram:
+    """Compile a * chain for a, chain in atoms (a an int or a Fraction).
+
+    The chain is walked rightmost action first, tracking the exponent change
+    per bosonic variable and the mask bits toggled so far.  A derivative by
+    x_i becomes a read (shift of field i, change so far): its factor is the
+    source exponent plus that change, and 0 kills the atom.  A fermionic
+    action on t_q needs t_q absent (multiply) or present (left derivative)
+    at that point, which fixes bit q of the source mask: the check mask and
+    value collect those bits, and an atom that needs one bit both ways is
+    dropped.  The sign rule: the action's sign is the parity of the mask
+    bits below q at that point, i.e. of (source mask ^ toggled) & (bit - 1),
+    so the chain's sign is the parity of source mask & (XOR of the
+    bit - 1 masks), times a constant folded into the coefficient.
+    """
+    nf, width = layout.num_fermionic, layout.width
+    ops, rise = [], 0
+    for a, chain in atoms:
+        change = [0] * layout.num_bosonic
+        toggled = check_mask = check_value = sign_mask = flip = 0
+        reads = []
+        for kind, i in reversed(chain):
+            if kind == MUL_X:
+                change[i] += 1
+            elif kind == DER_X:
+                reads.append((nf + i * width, change[i]))
+                change[i] -= 1
+            else:
+                bit = 1 << i
+                need = (bit if kind == DER_T else 0) ^ (toggled & bit)
+                if check_mask & bit and check_value & bit != need:
+                    break
+                check_mask, check_value = check_mask | bit, check_value | need
+                sign_mask ^= bit - 1
+                flip ^= (toggled & (bit - 1)).bit_count() & 1
+                toggled ^= bit
+        else:
+            gained, lost = toggled & ~check_value, toggled & check_value
+            shift = sum(change) + gained.bit_count() - lost.bit_count()
+            delta = gained - lost + (shift << layout.degree_shift)
+            delta += sum(c << (nf + v * width) for v, c in enumerate(change))
+            ops.append((-a if flip else a, check_mask, check_value, sign_mask, tuple(reads), delta))
+            rise = max(rise, shift)
+    limit = max(0, layout.bound - rise + 1) << layout.degree_shift
+    return ActionProgram(layout, tuple(ops), limit)
+
+
+def act_on_terms(program: ActionProgram, terms, index: dict, halo: dict, D) -> dict:
+    """Image of sum(c * code for code, c in terms) under the program, as a
+    sparse row {position: coefficient}; terms are (code, coefficient) pairs
+    in the program's layout.
+
+    Each (term, op) pair adds a multiple of one image code: the op's check
+    must match the source mask, its sign is the parity of the masked source
+    bits, each read multiplies by an exponent (0 kills the term), and the
+    image is the source code plus the op's delta.  A source at or above the
+    program's limit raises ValueError before any field can wrap.
+
+    An image code in index gets its position there.  Any other image of
+    degree > D gets a position >= len(index), numbered in halo (keyed by
+    code) on first sight; one of degree <= D raises KeyError.  The degree
+    sits in the code's top bits, so the test is one comparison.  With an
+    empty index and D = -1 every image is numbered in halo; with D = inf
+    none is.  Coefficients may be ints or Fractions; no zero entry is kept.
+    """
+    layout, ops, limit = program
+    fmask = layout.field_mask
+    top = inf if D == inf else (D + 1) << layout.degree_shift
     base = len(index)
     at_index, at_halo = index.get, halo.get
     out: dict = {}
-    for (bos0, mask0), c in terms:
-        for a, chain in atoms:
-            bos, mask, f = list(bos0), mask0, a
-            for kind, i in reversed(chain):
-                if kind == MUL_X:
-                    bos[i] += 1
-                elif kind == DER_X:
-                    e = bos[i]
-                    if not e:
-                        break
-                    f *= e
-                    bos[i] = e - 1
-                else:
-                    bit = 1 << i
-                    # MUL_T needs t_q absent, DER_T (a left derivative) present
-                    if bool(mask & bit) != (kind == DER_T):
-                        break
-                    if (mask & (bit - 1)).bit_count() & 1:
-                        f = -f
-                    mask ^= bit
+    for code, c in terms:
+        if code >= limit:
+            raise ValueError(
+                f"monomial {layout.unpack(code)} too close to the code layout's "
+                f"degree bound {layout.bound} for this program"
+            )
+        for a, check_mask, check_value, sign_mask, reads, delta in ops:
+            if code & check_mask != check_value:
+                continue
+            f = -a if (code & sign_mask).bit_count() & 1 else a
+            for shift, change in reads:
+                e = (code >> shift & fmask) + change
+                if not e:
+                    break
+                f *= e
             else:
-                key = (tuple(bos), mask)
-                j = at_index(key)
+                image = code + delta
+                j = at_index(image)
                 if j is None:
-                    j = at_halo(key)
+                    j = at_halo(image)
                     if j is None:
-                        m = SuperMonomial(*key)
-                        if m.total_degree <= D:
-                            raise KeyError(f"monomial {m} outside the slice")
-                        j = halo[m] = base + len(halo)
+                        if image < top:
+                            raise KeyError(f"monomial {layout.unpack(image)} outside the slice")
+                        j = halo[image] = base + len(halo)
                 s = out.get(j, 0) + c * f
                 if s:
                     out[j] = s
@@ -311,11 +426,26 @@ def act_on_terms(atoms, terms, index: dict, halo: dict, D: int) -> dict:
     return out
 
 
-def _act(atoms, p: SuperPolynomial) -> SuperPolynomial:
-    """The atoms applied to p, through ``act_on_terms`` with an empty index."""
-    halo: dict = {}
-    image = act_on_terms(atoms, p.terms.items(), {}, halo, -1)
-    return SuperPolynomial(p.sig, {m: image[j] for m, j in halo.items() if j in image})
+@lru_cache(maxsize=1024)
+def _program(atoms: tuple, sig: VariableSignature, degree: int) -> ActionProgram:
+    """atoms compiled for sources of degree <= degree: the layout's bound
+    adds the longest chain."""
+    reach = max((len(chain) for _, chain in atoms), default=0)
+    return compile_atoms(atoms, CodeLayout(sig, degree + reach))
+
+
+def _act(atoms: tuple, p: SuperPolynomial) -> SuperPolynomial:
+    """The atoms applied to p, through ``act_on_terms`` with an empty index;
+    the program is compiled once per (atoms, signature, degree of p)."""
+    if not p.terms:
+        return SuperPolynomial(p.sig)
+    program = _program(atoms, p.sig, p.max_degree())
+    layout, halo = program.layout, {}
+    terms = [(layout.pack(m), c) for m, c in p.terms.items()]
+    image = act_on_terms(program, terms, {}, halo, -1)
+    return SuperPolynomial(
+        p.sig, {layout.unpack(code): image[j] for code, j in halo.items() if j in image}
+    )
 
 
 class SuperOperator:
@@ -392,7 +522,7 @@ def apply_operator(op: SuperOperator, p: SuperPolynomial) -> SuperPolynomial:
     if op.sig != p.sig:
         raise ValueError(f"signature mismatch: {op.sig} vs {p.sig}")
     # integral coefficients as ints: one Fraction product per term, not several
-    atoms = [(a.numerator if a.denominator == 1 else a, chain) for a, chain in op.atoms]
+    atoms = tuple((a.numerator if a.denominator == 1 else a, chain) for a, chain in op.atoms)
     return _act(atoms, p)
 
 

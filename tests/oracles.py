@@ -236,3 +236,55 @@ def scan_insert(rows, vec):
             rows[q] = normalize(eliminate(row, vec, p))
     rows[p] = vec
     return vec
+
+
+def reference_act_on_terms(atoms, terms, index, halo, D):
+    """The tuple-based action kernel the packed one replaced, kept as its
+    reference: terms are (SuperMonomial, coefficient) pairs, atoms are
+    (integer coefficient, chain) pairs, and index and halo are keyed by
+    monomials.  Same contract as ``superpoly.act_on_terms`` otherwise: the
+    image as {position: coefficient}, an image monomial outside index of
+    degree > D numbered in halo on first sight, one of degree <= D a
+    KeyError.
+    """
+    from ospoly.superpoly import DER_T, DER_X, MUL_X, SuperMonomial
+
+    base = len(index)
+    at_index, at_halo = index.get, halo.get
+    out = {}
+    for (bos0, mask0), c in terms:
+        for a, chain in atoms:
+            bos, mask, f = list(bos0), mask0, a
+            for kind, i in reversed(chain):
+                if kind == MUL_X:
+                    bos[i] += 1
+                elif kind == DER_X:
+                    e = bos[i]
+                    if not e:
+                        break
+                    f *= e
+                    bos[i] = e - 1
+                else:
+                    bit = 1 << i
+                    # MUL_T needs t_q absent, DER_T (a left derivative) present
+                    if bool(mask & bit) != (kind == DER_T):
+                        break
+                    if (mask & (bit - 1)).bit_count() & 1:
+                        f = -f
+                    mask ^= bit
+            else:
+                key = (tuple(bos), mask)
+                j = at_index(key)
+                if j is None:
+                    j = at_halo(key)
+                    if j is None:
+                        m = SuperMonomial(*key)
+                        if m.total_degree <= D:
+                            raise KeyError(f"monomial {m} outside the slice")
+                        j = halo[m] = base + len(halo)
+                s = out.get(j, 0) + c * f
+                if s:
+                    out[j] = s
+                else:
+                    del out[j]
+    return out

@@ -2,6 +2,9 @@
 
 import random
 from fractions import Fraction
+from math import lcm
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +97,49 @@ def test_one_pass_reduce_matches_sequential_elimination(vecs, combo, noise):
         want = _eliminate(want, ech.rows[p], p)
     assert ech.reduce(vec) == normalize(want)
     assert ech.contains(vec) == (not want)
+
+
+REMAINDER_SPANS = {
+    # pivot entries 2, 3 and 1: the lcm path
+    "non-unit": [{0: 2, 3: 1, 5: -1}, {1: 3, 3: 2}, {2: 1, 4: 1, 5: 2}],
+    # every pivot entry 1: the copy path
+    "unit": [{0: 1, 3: 2, 5: -1}, {1: 1, 4: -3}, {2: 1, 3: 1, 4: 1}],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REMAINDER_SPANS))
+@pytest.mark.parametrize("zeros", [False, True], ids=["no-zeros", "zeros"])
+@pytest.mark.parametrize("extra", [None, 1, 6], ids=["lcm", "scale1", "scale6"])
+def test_remainder_insert_and_contains_agree_with_fractions(kind, zeros, extra):
+    """remainder(vec, scale) is scale times the exact remainder that
+    reduce_fraction gives, with scale the lcm of the hit pivot entries by
+    default or a given multiple of every pivot entry, as singular_vectors
+    passes it; contains reads zero off it and insert stores its normalized
+    form.  Vectors mix stored rows with noise and may hold explicit zeros."""
+    ech = span(REMAINDER_SPANS[kind])
+    leads = [row[q] for q, row in ech.rows.items()]
+    assert (set(leads) == {1}) == (kind == "unit")
+    rng = random.Random(5)
+    rows = ech.basis()
+    for _ in range(60):
+        vec = {k: rng.randint(-2, 2) for k in rng.sample(range(7), rng.randint(0, 3))}
+        for row in rows:
+            c = rng.randint(-2, 2)
+            for k, v in row.items():
+                vec[k] = vec.get(k, 0) + c * v
+        if zeros:
+            vec.update({k: 0 for k in rng.sample(range(7), 2) if k not in vec})
+        else:
+            vec = {k: v for k, v in vec.items() if v}
+        exact = ech.reduce_fraction(vec)
+        hits = [ech.rows[q][q] for q in vec if vec[q] and q in ech.rows]
+        scale = lcm(*hits) if extra is None else extra * lcm(*leads)
+        got = ech.remainder(vec, None if extra is None else scale)
+        assert got == {k: v * scale for k, v in exact.items()}
+        assert all(type(v) is int for v in got.values()) and 0 not in got.values()
+        assert ech.contains(vec) == (not exact)
+        fresh = span(REMAINDER_SPANS[kind])
+        assert fresh.insert(vec) == (vec_from_fractions(exact) if exact else None)
 
 
 def test_reduced_echelon_is_canonical_under_shuffle():

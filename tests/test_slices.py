@@ -60,9 +60,16 @@ from ospoly.superpoly import (
     SuperPolynomial,
     act_on_terms,
     apply_operator,
+    compile_atoms,
     theta_word,
 )
-from oracles import dense_nullspace, enumerate_slice, naive_apply, reference_closure
+from oracles import (
+    dense_nullspace,
+    enumerate_slice,
+    naive_apply,
+    reference_act_on_terms,
+    reference_closure,
+)
 
 A11_R0 = config_a(1, 1, 0)
 A11_R1 = config_a(1, 1, 1)
@@ -287,10 +294,10 @@ def unbounded_eta_span(idx):
     """eta_span_of_slice with the source slice (k - 2) up to degree D, and
     how many kept rows come from a source monomial of degree > D - 2."""
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
-    atoms, halo = _int_atoms(delta_eta(cfg)[1]), {}
+    program, halo = idx.delta_eta_programs()[1], {}
     rows, late = [], 0
     for m in slice_monomials(SliceKey(cfg, k - 2, D)):
-        image = act_on_terms(atoms, ((m, 1),), idx.index, halo, D)
+        image = act_on_terms(program, ((idx.layout.pack(m), 1),), idx.position, halo, D)
         if image and max(image) < len(idx):
             rows.append(linalg.normalize(image))
             late += m.total_degree > D - 2
@@ -704,22 +711,21 @@ def test_int_image_matches_the_polynomial_action(cfg, k, D):
     for top in (D, D + 1):
         idx = MonomialIndex(SliceKey(cfg, k, top))
         halo = {}
-        for e in osp_basis(cfg, "all"):
+        for e, program in idx.element_programs("all"):
             op = rep_element(cfg, e)
-            atoms = _int_atoms(op)
-            scale = atoms[0][0] / op.atoms[0][0]
-            for i, m in enumerate(idx.monomials):
-                image = act_on_terms(atoms, ((m, 1),), idx.index, halo, top)
+            scale = _int_atoms(op)[0][0] / op.atoms[0][0]
+            for code, m in zip(idx.codes, idx.monomials):
+                image = act_on_terms(program, ((code, 1),), idx.position, halo, top)
                 p = SuperPolynomial.from_monomial(sig, m)
                 want = naive_apply(op, p)
                 assert apply_operator(op, p) == want, (e, m)
-                monos = idx.monomials + list(halo)
+                monos = idx.monomials + list(map(idx.layout.unpack, halo))
                 assert {monos[j]: c for j, c in image.items()} == {
                     mono: c * scale for mono, c in want.terms.items()
                 }, (e, m)
                 leaves = bool(image) and max(image) >= len(idx)
                 assert leaves == (want.max_degree() > top), (e, m)
-        past.update(mono.total_degree - top for mono in halo)
+        past.update(idx.layout.unpack(code).total_degree - top for code in halo)
     assert past == {1, 2}
 
 
@@ -728,6 +734,67 @@ def test_int_atoms_clear_denominators_by_their_lcm():
     up, down = ((MUL_X, 0), (MUL_X, 1)), ((DER_T, 0), (MUL_T, 1))
     op = SuperOperator(sig, [(Fraction(1, 2), up), (Fraction(-2, 3), down)], 0)
     assert _int_atoms(op) == [(3, up), (-4, down)]
+
+
+@pytest.mark.parametrize(
+    "cfg, k, D, with_delta_eta",
+    [
+        (config_a(2, 1, 0), 2, 5, True),
+        (config_a(2, 1, 1), 2, 5, True),
+        (config_a(2, 2, 2), 1, 4, True),
+        (config_a(1, 1, 1, "odd"), 1, 4, True),
+        (config_aprime(2, 2, {1, 2}), 2, 4, True),
+        (config_aprime(1, 2, {3, 4}), 1, 5, False),
+        (config_aprime(1, 2, {1}, "odd"), 1, 4, False),
+    ],
+    ids=["A210", "A211", "A222-swapped", "A111-odd", "Aprime22-T12", "Aprime12-T34", "Aprime12-T1-odd"],
+)
+def test_packed_kernel_matches_the_tuple_reference(cfg, k, D, with_delta_eta):
+    """Every element of "all" (Cartan included), and the lowering and raising
+    operators where they are defined, on every monomial of a window, one at
+    a time and all at once: the packed kernel gives the tuple reference's
+    row, numbers the halo in the same order, and raises the same KeyError
+    for an in-degree image outside the index.  Elements run over the window
+    and over the window less one monomial; the lowering and raising
+    operators over an empty index and over the window of grading k -+ 2,
+    which has the same layout."""
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    gone = len(idx) // 2
+    lacking = (
+        {m: i for m, i in idx.index.items() if i != gone},
+        {c: i for c, i in idx.position.items() if i != gone},
+    )
+    targets = [(lacking, D), ((idx.index, idx.position), D)]
+    ops = [(rep_element(cfg, e), targets) for e in osp_basis(cfg, "all")]
+    if with_delta_eta:
+        for op, step in zip(delta_eta(cfg), (-2, 2)):
+            other = MonomialIndex(SliceKey(cfg, k + step, D))
+            assert list(map(idx.layout.pack, other.monomials)) == other.codes
+            ops.append((op, [(({}, {}), -1), ((other.index, other.position), D)]))
+    terms = [([(m, 1)], [(code, 1)]) for m, code in zip(idx.monomials, idx.codes)]
+    coeffs = range(1, len(idx) + 1)
+    terms.append((list(zip(idx.monomials, coeffs)), list(zip(idx.codes, coeffs))))
+    unpack = idx.layout.unpack
+    raised = 0
+    for op, op_targets in ops:
+        atoms = _int_atoms(op)
+        program = compile_atoms(atoms, idx.layout)
+        for (ref_index, new_index), top in op_targets:
+            halo_ref, halo_new = {}, {}
+            for ref_terms, new_terms in terms:
+                try:
+                    want = reference_act_on_terms(atoms, ref_terms, ref_index, halo_ref, top)
+                except KeyError as err:
+                    with pytest.raises(KeyError) as got:
+                        act_on_terms(program, new_terms, new_index, halo_new, top)
+                    assert str(got.value) == str(err)
+                    raised += 1
+                else:
+                    got = act_on_terms(program, new_terms, new_index, halo_new, top)
+                    assert got == want, (op, ref_terms)
+                assert list(map(unpack, halo_new)) == list(halo_ref)
+                assert list(halo_new.values()) == list(halo_ref.values())
+    assert raised
 
 
 def _slice_monomial(i):
@@ -904,11 +971,14 @@ def test_a_cell_index_lies_inside_its_keys_slice():
 def test_index_builds_weight_codes_and_atoms_once(monkeypatch):
     idx = MonomialIndex(SliceKey(config_a(2, 1, 1), 2, 5))
     codes = idx.weight_codes()
-    atoms = {part: idx.element_atoms(part) for part in ("positive", "roots", "all")}
+    programs = {part: idx.element_programs(part) for part in ("positive", "roots", "all")}
+    lower_raise = idx.delta_eta_programs()
     monkeypatch.setattr(slices, "_weight_table", None)
     monkeypatch.setattr(slices, "rep_element", None)
+    monkeypatch.setattr(slices, "delta_eta", None)
     assert idx.weight_codes() is codes
-    assert all(idx.element_atoms(part) is got for part, got in atoms.items())
+    assert all(idx.element_programs(part) is got for part, got in programs.items())
+    assert idx.delta_eta_programs() is lower_raise
 
 
 def test_a_verifier_builds_each_element_operator_once(monkeypatch):
@@ -961,14 +1031,15 @@ def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
     idx = MonomialIndex(key)
     built = []
 
-    def counting(atoms, *args):
-        built.append(atoms)
-        return act_on_terms(atoms, *args)
+    def counting(program, *args):
+        built.append(program)
+        return act_on_terms(program, *args)
 
     monkeypatch.setattr(slices, "act_on_terms", counting)
     rows = generate_submodule(idx, [idx.vec(SuperPolynomial.x(cfg.signature, 2) ** 2)])
-    cartan = [slices._int_atoms(rep_element(cfg, h)) for h in osp_basis(cfg, "cartan")]
-    assert built and not any(atoms in cartan for atoms in built)
+    cartan = [program for _, program in idx.element_programs("cartan")]
+    assert len(cartan) == len(osp_basis(cfg, "cartan"))
+    assert built and not any(program in cartan for program in built)
     assert len(built) < len(rows) * len(osp_basis(cfg, "roots"))
 
 

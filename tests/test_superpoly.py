@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ospoly.superpoly import (
+    CodeLayout,
     SuperMonomial,
     SuperOperator,
     SuperPolynomial,
     VariableSignature,
     act_on_terms,
     apply_operator,
+    compile_atoms,
     derive,
     format_poly,
     mono_mul,
@@ -24,7 +26,7 @@ from ospoly.superpoly import (
     DER_X,
     DER_T,
 )
-from oracles import naive_apply, naive_derive_ferm, naive_mono_mul
+from oracles import low_degree_monomials, naive_apply, naive_derive_ferm, naive_mono_mul
 
 SIG22 = VariableSignature(2, 2)
 
@@ -245,8 +247,9 @@ monomials23 = st.builds(
 )
 def test_kernel_matches_naive_action_on_random_chains(chain, a, terms, indexed):
     """apply_operator, and act_on_terms over an index of some monomials
-    (every other image monomial numbered in the halo), both give the oracle's
-    image of a sum of terms; the index and halo numbering is mapped back."""
+    (every other image monomial numbered in the halo, by its code), both give
+    the oracle's image of a sum of terms; the index and halo numbering is
+    mapped back through the layout."""
     parity = sum(kind in (MUL_T, DER_T) for kind, _ in chain) & 1
     op = SuperOperator(SIG23, [(a, chain)], parity)
     p = SuperPolynomial.zero(SIG23)
@@ -254,11 +257,12 @@ def test_kernel_matches_naive_action_on_random_chains(chain, a, terms, indexed):
         p = p + SuperPolynomial.from_monomial(SIG23, m, c)
     want = naive_apply(op, p)
     assert apply_operator(op, p) == want
-    index = {m: i for i, m in enumerate(dict.fromkeys(indexed))}
+    layout = CodeLayout(SIG23, 6 + 3 + len(chain))
+    index = {layout.pack(m): i for i, m in enumerate(dict.fromkeys(indexed))}
     halo = {}
-    row = act_on_terms([(a, chain)], p.terms.items(), index, halo, -1)
-    assert all(type(m) is SuperMonomial for m in halo)
-    numbered = {**index, **halo}
+    packed = [(layout.pack(m), c) for m, c in p.terms.items()]
+    row = act_on_terms(compile_atoms([(a, chain)], layout), packed, index, halo, -1)
+    numbered = {layout.unpack(code): j for code, j in {**index, **halo}.items()}
     assert {m: row[j] for m, j in numbered.items() if j in row} == want.terms
     assert len(row) == len(want.terms)
 
@@ -303,3 +307,36 @@ def test_mul_preserves_no_zero_terms():
     assert all(c != 0 for c in q.terms.values())
     # (t1 + t2)^2 = t1 t2 + t2 t1 = 0
     assert q.is_zero()
+
+
+@pytest.mark.parametrize(
+    "sig, bound",
+    [(SIG22, 4), (SIG23, 5), (VariableSignature(4, 4), 3), (VariableSignature(3, 0), 6),
+     (VariableSignature(0, 3), 2), (SIG22, 0)],
+)
+def test_code_layout_round_trips_and_guards_its_bound(sig, bound):
+    """Every monomial of degree <= bound packs to a distinct code that
+    unpacks to it; one past the bound raises ValueError and gives no code."""
+    layout = CodeLayout(sig, bound)
+    window = low_degree_monomials(sig, bound)
+    codes = [layout.pack(m) for m in window]
+    assert [layout.unpack(c) for c in codes] == window
+    assert len(set(codes)) == len(codes)
+    for m in low_degree_monomials(sig, bound + 1):
+        if m.total_degree > bound:
+            with pytest.raises(ValueError, match="degree bound"):
+                layout.pack(m)
+
+
+def test_kernel_refuses_a_source_whose_image_could_wrap_a_field():
+    """x1^2 raises the degree by 2: a source of degree bound - 2 maps to its
+    image, one of degree bound - 1 raises ValueError, and the field of x1
+    never carries into x2's."""
+    layout = CodeLayout(SIG22, 3)
+    program = compile_atoms([(1, ((MUL_X, 0), (MUL_X, 0)))], layout)
+    halo = {}
+    act_on_terms(program, [(layout.pack(SuperMonomial((1, 0), 0)), 1)], {}, halo, -1)
+    assert [layout.unpack(code) for code in halo] == [SuperMonomial((3, 0), 0)]
+    for near in (SuperMonomial((2, 0), 0), SuperMonomial((1, 0), 1), SuperMonomial((0, 0), 3)):
+        with pytest.raises(ValueError, match="degree bound"):
+            act_on_terms(program, [(layout.pack(near), 1)], {}, {}, -1)
