@@ -7,10 +7,8 @@ from .superpoly import (
     SuperPolynomial,
     VariableSignature,
     apply_operator,
-    derive,
     format_poly,
     mono_mul,
-    parse_poly,
     theta_word,
 )
 from .osp import (
@@ -22,17 +20,12 @@ from .osp import (
     config_a,
     config_aprime,
     delta_eta,
-    eta_polynomial,
-    k_degree,
     markers,
     monomial_weight,
     osp_basis,
     rep_element,
     rep_matrix_unit,
-    superbracket,
     unit,
-    weight_of,
-    weight_to_fundamental,
 )
 
 __version__ = "0.1.0"

@@ -21,18 +21,14 @@ with d/dx, and d/dx with -x, on a chosen set of bosonic variables:
 ``_swapped`` and ``_role`` hold this data and ``_swap`` applies the rule;
 every realized operator, the grading and the weights are derived from them.
 ``rep_matrix_unit`` realizes a single E(i,j) as a SuperOperator; the induced
-map on osp is a representation, which the test-suite verifies exactly
-through the superbracket identity.  ``k_degree`` gives the integer grading
-each family preserves (a swapped variable of exponent e counts -e),
-``delta_eta`` the pair of quadratic operators whose kernel/image decompose
-each graded piece, and ``weight_of`` the simultaneous Cartan eigenvalue
-vector in epsilon coordinates (a swapped variable contributes -e-1 to its
-E(a,a) eigenvalue).
-
-Weights are stored as epsilon coordinates (one rational per Cartan basis
-element).  Rendering in terms of fundamental weights is best-effort via the
-declared conversion in ``weight_to_fundamental``; epsilon coordinates are
-the authoritative form.
+map on osp is a representation, which the test-suite checks exactly against
+the superbracket.  ``variable_k_weights`` gives the integer grading each
+family preserves (a swapped variable of exponent e counts -e), ``delta_eta``
+the pair of quadratic operators whose kernel/image decompose each graded
+piece, and ``monomial_weight`` the Cartan eigenvalue vector of a monomial in
+epsilon coordinates (a swapped variable contributes -e-1 to its E(a,a)
+eigenvalue).  ``element_root`` is the shift a root element adds to a weight,
+and ``weight_code`` packs a weight into one int.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from .superpoly import (
     MUL_T,
     MUL_X,
     SuperOperator,
-    SuperPolynomial,
     VariableSignature,
 )
 
@@ -140,7 +135,7 @@ def config_aprime(m1, n, T, m_parity="even") -> RepConfig:
 
 
 # ---------------------------------------------------------------------------
-# matrix elements and the superbracket
+# matrix elements
 
 
 class MatrixElement:
@@ -215,41 +210,12 @@ class MatrixElement:
         return f"MatrixElement({self})"
 
 
-def unit(cfg_or_size, i: int, j: int, m: int | None = None) -> MatrixElement:
-    """Matrix unit E(i,j).  Accepts a RepConfig or (size, i, j, m)."""
-    if isinstance(cfg_or_size, RepConfig):
-        size, m = cfg_or_size.gl_size, cfg_or_size.m
-    else:
-        size = cfg_or_size
-        if m is None:
-            raise ValueError("need the even-block size m")
+def unit(cfg: RepConfig, i: int, j: int) -> MatrixElement:
+    """Matrix unit E(i,j) of cfg's gl(m|2n)."""
+    size = cfg.gl_size
     if not (1 <= i <= size and 1 <= j <= size):
         raise ValueError(f"index ({i},{j}) outside 1..{size}")
-    return MatrixElement(size, m, {(i, j): Fraction(1)})
-
-
-def superbracket(u: MatrixElement, v: MatrixElement) -> MatrixElement:
-    """[u, v] = uv - (-1)^{|u||v|} vu on parity-homogeneous elements."""
-    if (u.size, u.m) != (v.size, v.m):
-        raise ValueError("size mismatch")
-    sign = -1 if (u.parity and v.parity) else 1
-    out: dict = {}
-
-    def add(i, j, c):
-        s = out.get((i, j), 0) + c
-        if s:
-            out[(i, j)] = s
-        else:
-            out.pop((i, j), None)
-
-    for (a, b), cu in u.terms.items():
-        for (c, d), cv in v.terms.items():
-            if b == c:
-                add(a, d, cu * cv)
-            if d == a:
-                add(c, b, -sign * cu * cv)
-    parity = (u.parity + v.parity) & 1 if out else None
-    return MatrixElement(u.size, u.m, out, parity)
+    return MatrixElement(size, cfg.m, {(i, j): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +287,9 @@ def rep_element(cfg: RepConfig, elem: MatrixElement) -> SuperOperator:
     return out
 
 
-def k_degree(cfg: RepConfig, mono) -> int:
-    """Integer grading preserved by the action: fermionic count plus the
-    unswapped bosonic degrees minus the swapped ones."""
-    weights, ferm = variable_k_weights(cfg)
-    return ferm * bin(mono.mask).count("1") + sum(
-        w * e for w, e in zip(weights, mono.bos)
-    )
-
-
 def variable_k_weights(cfg: RepConfig) -> tuple[list[int], int]:
-    """Per-bosonic-variable contribution to k_degree, and the fermionic one."""
+    """Per-bosonic-variable contribution to the integer grading each family
+    preserves, and the fermionic one: a swapped variable counts -1."""
     swapped = _swapped(cfg)
     nb = cfg.signature.num_bosonic
     return [(-1 if i in swapped else 1) for i in range(1, nb + 1)], 1
@@ -442,23 +400,6 @@ class Weight(NamedTuple):
     eps_sp: tuple[int | Fraction, ...]
 
 
-def weight_of(cfg: RepConfig, p: SuperPolynomial) -> Weight | None:
-    """Simultaneous Cartan eigenvalue vector of p, or None if p is not one."""
-    if p.is_zero():
-        raise ValueError("the zero polynomial has no weight")
-    eigs = []
-    for h in osp_basis(cfg, "cartan"):
-        op = rep_element(cfg, h)
-        image = op(p)
-        # p is an eigenvector iff image == lam * p for one rational lam.
-        mono, coeff = next(iter(p.terms.items()))
-        lam = image.terms.get(mono, Fraction(0)) / coeff
-        if image != p.scale(lam):
-            return None
-        eigs.append(lam)
-    return Weight(tuple(eigs[: cfg.m1]), tuple(eigs[cfg.m1 :]))
-
-
 def monomial_weight(cfg: RepConfig, mono) -> Weight:
     """Weight of a single monomial (the Cartan acts diagonally on monomials)."""
     bos, mask = mono.bos, mono.mask
@@ -512,63 +453,6 @@ def weight_code(w: Weight, base: int) -> int:
     return code
 
 
-def weight_to_fundamental(cfg: RepConfig, w: Weight) -> str:
-    """Best-effort rendering in fundamental-weight coordinates.
-
-    Declared conversion: symplectic nu_j = e'_1+..+e'_j; orthogonal even
-    lam_i = e_1+..+e_i for i <= m1-2 with the two half-sum spin weights at
-    the end; orthogonal odd lam_i = partial sums with lam_m1 halved.  When
-    the solve needs non-integer multiples they are printed as fractions.
-    """
-    m1 = cfg.m1
-    cols = [[Fraction(1)] * i + [Fraction(0)] * (m1 - i) for i in range(1, m1 + 1)]
-    if cfg.m_parity == "even" and m1 >= 2:
-        cols[m1 - 2] = [Fraction(1, 2)] * (m1 - 1) + [Fraction(-1, 2)]
-    if m1 >= 1:
-        cols[m1 - 1] = [Fraction(1, 2)] * m1
-    coeffs = _dense_solve(cols, list(w.eps_so))
-    parts = []
-    for i, c in enumerate(coeffs, start=1):
-        if c:
-            parts.append(_fmt_coeff(c, f"lam{i}"))
-    # nu coefficients: differences of consecutive symplectic coordinates
-    sp = list(w.eps_sp)
-    for j in range(len(sp)):
-        nxt = sp[j + 1] if j + 1 < len(sp) else Fraction(0)
-        c = sp[j] - nxt
-        if c:
-            parts.append(_fmt_coeff(c, f"nu{j + 1}"))
-    return " + ".join(parts) if parts else "0"
-
-
-def _dense_solve(cols, target):
-    """Solve sum_c coeffs[c] * cols[c] = target by rational elimination."""
-    m = len(target)
-    if m == 0:
-        return []
-    aug = [[cols[c][row] for c in range(m)] + [target[row]] for row in range(m)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError(f"singular system: no pivot in column {col}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][m] for r in range(m)]
-
-
-def _fmt_coeff(c: Fraction, name: str) -> str:
-    if c == 1:
-        return name
-    if c == -1:
-        return f"-{name}"
-    return f"{c}*{name}"
-
-
 # ---------------------------------------------------------------------------
 # the quadratic pair and swap-set markers
 
@@ -611,12 +495,6 @@ def delta_eta(cfg: RepConfig) -> tuple[SuperOperator, SuperOperator]:
     return SuperOperator(sig, lower, EVEN), SuperOperator(sig, raise_, EVEN)
 
 
-def eta_polynomial(cfg: RepConfig) -> SuperPolynomial:
-    """The raising operator applied to 1 (its multiplication part)."""
-    _, eta = delta_eta(cfg)
-    return eta(SuperPolynomial.one(cfg.signature))
-
-
 class SubsetMarkers(NamedTuple):
     """Pair indices fully outside (S1) / fully inside (T1) the swap set."""
 
@@ -633,35 +511,15 @@ def markers(cfg: RepConfig) -> SubsetMarkers:
     return SubsetMarkers(s1, t1)
 
 
-def aprime_normalize(cfg: RepConfig):
+def aprime_normalize(cfg: RepConfig) -> RepConfig:
     """Reduce an Aprime configuration with S1 = T1 = {} to T = {1..n}.
 
-    Returns (normal_cfg, transport) where transport maps polynomials of the
-    original configuration to the normal one.  For each pair with n+i in T
-    the symplectic swap x_i -> x_{n+i}, x_{n+i} -> -x_i is applied; it
-    intertwines the two actions up to an automorphism of the algebra, so
+    For each pair with n+i in T the symplectic swap x_i -> x_{n+i},
+    x_{n+i} -> -x_i carries polynomials of cfg to those of the normal form;
+    it intertwines the two actions up to an automorphism of the algebra, so
     submodule structure is preserved.
     """
     mk = markers(cfg)
     if mk.S1 or mk.T1:
         raise ValueError("normal form applies only when S1 and T1 are empty")
-    n = cfg.n
-    flips = [i for i in range(1, n + 1) if n + i in cfg.T]
-    normal = config_aprime(cfg.m1, cfg.n, range(1, n + 1), cfg.m_parity)
-    sig = cfg.signature
-
-    def transport(p: SuperPolynomial) -> SuperPolynomial:
-        out = {}
-        for mono, c in p.terms.items():
-            bos = list(mono.bos)
-            sign = 1
-            for i in flips:
-                a, b = bos[i - 1], bos[n + i - 1]
-                bos[i - 1], bos[n + i - 1] = b, a
-                if a & 1:
-                    sign = -sign
-            key = type(mono)(tuple(bos), mono.mask)
-            out[key] = out.get(key, Fraction(0)) + sign * c
-        return SuperPolynomial(sig, {k: v for k, v in out.items() if v})
-
-    return normal, transport
+    return config_aprime(cfg.m1, cfg.n, range(1, cfg.n + 1), cfg.m_parity)

@@ -79,12 +79,12 @@ class SliceKey:
 
 
 class MonomialIndex:
-    """One window: its key and its monomials in canonical order, with index
-    lookup.
+    """One window: its key and its monomials in canonical order, with
+    position lookup.
 
     ``MonomialIndex(key)`` enumerates ``slice_monomials(key)``, which is in
-    canonical order already.  A bigraded cell passes its own monomials, in
-    any order, with a key whose slice holds them; they are sorted.  The
+    canonical order already.  A caller may pass its own monomials instead,
+    in any order, with a key whose slice holds them; they are sorted.  The
     helpers that work on a window take the index alone and read ``key`` and
     ``cfg`` from it; it keeps what they build once per window: the packed
     code of each monomial in ``layout`` (bound D + 2, as every atom is a
@@ -99,7 +99,6 @@ class MonomialIndex:
             self.monomials = slice_monomials(key)
         else:
             self.monomials = sorted(monomials, key=lambda m: m.sort_key())
-        self.index = {m: i for i, m in enumerate(self.monomials)}
         self.layout = CodeLayout(self.cfg.signature, key.max_degree + _CHAIN)
         self.codes = [self.layout.pack(m) for m in self.monomials]
         self.position = {code: i for i, code in enumerate(self.codes)}
@@ -155,11 +154,15 @@ class MonomialIndex:
         return compile_atoms(_int_atoms(op), self.layout)
 
     def vec(self, poly: SuperPolynomial) -> dict[int, int]:
-        """Content-free integer row of poly; a monomial outside the index
-        raises ValueError."""
+        """Content-free integer row of poly; a monomial outside the window,
+        ``layout`` able to pack it or not, raises ValueError."""
         out = {}
         for m, c in poly.terms.items():
-            i = self.index.get(m)
+            try:
+                code = self.layout.pack(m)
+            except ValueError:  # past the layout's degree bound or signature
+                code = None
+            i = self.position.get(code)
             if i is None:
                 raise ValueError(f"monomial {m} outside the slice")
             out[i] = c
@@ -283,8 +286,15 @@ def _exponents_with_sum(nvars, total):
 # harmonic kernels
 
 
-def _lowering_images(idx: MonomialIndex) -> list[dict[int, int]]:
-    """The lowering operator's image of each of idx's monomials, in order.
+def _slice_codes(idx: MonomialIndex, k: int, top: int) -> list[int]:
+    """The monomials of the slice (k, <= top) of idx's configuration, in
+    canonical order, packed in idx's layout; top <= D."""
+    return list(map(idx.layout.pack, slice_monomials(SliceKey(idx.cfg, k, top))))
+
+
+def _lowering_images(idx: MonomialIndex, codes) -> list[dict[int, int]]:
+    """The lowering operator's image of each monomial code, in order; the
+    codes are in idx's layout.
 
     The operator's program is compiled once per window.  Each image is an
     integer row whose coordinates number the image monomials on first sight;
@@ -292,13 +302,13 @@ def _lowering_images(idx: MonomialIndex) -> list[dict[int, int]]:
     """
     program = idx.delta_eta_programs()[0]
     seen: dict = {}
-    return [act_on_terms(program, ((code, 1),), {}, seen, -1) for code in idx.codes]
+    return [act_on_terms(program, ((code, 1),), {}, seen, -1) for code in codes]
 
 
 def _lowering_kernel(idx: MonomialIndex) -> list[dict[int, int]]:
     """Exact kernel of the lowering operator on the span of idx's monomials,
     as its canonical echelon basis: integer rows over idx."""
-    return linalg.kernel(_lowering_images(idx))
+    return linalg.kernel(_lowering_images(idx, idx.codes))
 
 
 def harmonic_space(key: SliceKey) -> list[SuperPolynomial]:
@@ -551,20 +561,21 @@ def eta_image(idx: MonomialIndex, power: int) -> list[dict[int, int]]:
     Write eta as a degree-keeping part plus multiplication by q = eta(1).
     Where q is regular (``_q_is_regular``) eta^p f has degree deg f + 2p, and
     the window part of span(eta^p H(k - 2p)) is eta^p of H(k - 2p) on degree
-    <= D - 2p (none when D < 2p).  Each middle eta step runs over a halo of
-    its own; the last lands in idx with no halo, so a monomial outside idx
-    raises KeyError.  Where q is nilpotent (A', and even m with r = m1) eta
-    can lower the degree of a combination: a ValueError.
+    <= D - 2p (none when D < 2p).  H(k - 2p) is solved on the source
+    slice's codes in idx's layout, with idx's compiled programs.  Each
+    middle eta step runs over a halo of its own; the last lands in idx with
+    no halo, so a monomial outside idx raises KeyError.  Where q is
+    nilpotent (A', and even m with r = m1) eta can lower the degree of a
+    combination: a ValueError.
     """
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
     if not _q_is_regular(cfg):
         raise ValueError(f"{cfg.describe()}: q = eta(1) is nilpotent, so eta^p H is not exact")
     if D < 2 * power:
         return []
-    src = MonomialIndex(SliceKey(cfg, k - 2 * power, D - 2 * power))
+    codes = _slice_codes(idx, k - 2 * power, D - 2 * power)
+    rows = linalg.kernel(_lowering_images(idx, codes))
     program = idx.delta_eta_programs()[1]
-    # src packs in a layout of its own; the steps run in idx's
-    rows, codes = _lowering_kernel(src), list(map(idx.layout.pack, src.monomials))
     for step in range(1, power + 1):
         index, top, halo = (idx.position, inf, {}) if step == power else ({}, -1, {})
         terms = (zip(map(codes.__getitem__, row), row.values()) for row in rows)
@@ -587,12 +598,12 @@ def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
     top = D - 2 if _q_is_regular(cfg) else D
     if top < 0:
         return []
-    program, pack = idx.delta_eta_programs()[1], idx.layout.pack
+    program = idx.delta_eta_programs()[1]
     n = len(idx)
     halo: dict = {}
     out = []
-    for m in slice_monomials(SliceKey(cfg, k - 2, top)):
-        image = act_on_terms(program, ((pack(m), 1),), idx.position, halo, D)
+    for code in _slice_codes(idx, k - 2, top):
+        image = act_on_terms(program, ((code, 1),), idx.position, halo, D)
         if image and max(image) < n:
             out.append(linalg.normalize(image))
     return out
@@ -616,7 +627,7 @@ def verify_direct_sum(
     idx = MonomialIndex(SliceKey(cfg, k, D))
     # the kernel side is exact and the image side from below; the forward
     # kernel basis is independent, as _check_direct_sum needs
-    h_vecs = linalg.kernel_basis(_lowering_images(idx))
+    h_vecs = linalg.kernel_basis(_lowering_images(idx, idx.codes))
     img_vecs = eta_span_of_slice(idx)
     h_pivots, _ = linalg.rank_profile(h_vecs)
     _check_direct_sum(
@@ -862,7 +873,7 @@ def verify_aprime_structure(
         mk = markers(cfg)
         split_case = not mk.S1 and not mk.T1
         if split_case and cfg.T != frozenset(range(1, cfg.n + 1)):
-            work, _ = aprime_normalize(cfg)
+            work = aprime_normalize(cfg)
             rep.notes.append(f"normalized to {work.describe()}")
     else:
         split_case = False
@@ -921,43 +932,3 @@ def verify_aprime_structure(
         },
     )
     return rep
-
-
-# ---------------------------------------------------------------------------
-# bigraded slices for the normal-form second family
-
-
-def bigraded_monomials(cfg: RepConfig, s: int, t: int) -> list[SuperMonomial]:
-    """Finite (s, t) cell of the normal-form second family.
-
-    s = (upper fermionic count) - (swapped bosonic degree),
-    t = (lower fermionic count) + (unswapped bosonic degree);
-    the grading of every member is s + t.
-    """
-    if cfg.family != "Aprime" or cfg.T != frozenset(range(1, cfg.n + 1)):
-        raise ValueError("bigrading is defined for the normal form T={1..n}")
-    if cfg.m_parity == "odd":
-        raise ValueError("bigrading is defined for even m only (odd m leaves t_m unpaired)")
-    m1, n = cfg.m1, cfg.n
-    # the unswapped x_n+1..x_2n have degree t - low, the swapped x_1..x_n up - s
-    groups = (range(n, 2 * n), range(n))
-    out = []
-    for mask in range(1 << (2 * m1)):
-        low = (mask & ((1 << m1) - 1)).bit_count()
-        up = (mask >> m1).bit_count()
-        out += [(t - s + 2 * up, bos, mask) for bos in _exponents(groups, (t - low, up - s))]
-    return [SuperMonomial(bos, mask) for _, bos, mask in sorted(out)]
-
-
-def _cell_index(cfg: RepConfig, s: int, t: int) -> MonomialIndex:
-    """The (s, t) cell as a window: its key is the slice of grading s + t up
-    to the cell's top degree, which holds every cell monomial."""
-    cell = bigraded_monomials(cfg, s, t)
-    top = max((m.total_degree for m in cell), default=0)
-    return MonomialIndex(SliceKey(cfg, s + t, top), cell)
-
-
-def bigraded_harmonic(cfg: RepConfig, s: int, t: int) -> list[SuperPolynomial]:
-    """Exact kernel of the lowering operator on the finite (s, t) cell."""
-    idx = _cell_index(cfg, s, t)
-    return [idx.poly(row) for row in _lowering_kernel(idx)]

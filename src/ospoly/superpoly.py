@@ -26,8 +26,8 @@ Every atomic action (multiply by or differentiate by one variable) sends a
 monomial to an integer multiple of a single monomial, or to 0, so a chain
 acts on one monomial at a time with an integer factor.  ``act_on_terms`` is
 the one kernel that applies chains: it sums the images of a sum of terms
-as a sparse row over a caller's monomial index.  ``apply_operator`` and
-``derive`` call it with an empty index.
+as a sparse row over a caller's monomial index.  ``apply_operator`` calls
+it with an empty index.
 
 The kernel works on packed monomial codes.  A ``CodeLayout`` for a degree
 bound B packs a monomial of total degree <= B into one int: the fermionic
@@ -50,15 +50,13 @@ realizations actually define representations and that the quadratic
 invariant is harmonic; any other combination of conventions fails those
 checks.
 
-The text format for polynomials is ``c * x1^2 x3 t1 t4`` with terms joined
-by " + ", rational coefficients printed as ``p/q`` or an integer, and
-exponent 1 omitted.  ``parse_poly`` accepts the same grammar (the ``c *``
-part may be omitted when c == 1).
+``format_poly`` prints a polynomial as ``c * x1^2 x3 t1 t4`` with terms
+joined by " + ", rational coefficients printed as ``p/q`` or an integer, and
+exponent 1 omitted; witness strings use this format.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
@@ -80,15 +78,11 @@ class SuperMonomial(NamedTuple):
 
     @property
     def total_degree(self) -> int:
-        return sum(self.bos) + _popcount(self.mask)
+        return sum(self.bos) + self.mask.bit_count()
 
     def sort_key(self):
         """Graded lexicographic: (total degree, exponent vector, mask)."""
         return (self.total_degree, self.bos, self.mask)
-
-
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def mono_one(sig: VariableSignature) -> SuperMonomial:
@@ -111,7 +105,7 @@ def mono_mul(a: SuperMonomial, b: SuperMonomial):
     rest = a.mask
     while rest:
         low = rest & -rest
-        inversions += _popcount(b.mask & (low - 1))
+        inversions += (b.mask & (low - 1)).bit_count()
         rest ^= low
     bos = tuple(x + y for x, y in zip(a.bos, b.bos))
     return (-1 if inversions & 1 else 1, SuperMonomial(bos, a.mask | b.mask))
@@ -252,22 +246,6 @@ class SuperPolynomial:
 
     def __repr__(self):
         return f"SuperPolynomial({format_poly(self)!r})"
-
-
-def derive(p: SuperPolynomial, var: tuple[str, int]) -> SuperPolynomial:
-    """Left super-derivative by ("x", i) or ("t", q), 1-based indices."""
-    kind, idx = var
-    if kind == "x":
-        if not 1 <= idx <= p.sig.num_bosonic:
-            raise ValueError(f"x{idx} outside signature {p.sig}")
-        chain = ((DER_X, idx - 1),)
-    elif kind == "t":
-        if not 1 <= idx <= p.sig.num_fermionic:
-            raise ValueError(f"t{idx} outside signature {p.sig}")
-        chain = ((DER_T, idx - 1),)
-    else:
-        raise ValueError(f"unknown variable kind {kind!r}")
-    return _act(((1, chain),), p)
 
 
 class CodeLayout:
@@ -549,46 +527,6 @@ def format_poly(p: SuperPolynomial) -> str:
         coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
         parts.append(f"{coeff} * {' '.join(factors)}" if factors else coeff)
     return " + ".join(parts)
-
-
-_FACTOR_RE = re.compile(r"([xt])(\d+)(?:\^(-?\d+))?$")
-_COEFF_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-
-
-def parse_poly(text: str, sig: VariableSignature) -> SuperPolynomial:
-    """Parse the text format produced by format_poly (and mild variants)."""
-    text = text.strip()
-    if text in ("", "0"):
-        return SuperPolynomial.zero(sig)
-    total = SuperPolynomial.zero(sig)
-    for raw in text.split("+"):
-        term = raw.strip()
-        if not term:
-            raise ValueError("empty term in polynomial text")
-        coeff = Fraction(1)
-        if "*" in term:
-            cpart, _, rest = term.partition("*")
-            coeff = Fraction(cpart.strip())
-            term = rest.strip()
-        elif _COEFF_RE.match(term):
-            coeff = Fraction(term)
-            term = ""
-        poly = SuperPolynomial.from_monomial(sig, mono_one(sig), coeff)
-        for tok in term.split():
-            m = _FACTOR_RE.match(tok)
-            if not m:
-                raise ValueError(f"cannot parse factor {tok!r}")
-            kind, idx, exp = m.group(1), int(m.group(2)), int(m.group(3) or 1)
-            if exp < 0:
-                raise ValueError(f"negative exponent in {tok!r}")
-            base = (
-                SuperPolynomial.x(sig, idx)
-                if kind == "x"
-                else SuperPolynomial.theta(sig, idx)
-            )
-            poly = poly * base**exp
-        total = total + poly
-    return total
 
 
 def theta_word(sig: VariableSignature, indices: Iterable[int]) -> SuperPolynomial:

@@ -1,14 +1,26 @@
-"""Independent brute-force oracles used to pin expected values.
+"""Independent brute-force oracles and test-only references used to pin
+expected values.
 
-Everything here is deliberately naive and separate from the library code:
+Most of this is deliberately naive and separate from the library code:
 fermionic words are kept as explicit index lists and sorted by bubble sort
 (counting swaps for the sign), derivatives walk those lists, and nullspaces
-are computed by dense rational Gaussian elimination.  The library must agree
-with these on every frozen example.
+are computed by dense rational Gaussian elimination; library classes serve
+only as containers.  The library must agree with these on every frozen
+example.  These call library code, so they check only what they add to it:
+``weight_of`` (``rep_element``), ``k_degree`` (``variable_k_weights``),
+``eta_polynomial`` (``delta_eta``), ``parse_poly`` (polynomial products),
+``reference_closure`` (``rep_element``, ``Echelon``, ``MonomialIndex``) and
+``scan_insert`` (``linalg.normalize``).
 """
 
+import re
 from fractions import Fraction
 from itertools import product
+
+from ospoly.linalg import Echelon, normalize
+from ospoly.osp import MatrixElement, Weight, delta_eta, osp_basis, rep_element, variable_k_weights
+from ospoly.slices import MonomialIndex
+from ospoly.superpoly import DER_T, DER_X, MUL_T, MUL_X, SuperMonomial, SuperPolynomial, mono_one
 
 
 def sort_word(word):
@@ -81,8 +93,6 @@ def dense_nullspace(rows, ncols):
 
 def low_degree_monomials(sig, max_degree=2):
     """Every monomial of total degree <= max_degree, in graded-lex order."""
-    from ospoly.superpoly import SuperMonomial
-
     out = []
     for mask in range(1 << sig.num_fermionic):
         t = bin(mask).count("1")
@@ -123,8 +133,6 @@ def enumerate_slice(nb, nf, weights, ferm_weight, k, max_degree):
 
 def _naive_step(kind, i, bos, word):
     """One atomic action on x^bos * word: (factor, bos, word) or None."""
-    from ospoly.superpoly import DER_X, MUL_T, MUL_X
-
     bos = list(bos)
     if kind == MUL_X:
         bos[i] += 1
@@ -151,8 +159,6 @@ def naive_apply(op, p):
     puts q in front and bubble-sorts the word, and d/dt_q is
     ``naive_derive_ferm``.  Returns the image as a SuperPolynomial.
     """
-    from ospoly.superpoly import SuperMonomial, SuperPolynomial
-
     out = {}
     for coeff, chain in op.atoms:
         for mono, c in p.terms.items():
@@ -178,10 +184,6 @@ def reference_closure(key, gens, ops=None):
     ops defaults to the osp action.  Returns the basis polynomials in the
     order generate_submodule lists them.
     """
-    from ospoly.linalg import Echelon
-    from ospoly.osp import osp_basis, rep_element
-    from ospoly.slices import MonomialIndex
-
     cfg, D = key.cfg, key.max_degree
     sig = cfg.signature
     idx = MonomialIndex(key)
@@ -212,8 +214,6 @@ def scan_insert(rows, vec):
     the pivot rule "smallest index wins" and rows kept fully reduced against
     each other.  Returns the new row, or None when vec is already in the span.
     """
-    from ospoly.linalg import normalize
-
     def eliminate(v, row, p):
         a, b = row[p], v[p]
         out = {k: a * c for k, c in v.items()}
@@ -247,8 +247,6 @@ def reference_act_on_terms(atoms, terms, index, halo, D):
     degree > D numbered in halo on first sight, one of degree <= D a
     KeyError.
     """
-    from ospoly.superpoly import DER_T, DER_X, MUL_X, SuperMonomial
-
     base = len(index)
     at_index, at_halo = index.get, halo.get
     out = {}
@@ -288,3 +286,125 @@ def reference_act_on_terms(atoms, terms, index, halo, D):
                 else:
                     del out[j]
     return out
+
+
+def superbracket(u, v):
+    """[u, v] = uv - (-1)^{|u||v|} vu on parity-homogeneous elements."""
+    if (u.size, u.m) != (v.size, v.m):
+        raise ValueError("size mismatch")
+    sign = -1 if (u.parity and v.parity) else 1
+    out: dict = {}
+
+    def add(i, j, c):
+        s = out.get((i, j), 0) + c
+        if s:
+            out[(i, j)] = s
+        else:
+            out.pop((i, j), None)
+
+    for (a, b), cu in u.terms.items():
+        for (c, d), cv in v.terms.items():
+            if b == c:
+                add(a, d, cu * cv)
+            if d == a:
+                add(c, b, -sign * cu * cv)
+    parity = (u.parity + v.parity) & 1 if out else None
+    return MatrixElement(u.size, u.m, out, parity)
+
+
+def k_degree(cfg, mono) -> int:
+    """Integer grading preserved by the action: fermionic count plus the
+    unswapped bosonic degrees minus the swapped ones."""
+    weights, ferm = variable_k_weights(cfg)
+    return ferm * bin(mono.mask).count("1") + sum(
+        w * e for w, e in zip(weights, mono.bos)
+    )
+
+
+def weight_of(cfg, p):
+    """Simultaneous Cartan eigenvalue vector of p, or None if p is not one."""
+    if p.is_zero():
+        raise ValueError("the zero polynomial has no weight")
+    eigs = []
+    for h in osp_basis(cfg, "cartan"):
+        op = rep_element(cfg, h)
+        image = op(p)
+        # p is an eigenvector iff image == lam * p for one rational lam.
+        mono, coeff = next(iter(p.terms.items()))
+        lam = image.terms.get(mono, Fraction(0)) / coeff
+        if image != p.scale(lam):
+            return None
+        eigs.append(lam)
+    return Weight(tuple(eigs[: cfg.m1]), tuple(eigs[cfg.m1 :]))
+
+
+def eta_polynomial(cfg):
+    """The raising operator applied to 1 (its multiplication part)."""
+    _, eta = delta_eta(cfg)
+    return eta(SuperPolynomial.one(cfg.signature))
+
+
+def aprime_transport(cfg):
+    """The map that carries polynomials of an Aprime configuration with
+    S1 = T1 = {} to its normal form ``aprime_normalize(cfg)``: for each pair
+    with n+i in T the symplectic swap x_i -> x_{n+i}, x_{n+i} -> -x_i."""
+    n = cfg.n
+    flips = [i for i in range(1, n + 1) if n + i in cfg.T]
+    sig = cfg.signature
+
+    def transport(p):
+        out = {}
+        for mono, c in p.terms.items():
+            bos = list(mono.bos)
+            sign = 1
+            for i in flips:
+                a, b = bos[i - 1], bos[n + i - 1]
+                bos[i - 1], bos[n + i - 1] = b, a
+                if a & 1:
+                    sign = -sign
+            key = type(mono)(tuple(bos), mono.mask)
+            out[key] = out.get(key, Fraction(0)) + sign * c
+        return SuperPolynomial(sig, {k: v for k, v in out.items() if v})
+
+    return transport
+
+
+_FACTOR_RE = re.compile(r"([xt])(\d+)(?:\^(-?\d+))?$")
+_COEFF_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+
+def parse_poly(text, sig):
+    """Parse the text format of ``superpoly.format_poly`` (and mild variants:
+    the ``c *`` part may be omitted when c == 1)."""
+    text = text.strip()
+    if text in ("", "0"):
+        return SuperPolynomial.zero(sig)
+    total = SuperPolynomial.zero(sig)
+    for raw in text.split("+"):
+        term = raw.strip()
+        if not term:
+            raise ValueError("empty term in polynomial text")
+        coeff = Fraction(1)
+        if "*" in term:
+            cpart, _, rest = term.partition("*")
+            coeff = Fraction(cpart.strip())
+            term = rest.strip()
+        elif _COEFF_RE.match(term):
+            coeff = Fraction(term)
+            term = ""
+        poly = SuperPolynomial.from_monomial(sig, mono_one(sig), coeff)
+        for tok in term.split():
+            m = _FACTOR_RE.match(tok)
+            if not m:
+                raise ValueError(f"cannot parse factor {tok!r}")
+            kind, idx, exp = m.group(1), int(m.group(2)), int(m.group(3) or 1)
+            if exp < 0:
+                raise ValueError(f"negative exponent in {tok!r}")
+            base = (
+                SuperPolynomial.x(sig, idx)
+                if kind == "x"
+                else SuperPolynomial.theta(sig, idx)
+            )
+            poly = poly * base**exp
+        total = total + poly
+    return total

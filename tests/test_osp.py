@@ -12,23 +12,24 @@ from ospoly.osp import (
     config_aprime,
     delta_eta,
     element_root,
-    eta_polynomial,
-    k_degree,
     markers,
     monomial_weight,
     osp_basis,
     rep_element,
     rep_matrix_unit,
-    superbracket,
     unit,
-    weight_of,
-    weight_to_fundamental,
-    _dense_solve,
 )
 from ospoly.linalg import span, vec_from_fractions
 from ospoly.slices import SliceKey, slice_monomials
 from ospoly.superpoly import SuperMonomial, SuperPolynomial, theta_word
-from oracles import low_degree_monomials
+from oracles import (
+    aprime_transport,
+    eta_polynomial,
+    k_degree,
+    low_degree_monomials,
+    superbracket,
+    weight_of,
+)
 
 A11_R0 = config_a(1, 1, 0)
 A11_R1 = config_a(1, 1, 1)
@@ -321,22 +322,6 @@ def test_roots_are_all_without_the_cartan(parity, m1, n):
         assert (not any(root.eps_so + root.eps_sp)) == (e in cartan), str(e)
 
 
-def test_weight_rendering_spin_convention():
-    cfg = config_a(2, 2, 2)
-    w = weight_of(cfg, theta_word(cfg.signature, [1, 2]))
-    # (-1,-1 | 1,1) = -2 lam2 + nu2 under the declared conversion
-    assert weight_to_fundamental(cfg, w) == "-2*lam2 + nu2"
-
-
-def test_dense_solve_names_singular_column():
-    F = Fraction
-    # columns (1, 1) and (0, 1): 3*(1, 1) - 2*(0, 1) = (3, 1)
-    assert _dense_solve([[F(1), F(1)], [F(0), F(1)]], [F(3), F(1)]) == [3, -2]
-    # columns (1, 0) and (2, 0) leave column 1 without a pivot
-    with pytest.raises(ValueError, match="column 1"):
-        _dense_solve([[F(1), F(0)], [F(2), F(0)]], [F(1), F(0)])
-
-
 # -- lowering/raising pair ----------------------------------------------
 
 
@@ -434,7 +419,7 @@ def test_markers_mixed():
 
 def test_aprime_normalize():
     cfg = config_aprime(1, 2, {1, 4})  # pair 2 flipped
-    normal, transport = aprime_normalize(cfg)
+    normal, transport = aprime_normalize(cfg), aprime_transport(cfg)
     assert normal.T == frozenset({1, 2})
     sig = cfg.signature
     # the grading of every monomial is preserved slice by slice
@@ -464,7 +449,7 @@ def test_aprime_normalize_intertwines_the_actions(cfg):
     transport maps the action of cfg into that of the normal form, up to an
     automorphism of the algebra.  Coordinates number monomials on first
     sight, so a transported image off the span's monomials is outside it."""
-    normal, transport = aprime_normalize(cfg)
+    normal, transport = aprime_normalize(cfg), aprime_transport(cfg)
     sig = cfg.signature
     ops = [rep_element(cfg, e) for e in osp_basis(cfg)]
     normal_ops = [rep_element(normal, e) for e in osp_basis(normal)]

@@ -20,26 +20,21 @@ from ospoly.osp import (
     config_aprime,
     delta_eta,
     element_root,
-    eta_polynomial,
-    k_degree,
     monomial_weight,
     osp_basis,
     rep_element,
     variable_k_weights,
     weight_code,
-    weight_of,
 )
 from ospoly.slices import (
     MonomialIndex,
     SliceKey,
-    _cell_index,
+    _exponents,
     _generates_layer,
     _int_atoms,
     _lowering_kernel,
     _monos_up_to,
     _weight_table,
-    bigraded_harmonic,
-    bigraded_monomials,
     eta_image,
     eta_span_of_slice,
     generate_submodule,
@@ -66,9 +61,12 @@ from ospoly.superpoly import (
 from oracles import (
     dense_nullspace,
     enumerate_slice,
+    eta_polynomial,
+    k_degree,
     naive_apply,
     reference_act_on_terms,
     reference_closure,
+    weight_of,
 )
 
 A11_R0 = config_a(1, 1, 0)
@@ -664,7 +662,8 @@ def test_generator_outside_slice_rejected():
 
 def test_generator_above_the_window_rejected():
     """x1^3 x2^3 has the slice's grading but degree 6 > D: a ValueError
-    naming the monomial, not a KeyError."""
+    naming the monomial, not a KeyError.  vec says the same of a monomial
+    past the layout's bound D + 2 and of one from another signature."""
     cfg = A11_R1
     sig = cfg.signature
     key = SliceKey(cfg, 0, 4)
@@ -674,6 +673,12 @@ def test_generator_above_the_window_rejected():
     outside = r"SuperMonomial\(bos=\(3, 3\), mask=0\) outside the slice"
     with pytest.raises(ValueError, match=outside):
         generate_submodule(idx, [idx.vec(p)])
+    far = SuperPolynomial.x(sig, 1) ** 7  # degree D + 3
+    with pytest.raises(ValueError, match=r"bos=\(7, 0\), mask=0\) outside the slice"):
+        idx.vec(far)
+    alien = SuperPolynomial.x(config_a(1, 1, 1, "odd").signature, 3)
+    with pytest.raises(ValueError, match=r"bos=\(0, 0, 1\), mask=0\) outside the slice"):
+        idx.vec(alien)
 
 
 def test_closure_monotone_in_window():
@@ -759,18 +764,20 @@ def test_packed_kernel_matches_the_tuple_reference(cfg, k, D, with_delta_eta):
     operators over an empty index and over the window of grading k -+ 2,
     which has the same layout."""
     idx = MonomialIndex(SliceKey(cfg, k, D))
+    index = {m: i for i, m in enumerate(idx.monomials)}
     gone = len(idx) // 2
     lacking = (
-        {m: i for m, i in idx.index.items() if i != gone},
+        {m: i for m, i in index.items() if i != gone},
         {c: i for c, i in idx.position.items() if i != gone},
     )
-    targets = [(lacking, D), ((idx.index, idx.position), D)]
+    targets = [(lacking, D), ((index, idx.position), D)]
     ops = [(rep_element(cfg, e), targets) for e in osp_basis(cfg, "all")]
     if with_delta_eta:
         for op, step in zip(delta_eta(cfg), (-2, 2)):
             other = MonomialIndex(SliceKey(cfg, k + step, D))
             assert list(map(idx.layout.pack, other.monomials)) == other.codes
-            ops.append((op, [(({}, {}), -1), ((other.index, other.position), D)]))
+            other_index = {m: i for i, m in enumerate(other.monomials)}
+            ops.append((op, [(({}, {}), -1), ((other_index, other.position), D)]))
     terms = [([(m, 1)], [(code, 1)]) for m, code in zip(idx.monomials, idx.codes)]
     coeffs = range(1, len(idx) + 1)
     terms.append((list(zip(idx.monomials, coeffs)), list(zip(idx.codes, coeffs))))
@@ -943,7 +950,7 @@ def test_index_of_a_key_is_its_slice(cfg, k, D):
     idx = MonomialIndex(key)
     assert idx.key == key and idx.cfg == cfg
     assert idx.monomials == slice_monomials(key)
-    assert idx.index == {m: i for i, m in enumerate(idx.monomials)}
+    assert idx.position == {idx.layout.pack(m): i for i, m in enumerate(idx.monomials)}
 
 
 def test_an_index_sorts_the_monomials_passed_in():
@@ -956,7 +963,7 @@ def test_an_index_sorts_the_monomials_passed_in():
     for _ in range(3):
         rng.shuffle(monos)
         idx = MonomialIndex(key, monos)
-        assert idx.monomials == want.monomials and idx.index == want.index
+        assert idx.monomials == want.monomials and idx.position == want.position
 
 
 def test_a_cell_index_lies_inside_its_keys_slice():
@@ -1713,6 +1720,42 @@ def test_aprime_split_needs_two_pairs():
 
 
 # -- bigraded cells ---------------------------------------------------------
+
+
+def bigraded_monomials(cfg, s: int, t: int) -> list[SuperMonomial]:
+    """Finite (s, t) cell of the normal-form second family.
+
+    s = (upper fermionic count) - (swapped bosonic degree),
+    t = (lower fermionic count) + (unswapped bosonic degree);
+    the grading of every member is s + t.
+    """
+    if cfg.family != "Aprime" or cfg.T != frozenset(range(1, cfg.n + 1)):
+        raise ValueError("bigrading is defined for the normal form T={1..n}")
+    if cfg.m_parity == "odd":
+        raise ValueError("bigrading is defined for even m only (odd m leaves t_m unpaired)")
+    m1, n = cfg.m1, cfg.n
+    # the unswapped x_n+1..x_2n have degree t - low, the swapped x_1..x_n up - s
+    groups = (range(n, 2 * n), range(n))
+    out = []
+    for mask in range(1 << (2 * m1)):
+        low = (mask & ((1 << m1) - 1)).bit_count()
+        up = (mask >> m1).bit_count()
+        out += [(t - s + 2 * up, bos, mask) for bos in _exponents(groups, (t - low, up - s))]
+    return [SuperMonomial(bos, mask) for _, bos, mask in sorted(out)]
+
+
+def _cell_index(cfg, s: int, t: int) -> MonomialIndex:
+    """The (s, t) cell as a window: its key is the slice of grading s + t up
+    to the cell's top degree, which holds every cell monomial."""
+    cell = bigraded_monomials(cfg, s, t)
+    top = max((m.total_degree for m in cell), default=0)
+    return MonomialIndex(SliceKey(cfg, s + t, top), cell)
+
+
+def bigraded_harmonic(cfg, s: int, t: int) -> list[SuperPolynomial]:
+    """Exact kernel of the lowering operator on the finite (s, t) cell."""
+    idx = _cell_index(cfg, s, t)
+    return [idx.poly(row) for row in _lowering_kernel(idx)]
 
 
 def test_bigraded_cells_are_finite_and_graded():

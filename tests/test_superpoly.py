@@ -16,17 +16,22 @@ from ospoly.superpoly import (
     act_on_terms,
     apply_operator,
     compile_atoms,
-    derive,
     format_poly,
     mono_mul,
-    parse_poly,
     theta_word,
     MUL_X,
     MUL_T,
     DER_X,
     DER_T,
+    _act,
 )
-from oracles import low_degree_monomials, naive_apply, naive_derive_ferm, naive_mono_mul
+from oracles import (
+    low_degree_monomials,
+    naive_apply,
+    naive_derive_ferm,
+    naive_mono_mul,
+    parse_poly,
+)
 
 SIG22 = VariableSignature(2, 2)
 
@@ -119,6 +124,22 @@ def test_mono_mul_associative(ma, mb, mc):
 
 
 # -- derivatives -------------------------------------------------------
+
+
+def derive(p: SuperPolynomial, var: tuple[str, int]) -> SuperPolynomial:
+    """Left super-derivative by ("x", i) or ("t", q), 1-based indices."""
+    kind, idx = var
+    if kind == "x":
+        if not 1 <= idx <= p.sig.num_bosonic:
+            raise ValueError(f"x{idx} outside signature {p.sig}")
+        chain = ((DER_X, idx - 1),)
+    elif kind == "t":
+        if not 1 <= idx <= p.sig.num_fermionic:
+            raise ValueError(f"t{idx} outside signature {p.sig}")
+        chain = ((DER_T, idx - 1),)
+    else:
+        raise ValueError(f"unknown variable kind {kind!r}")
+    return _act(((1, chain),), p)
 
 
 def test_left_derivative_first_position():
