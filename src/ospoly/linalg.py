@@ -1,11 +1,13 @@
 """Exact sparse linear algebra used by the slice analysis.
 
-Vectors are sparse dicts mapping a coordinate index (position of a monomial
-in some fixed ordered list) to an integer coefficient.  Rational inputs are
-cleared to integers first; elimination itself is fraction-free: one step,
-``_eliminate``, replaces v by a*v - b*row, and each result is normalized
-(content removed, leading entry positive), so the entries of every vector
-kept stay small.  The step is used three ways.
+Vectors are sparse dicts mapping a coordinate key to an integer
+coefficient.  A key is any int, and the integer order of keys is the pivot
+order: the slice analysis keys by packed monomial code, whose order is the
+canonical monomial order.  Rational inputs are cleared to integers first;
+elimination itself is fraction-free: one step, ``_eliminate``, replaces v
+by a*v - b*row, and each result is normalized (content removed, leading
+entry positive), so the entries of every vector kept stay small.  The step
+is used three ways.
 
 The canonical echelon.  ``Echelon`` keeps its rows fully reduced against
 each other.  With the pivot rule "smallest coordinate index wins" its rows
@@ -128,8 +130,11 @@ class Echelon:
             vec = {j: c for j, c in vec.items() if c}
         hits = [j for j in vec if j in rows]
         if scale is None:
-            leads = [rows[q][q] for q in hits]
-            scale = lcm(*leads) if leads.count(1) < len(leads) else 1
+            scale = 1
+            for q in hits:
+                lead = rows[q][q]
+                if lead != 1:
+                    scale = lcm(scale, lead)
         out = dict(vec) if scale == 1 else {j: c * scale for j, c in vec.items()}
         for q in hits:
             row = rows[q]

@@ -20,19 +20,21 @@ kernel computed on a slice is exactly the harmonic space intersected with
 the slice.  Mixed checks exploit this asymmetry (kernel side exact, image
 side from below).
 
-All linear algebra is exact over the rationals via fraction-free integer
-elimination with the pivot rule "smallest monomial in graded-lex order";
-degree levels are read from filtrations and rank profiles, which pivot on
-the largest.
+A window's vectors are sparse integer rows keyed by packed monomial code
+(``superpoly.CodeLayout``): codes sort in canonical order (total degree,
+exponents, mask), so the pivot rule "smallest code" is "smallest monomial
+in graded-lex order", and the codes of degree <= d are exactly those below
+``MonomialIndex.level_bound(d)``.  All linear algebra is exact over the
+rationals via fraction-free integer elimination; degree levels are read
+from filtrations and rank profiles, which pivot on the largest code.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
 from math import inf, lcm
 from operator import mul
 
@@ -79,39 +81,51 @@ class SliceKey:
 
 
 class MonomialIndex:
-    """One window: its key and its monomials in canonical order, with
-    position lookup.
+    """One window: its key and the packed codes of its monomials.
 
-    ``MonomialIndex(key)`` enumerates ``slice_monomials(key)``, which is in
-    canonical order already.  A caller may pass its own monomials instead,
-    in any order, with a key whose slice holds them; they are sorted.  The
-    helpers that work on a window take the index alone and read ``key`` and
-    ``cfg`` from it; it keeps what they build once per window: the packed
-    code of each monomial in ``layout`` (bound D + 2, as every atom is a
-    chain of two actions), the code -> position map ``position``, the total
-    degrees, weight codes, and the compiled programs of the elements and of
-    the lowering and raising operators.
+    The codes are in ``layout`` (bound D + 2, as every atom is a chain of
+    two actions) and are the coordinates of every row over the window.
+    ``MonomialIndex(key)`` enumerates them with ``slice_codes``, ascending,
+    which is canonical order.  A caller may pass its own monomials instead,
+    in any order, with a key whose slice holds them; their codes are
+    sorted.  ``members`` is the set of the codes; a code's total degree is
+    its top bits, so the codes of degree <= d are those below
+    ``level_bound(d)``.  The helpers that work on a window take the index
+    alone and read ``key`` and ``cfg`` from it; it keeps what they build
+    once per window: the weight codes keyed by monomial code, and the
+    compiled programs of the elements and of the lowering and raising
+    operators.
     """
 
     def __init__(self, key: SliceKey, monomials=None):
         self.key, self.cfg = key, key.cfg
-        if monomials is None:
-            self.monomials = slice_monomials(key)
-        else:
-            self.monomials = sorted(monomials, key=lambda m: m.sort_key())
         self.layout = CodeLayout(self.cfg.signature, key.max_degree + _CHAIN)
-        self.codes = [self.layout.pack(m) for m in self.monomials]
-        self.position = {code: i for i, code in enumerate(self.codes)}
-        self.degrees = [m.total_degree for m in self.monomials]
+        if monomials is None:
+            self.codes = slice_codes(key, self.layout)
+        else:
+            self.codes = sorted(map(self.layout.pack, monomials))
+        self.members = set(self.codes)
         self._weights = None
         self._programs: dict = {}
 
     def __len__(self):
-        return len(self.monomials)
+        return len(self.codes)
 
-    def weight_codes(self) -> tuple[list[int], int]:
-        """Per position, the ``weight_code`` of its monomial's weight, and
-        the code's base.  Computed once, from ``_weight_table``.
+    def level_bound(self, d: int) -> int:
+        """The least code of total degree d + 1: codes of degree <= d are
+        exactly the codes below it."""
+        return (d + 1) << self.layout.degree_shift
+
+    def check(self, codes) -> None:
+        """A KeyError for the first of codes that is not a slice member."""
+        members = self.members
+        for code in codes:
+            if code not in members:
+                raise KeyError(f"monomial {self.layout.unpack(code)} outside the slice")
+
+    def weight_codes(self) -> tuple[dict[int, int], int]:
+        """Per monomial code, the ``weight_code`` of its monomial's weight,
+        and the weight code's base.  Computed once, from ``_weight_table``.
 
         The base exceeds 2 * top + 4, top the largest coordinate size of a
         slice weight, so codes sort as the weights do and stay one-to-one on
@@ -124,13 +138,13 @@ class MonomialIndex:
             bits = [tuple(mask >> p & 1 for p in range(nf)) for mask in range(1 << nf)]
             weights = [
                 tuple(c + sum(map(mul, bos + bits[mask], row)) for c, row in table)
-                for bos, mask in self.monomials
+                for bos, mask in map(self.layout.unpack, self.codes)
             ]
             distinct = set(weights)
             top = max((abs(c) for w in distinct for c in w), default=0)
             base = 2 * top + 5
             codes = {w: weight_code(Weight(w[: cfg.m1], w[cfg.m1 :]), base) for w in distinct}
-            self._weights = ([codes[w] for w in weights], base)
+            self._weights = (dict(zip(self.codes, map(codes.__getitem__, weights))), base)
         return self._weights
 
     def element_programs(self, part: str) -> tuple:
@@ -162,17 +176,15 @@ class MonomialIndex:
                 code = self.layout.pack(m)
             except ValueError:  # past the layout's degree bound or signature
                 code = None
-            i = self.position.get(code)
-            if i is None:
+            if code not in self.members:
                 raise ValueError(f"monomial {m} outside the slice")
-            out[i] = c
+            out[code] = c
         return linalg.vec_from_fractions(out)
 
     def poly(self, row: dict[int, int]) -> SuperPolynomial:
+        unpack = self.layout.unpack
         frac = linalg.row_to_fractions(row)
-        return SuperPolynomial(
-            self.cfg.signature, {self.monomials[i]: c for i, c in frac.items()}
-        )
+        return SuperPolynomial(self.cfg.signature, {unpack(code): c for code, c in frac.items()})
 
 
 def _weight_table(cfg: RepConfig) -> list[tuple[int, tuple[int, ...]]]:
@@ -241,80 +253,76 @@ def _combine(statuses) -> str:
 # slice enumeration
 
 
-def slice_monomials(key: SliceKey) -> list[SuperMonomial]:
-    """All monomials with grading k and total degree <= D, canonical order.
+def slice_codes(key: SliceKey, layout: CodeLayout) -> list[int]:
+    """The codes in layout of all monomials with grading k and total degree
+    <= D, ascending, which is canonical order; layout's bound is >= D.
 
     A swapped bosonic variable counts -1 to the grading, every other
-    variable +1.  So t fermions and swapped degree b leave unswapped degree
-    k - t + b >= 0, and the total degree is k + 2b <= D.
+    variable +1.  So on total degree k + 2b <= D the swapped exponents sum
+    to b, and t fermions leave unswapped degree k - t + b >= 0.  A code is
+    the degree field plus one code per variable group plus a mask, and no
+    field carries, so each degree's codes are sums of parts, sorted as ints.
     """
     cfg, k, D = key.cfg, key.k, key.max_degree
+    bs = range(max(0, -k), (D - k) // 2 + 1)
+    if not bs:
+        return []
     weights, _ = variable_k_weights(cfg)
-    groups = [[i for i, w in enumerate(weights) if w == sign] for sign in (1, -1)]
-    nf = cfg.signature.num_fermionic
+    up = _part_codes([s for s, w in zip(layout.shifts, weights) if w > 0], k + bs[-1])
+    down = _part_codes([s for s, w in zip(layout.shifts, weights) if w < 0], bs[-1])
+    nf = layout.num_fermionic
+    masks = [[m for m in range(1 << nf) if m.bit_count() == t] for t in range(nf + 1)]
     out = []
-    for t in range(nf + 1):
-        masks = [mask for mask in range(1 << nf) if mask.bit_count() == t]
-        for b in range(max(0, t - k), (D - k) // 2 + 1):
-            bos_list = list(_exponents(groups, (k - t + b, b)))
-            out += [(k + 2 * b, bos, mask) for mask in masks for bos in bos_list]
-    return [SuperMonomial(bos, mask) for _, bos, mask in sorted(out)]
+    for b in bs:
+        degree, level = (k + 2 * b) << layout.degree_shift, []
+        for t in range(min(nf, k + b) + 1):
+            bos = [degree + u + v for u in up[k - t + b] for v in down[b]]
+            level += [c + m for c in bos for m in masks[t]]
+        level.sort()
+        out += level
+    return out
 
 
-def _exponents(groups, degrees):
-    """Exponent tuples whose entries on groups[i] sum to degrees[i]; the
-    groups partition the positions."""
-    e = [0] * sum(map(len, groups))
-    for parts in product(*map(_exponents_with_sum, map(len, groups), degrees)):
-        for g, part in zip(groups, parts):
-            for i, x in zip(g, part):
-                e[i] = x
-        yield tuple(e)
+def _part_codes(shifts, top) -> list[list[int]]:
+    """Per total s = 0..top, the codes sum(e_i << shifts[i]) of the exponent
+    tuples e with entries summing to s."""
+    parts = [[0]] + [[] for _ in range(top)]
+    for shift in shifts:
+        parts = [
+            [c + (e << shift) for e in range(s + 1) for c in parts[s - e]] for s in range(top + 1)
+        ]
+    return parts
 
 
-def _exponents_with_sum(nvars, total):
-    if nvars == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in _exponents_with_sum(nvars - 1, total - head):
-            yield (head,) + tail
+def slice_monomials(key: SliceKey) -> list[SuperMonomial]:
+    """All monomials with grading k and total degree <= D, canonical order:
+    ``slice_codes`` unpacked."""
+    layout = CodeLayout(key.cfg.signature, key.max_degree)
+    return list(map(layout.unpack, slice_codes(key, layout)))
 
 
 # ---------------------------------------------------------------------------
 # harmonic kernels
 
 
-def _slice_codes(idx: MonomialIndex, k: int, top: int) -> list[int]:
-    """The monomials of the slice (k, <= top) of idx's configuration, in
-    canonical order, packed in idx's layout; top <= D."""
-    return list(map(idx.layout.pack, slice_monomials(SliceKey(idx.cfg, k, top))))
+def _lowering_kernel(idx: MonomialIndex, codes, solve=None) -> list[dict[int, int]]:
+    """Exact kernel of the lowering operator on the span of the monomial
+    codes, ascending and in idx's layout: solve's basis (``linalg.kernel``'s
+    when None) of the nullspace of e_i -> image of codes[i], as integer rows
+    over the codes.
 
-
-def _lowering_images(idx: MonomialIndex, codes) -> list[dict[int, int]]:
-    """The lowering operator's image of each monomial code, in order; the
-    codes are in idx's layout.
-
-    The operator's program is compiled once per window.  Each image is an
-    integer row whose coordinates number the image monomials on first sight;
-    the numbering does not change the kernel of e_i -> image i.
+    The operator's program is compiled once per window.  Relabelling i to
+    codes[i] keeps the order, so ``linalg.kernel``'s basis stays canonical.
     """
     program = idx.delta_eta_programs()[0]
-    seen: dict = {}
-    return [act_on_terms(program, ((code, 1),), {}, seen, -1) for code in codes]
-
-
-def _lowering_kernel(idx: MonomialIndex) -> list[dict[int, int]]:
-    """Exact kernel of the lowering operator on the span of idx's monomials,
-    as its canonical echelon basis: integer rows over idx."""
-    return linalg.kernel(_lowering_images(idx, idx.codes))
+    combos = (solve or linalg.kernel)([act_on_terms(program, ((code, 1),)) for code in codes])
+    return [{codes[i]: c for i, c in combo.items()} for combo in combos]
 
 
 def harmonic_space(key: SliceKey) -> list[SuperPolynomial]:
     """Exact kernel of the lowering operator on the slice."""
     idx = MonomialIndex(key)
-    return [idx.poly(row) for row in _lowering_kernel(idx)]
+    return [idx.poly(row) for row in _lowering_kernel(idx, idx.codes)]
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +348,15 @@ def singular_vectors(
     Every returned vector is exactly annihilated (resp. mapped into the
     span): operator images are computed without truncation.
 
-    A monomial's image is an integer row from ``act_on_terms``: over idx
-    and a halo for the positive operators, which keep the grading, and over
-    a halo of its own for the lowering operator, as in ``_lowering_images``.
+    A monomial's image is an integer row over codes from ``act_on_terms``.
+    The positive operators keep the grading, so an image code of degree
+    <= D outside the slice raises KeyError, checked once per weight group.
     Positive images are taken modulo the span, echelonized once per call, by
     ``Echelon.remainder`` with one common multiple of its pivot entries, so
     the remainder stays linear in the image.  Each weight group of idx
     (``idx.weight_codes``) stacks its images under rows keyed by (operator,
-    image index); its kernel is the canonical echelon basis over the group's
-    positions, so neither row labels nor the per-operator and common scale
+    image code); its kernel is the canonical echelon basis over the group's
+    codes, so neither row labels nor the per-operator and common scale
     factors affect the result.
 
     ``weights``, a set of weight codes, solves only those groups: each group
@@ -358,21 +366,21 @@ def singular_vectors(
     hi's echelon rows outside lo: those rows are weight vectors, so a weight
     whose rows all lie in lo holds no vector of hi outside lo.
     """
-    D, codes = idx.key.max_degree, idx.codes
-    halo: dict = {}
-    # (program, index, halo, D); images of the first num_mod operators are
-    # taken modulo the span, the lowering operator must annihilate outright
-    ops = [(program, idx.position, halo, D) for _, program in idx.element_programs(part)]
-    num_mod = len(ops) if modulo else 0
+    top = idx.level_bound(idx.key.max_degree)
+    # images of the first num_mod operators are taken modulo the span, the
+    # lowering operator must annihilate outright
+    ops = [program for _, program in idx.element_programs(part)]
+    num_pos = len(ops)
+    num_mod = num_pos if modulo else 0
     if within == "H":
-        ops.append((idx.delta_eta_programs()[0], {}, {}, -1))
+        ops.append(idx.delta_eta_programs()[0])
     elif within != "A":
         raise ValueError("within must be 'H' or 'A'")
 
     groups: dict = {}
-    for i, w in enumerate(idx.weight_codes()[0]):
+    for code, w in idx.weight_codes()[0].items():
         if weights is None or w in weights:
-            groups.setdefault(w, []).append(i)
+            groups.setdefault(w, []).append(code)
 
     if modulo and groups:
         mod_ech = linalg.span(modulo)
@@ -383,13 +391,14 @@ def singular_vectors(
         cols = groups[w]
         rows: dict = {}
         stacked: list[dict[int, int]] = [{} for _ in cols]
-        for oi, (program, index, op_halo, top) in enumerate(ops):
-            for col, i in zip(stacked, cols):
-                image = act_on_terms(program, ((codes[i], 1),), index, op_halo, top)
+        for oi, program in enumerate(ops):
+            for col, code in zip(stacked, cols):
+                image = act_on_terms(program, ((code, 1),))
                 if oi < num_mod:
                     image = mod_ech.remainder(image, pivots_lcm)
                 for j, c in image.items():
                     col[rows.setdefault((oi, j), len(rows))] = c
+        idx.check(j for oi, j in rows if oi < num_pos and j < top)
         for combo in linalg.kernel(stacked):
             out.append({cols[j]: c for j, c in combo.items()})
     return out
@@ -419,16 +428,17 @@ def generate_submodule(
     gens and the returned canonical echelon basis are integer rows over idx.
     The queue starts as the canonical basis of span(gens), so the result does
     not depend on the order of gens.  Each osp operator is compiled once per
-    window (``idx.element_programs``), and a popped row's (code, coefficient)
-    terms are built once for all its images, which ``act_on_terms`` builds
-    over idx and a halo.  An image is skipped exactly when a coefficient on a
-    monomial of degree > D (its halo) is nonzero after cancellation.
+    window (``idx.element_programs``), and ``act_on_terms`` builds a popped
+    row's images straight from its (code, coefficient) items.  An image is
+    skipped exactly when a coefficient on a monomial of degree > D (a code
+    at or above ``idx.level_bound(D)``) is nonzero after cancellation.
 
     Most in-window images already lie in the span.  Each goes through one
     ``Echelon.remainder`` call, with no normalization; an image whose
     remainder is zero is rejected there, and only a nonzero remainder
     reaches ``Echelon.insert``, which stores it as a new row and queues it
-    as it returns it.
+    as it returns it.  A code outside the slice raises KeyError there: no
+    stored row holds it, so it survives in the remainder.
 
     The queue is last-in first-out, and that order is part of the result:
     whether an image leaves the window depends on which representative of a
@@ -442,7 +452,7 @@ def generate_submodule(
     then that of the span so far.
 
     An image is not built at all when weights alone show it cannot add a
-    row.  Precondition: every generator is a weight vector (its positions
+    row.  Precondition: every generator is a weight vector (its codes
     share one ``MonomialIndex.weight_codes`` code).  Then every echelon row
     is a weight vector, with its pivot's weight, and a root element maps a
     row of weight w into weight w + ``element_root``.  room[u] counts the
@@ -456,8 +466,7 @@ def generate_submodule(
     """
     if not gens:
         raise ValueError("empty generator list")
-    cfg, D = idx.cfg, idx.key.max_degree
-    n, position, codes = len(idx), idx.position, idx.codes
+    cfg, top = idx.cfg, idx.level_bound(idx.key.max_degree)
     weights, base = idx.weight_codes()
     if all(len({weights[i] for i in g}) <= 1 for g in gens):
         ops = [
@@ -465,10 +474,9 @@ def generate_submodule(
             for e, program in idx.element_programs("roots")
         ]
     else:
-        weights = [0] * n
+        weights = dict.fromkeys(idx.codes, 0)
         ops = [(program, 0) for _, program in idx.element_programs("all")]
-    room = Counter(weights)
-    halo: dict = {}
+    room = Counter(weights.values())
     ech = linalg.span(gens)
     queue = ech.basis()
     for row in queue:
@@ -477,17 +485,17 @@ def generate_submodule(
     while queue and not stop:
         v = queue.pop()
         w = weights[min(v)]
-        terms = [(codes[i], c) for i, c in v.items()]
         for program, step in ops:
             u = w + step
             if not room.get(u):  # a weight outside the slice has no entry
                 continue
-            image = act_on_terms(program, terms, position, halo, D)
-            if not image or max(image) >= n:
+            image = act_on_terms(program, v.items())
+            if not image or max(image) >= top:
                 continue
             rest = ech.remainder(image)
             if not rest:
                 continue
+            idx.check(rest)
             row = ech.insert(rest)
             room[u] -= 1
             queue.append(row)
@@ -498,11 +506,6 @@ def generate_submodule(
 
 # ---------------------------------------------------------------------------
 # helpers shared by the verifiers
-
-
-def _monos_up_to(idx: MonomialIndex, d: int) -> int:
-    """Slice monomials of total degree <= d (the index sorts by degree first)."""
-    return bisect_right(idx.degrees, d)
 
 
 def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
@@ -530,20 +533,22 @@ def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
 def _fill_levels(rep, idx, pivots, level_dims) -> list[str]:
     """Does a span fill the slice on each nonempty level d <= D - margin?
 
-    pivots are the span's ``rank_profile`` pivots, ascending.  dimA counts
-    the slice monomials of degree <= d, and the span's part on level d has
-    one dimension per pivot below dimA.  Appends a dims entry per level,
-    level_dims(dimA, filled) plus degree and status, and returns the statuses.
+    pivots are the span's ``rank_profile`` pivots, ascending.  With bound =
+    ``idx.level_bound(d)``, dimA counts the slice codes below bound, and the
+    span's part on level d has one dimension per pivot below bound.  Appends
+    a dims entry per level, level_dims(bound, dimA, filled) plus degree and
+    status, and returns the statuses.
     """
     statuses = []
     for d in range(0, rep.max_degree - rep.margin + 1):
-        dim_a = _monos_up_to(idx, d)
+        bound = idx.level_bound(d)
+        dim_a = bisect_left(idx.codes, bound)
         if dim_a == 0:
             continue
-        filled = bisect_left(pivots, dim_a)
+        filled = bisect_left(pivots, bound)
         status = "pass" if filled == dim_a else "inconclusive-window"
         statuses.append(status)
-        rep.dims.append({"d": d, **level_dims(dim_a, filled), "status": status})
+        rep.dims.append({"d": d, **level_dims(bound, dim_a, filled), "status": status})
     return statuses
 
 
@@ -562,25 +567,23 @@ def eta_image(idx: MonomialIndex, power: int) -> list[dict[int, int]]:
     Where q is regular (``_q_is_regular``) eta^p f has degree deg f + 2p, and
     the window part of span(eta^p H(k - 2p)) is eta^p of H(k - 2p) on degree
     <= D - 2p (none when D < 2p).  H(k - 2p) is solved on the source
-    slice's codes in idx's layout, with idx's compiled programs.  Each
-    middle eta step runs over a halo of its own; the last lands in idx with
-    no halo, so a monomial outside idx raises KeyError.  Where q is
-    nilpotent (A', and even m with r = m1) eta can lower the degree of a
-    combination: a ValueError.
+    slice's codes in idx's layout, with idx's compiled programs, and each
+    eta step maps code rows to code rows.  A final row with a monomial
+    outside idx raises KeyError.  Where q is nilpotent (A', and even m with
+    r = m1) eta can lower the degree of a combination: a ValueError.
     """
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
     if not _q_is_regular(cfg):
         raise ValueError(f"{cfg.describe()}: q = eta(1) is nilpotent, so eta^p H is not exact")
     if D < 2 * power:
         return []
-    codes = _slice_codes(idx, k - 2 * power, D - 2 * power)
-    rows = linalg.kernel(_lowering_images(idx, codes))
+    source = SliceKey(cfg, k - 2 * power, D - 2 * power)
+    rows = _lowering_kernel(idx, slice_codes(source, idx.layout))
     program = idx.delta_eta_programs()[1]
-    for step in range(1, power + 1):
-        index, top, halo = (idx.position, inf, {}) if step == power else ({}, -1, {})
-        terms = (zip(map(codes.__getitem__, row), row.values()) for row in rows)
-        rows = [act_on_terms(program, t, index, halo, top) for t in terms]
-        codes = list(halo)
+    for _ in range(power):
+        rows = [act_on_terms(program, row.items()) for row in rows]
+    for row in rows:
+        idx.check(row)
     return linalg.filtration(rows)
 
 
@@ -588,23 +591,24 @@ def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
     """eta applied to every monomial of the slice (k - 2, <= D), as
     content-free integer rows over idx, the slice (k, <= D).
 
-    An image is dropped, never truncated, when it is zero or when a halo
-    index (a monomial of degree > D) survives cancellation, so the span lies
-    inside the true raised space.  Where q = eta(1) is regular the image of
-    a monomial of degree > D - 2 has degree > D and is always dropped, so
-    the source stops at degree D - 2 (none when D < 2).
+    An image is dropped, never truncated, when it is zero or when a code of
+    degree > D survives cancellation, so the span lies inside the true
+    raised space; a kept image with a monomial outside idx raises KeyError.
+    Where q = eta(1) is regular the image of a monomial of degree > D - 2
+    has degree > D and is always dropped, so the source stops at degree
+    D - 2 (none when D < 2).
     """
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
-    top = D - 2 if _q_is_regular(cfg) else D
-    if top < 0:
+    source_top = D - 2 if _q_is_regular(cfg) else D
+    if source_top < 0:
         return []
     program = idx.delta_eta_programs()[1]
-    n = len(idx)
-    halo: dict = {}
+    top = idx.level_bound(D)
     out = []
-    for code in _slice_codes(idx, k - 2, top):
-        image = act_on_terms(program, ((code, 1),), idx.position, halo, D)
-        if image and max(image) < n:
+    for code in slice_codes(SliceKey(cfg, k - 2, source_top), idx.layout):
+        image = act_on_terms(program, ((code, 1),))
+        if image and max(image) < top:
+            idx.check(image)
             out.append(linalg.normalize(image))
     return out
 
@@ -627,14 +631,14 @@ def verify_direct_sum(
     idx = MonomialIndex(SliceKey(cfg, k, D))
     # the kernel side is exact and the image side from below; the forward
     # kernel basis is independent, as _check_direct_sum needs
-    h_vecs = linalg.kernel_basis(_lowering_images(idx, idx.codes))
+    h_vecs = _lowering_kernel(idx, idx.codes, linalg.kernel_basis)
     img_vecs = eta_span_of_slice(idx)
     h_pivots, _ = linalg.rank_profile(h_vecs)
     _check_direct_sum(
         rep, idx, h_vecs, img_vecs, "kernel meets the raised space",
-        lambda dim_a, filled: {
+        lambda bound, dim_a, filled: {
             "dimA": dim_a,
-            "dimH": bisect_left(h_pivots, dim_a),
+            "dimH": bisect_left(h_pivots, bound),
             "dimSum": filled,
         },
     )
@@ -646,15 +650,15 @@ def verify_direct_sum(
 def _stable_under_action(rows, ech, idx) -> tuple | None:
     """The first (element, position in rows) whose exact image leaves the
     span ech of rows while staying in the window, or None when the span is
-    action-stable on the window."""
-    n, codes, D = len(idx), idx.codes, idx.key.max_degree
-    halo: dict = {}
-    terms = [[(codes[j], c) for j, c in row.items()] for row in rows]
+    action-stable on the window; a leak with a monomial outside the slice
+    raises KeyError."""
+    top = idx.level_bound(idx.key.max_degree)
     # a Cartan element keeps every weight space, so it never leaks
     for e, program in idx.element_programs("roots"):
-        for i, row_terms in enumerate(terms):
-            image = act_on_terms(program, row_terms, idx.position, halo, D)
-            if image and max(image) < n and not ech.contains(image):
+        for i, row in enumerate(rows):
+            image = act_on_terms(program, row.items())
+            if image and max(image) < top and not ech.contains(image):
+                idx.check(image)
                 return e, i
     return None
 
@@ -666,7 +670,7 @@ def _generates_layer(seed_row, top_rows, bottom_rows, idx):
     filtration rows on the verified window.  A row r of degree <= d lies in
     span(lhs . {deg <= d}) exactly when it lies in span(lhs), so the first
     row outside span(lhs) names the first failing level: the total degree
-    of its pivot monomial.
+    of its pivot monomial, the pivot code's top bits.
 
     lhs grows from bottom by each row the closure of seed adds, and full
     from bottom + top alike.  Top lies in lhs exactly when the two have one
@@ -689,7 +693,7 @@ def _generates_layer(seed_row, top_rows, bottom_rows, idx):
     if lhs.dim == full.dim:
         return True, -1
     missed = next(r for r in top_rows if not lhs.contains(r))
-    return False, idx.degrees[max(missed)]
+    return False, max(missed) >> idx.layout.degree_shift
 
 
 def verify_composition_series(
@@ -746,9 +750,9 @@ def verify_composition_series(
     # on the verified window; a window row lies in the window part of a span
     # exactly when it lies in the span
     top_level = D - margin
-    bound = _monos_up_to(idx, top_level)
+    bound = idx.level_bound(top_level)
     terms = []
-    for name, rows in [("H", _lowering_kernel(idx))] + chain + [("0", [])]:
+    for name, rows in [("H", _lowering_kernel(idx, idx.codes))] + chain + [("0", [])]:
         window_rows = linalg.restrict_to_zone(linalg.filtration(rows), bound)
         terms.append((name, rows, linalg.span(rows), window_rows))
     statuses = []
@@ -900,16 +904,16 @@ def verify_aprime_structure(
                 else SuperPolynomial.x(sig, 2 * n) ** (k - m1)
             ) * word
             seeds.append(extreme)
-        pool = list(idx.monomials)
+        pool = list(idx.codes)
         rng.shuffle(pool)
-        for m in pool[:num_seeds]:
-            seeds.append(SuperPolynomial.from_monomial(sig, m))
+        for code in pool[:num_seeds]:
+            seeds.append(SuperPolynomial.from_monomial(sig, idx.layout.unpack(code)))
         statuses = []
         for s in seeds:
             reached, _ = linalg.rank_profile(generate_submodule(idx, [idx.vec(s)]))
             statuses += _fill_levels(
                 rep, idx, reached,
-                lambda dim_a, got: {"seed": str(s), "dim_reached": got, "dimA": dim_a},
+                lambda _, dim_a, got: {"seed": str(s), "dim_reached": got, "dimA": dim_a},
             )
         rep.status = _combine(statuses) if statuses else "inconclusive-window"
         return rep
@@ -927,7 +931,7 @@ def verify_aprime_structure(
     gen2 = generate_submodule(idx, [idx.vec(pluecker * word)])
     _check_direct_sum(
         rep, idx, gen1, gen2, "the two blocks meet nontrivially",
-        lambda dim_a, filled: {
+        lambda _, dim_a, filled: {
             "dim_block1": len(gen1), "dim_block2": len(gen2), "dimSum": filled, "dimA": dim_a
         },
     )

@@ -26,24 +26,26 @@ Every atomic action (multiply by or differentiate by one variable) sends a
 monomial to an integer multiple of a single monomial, or to 0, so a chain
 acts on one monomial at a time with an integer factor.  ``act_on_terms`` is
 the one kernel that applies chains: it sums the images of a sum of terms
-as a sparse row over a caller's monomial index.  ``apply_operator`` calls
-it with an empty index.
+as a sparse row keyed by packed monomial code.  ``apply_operator`` calls it
+and unpacks the row.
 
 The kernel works on packed monomial codes.  A ``CodeLayout`` for a degree
-bound B packs a monomial of total degree <= B into one int: the fermionic
-mask in the low nf bits, then one field of B.bit_length() bits per bosonic
-exponent (x_1 lowest), and the total degree in the top bits.
-``compile_atoms`` turns integer atoms into an ``ActionProgram`` for one
-layout: per atom, the derivative reads (field shift and the exponent change
-of the actions before them in the chain), one mask test for the fermionic
-factors the chain needs present or absent, one sign mask, and one net code
-delta, which carries the atom's degree shift into the degree field.  The
-sign rule lives in ``compile_atoms``: t_q enters or leaves past the
-fermionic factors below it, so each fermionic action contributes the
-parity of the mask bits below q at that point, and the XOR of those masks
-gives the whole chain's sign as one parity of the source mask.  A program
-refuses (``ValueError``) a source whose degree plus the largest shift of
-its atoms would pass B, so no field ever wraps.
+bound B packs a monomial of total degree <= B into one int: the total
+degree in the top bits, then one field of B.bit_length() bits per bosonic
+exponent (x_1 most significant), then the fermionic mask in the low nf
+bits.  No field overflows, so the integer order of codes is the canonical
+order (total degree, exponents lexicographic, mask) of
+``SuperMonomial.sort_key``.  ``compile_atoms`` turns integer atoms into an
+``ActionProgram`` for one layout: per atom, the derivative reads (field
+shift and the exponent change of the actions before them in the chain), one
+mask test for the fermionic factors the chain needs present or absent, one
+sign mask, and one net code delta, which carries the atom's degree shift
+into the degree field.  The sign rule lives in ``compile_atoms``: t_q
+enters or leaves past the fermionic factors below it, so each fermionic
+action contributes the parity of the mask bits below q at that point, and
+the XOR of those masks gives the whole chain's sign as one parity of the
+source mask.  A program refuses (``ValueError``) a source whose degree plus
+the largest shift of its atoms would pass B, so no field ever wraps.
 
 Both choices are validated downstream by demanding that the matrix-unit
 realizations actually define representations and that the quadratic
@@ -59,7 +61,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
 from typing import Iterable, NamedTuple
 
 
@@ -251,12 +252,17 @@ class SuperPolynomial:
 class CodeLayout:
     """Packing of the monomials of total degree <= bound into one int each.
 
-    Bit layout, from the lowest bit: the fermionic mask (num_fermionic bits),
-    one field of ``width`` = bound.bit_length() bits per bosonic exponent,
-    x_1 lowest, then the total degree, which is not bounded by the layout.
+    Bit layout, from the highest bit: the total degree, which is not bounded
+    by the layout, then one field of ``width`` = bound.bit_length() bits per
+    bosonic exponent, x_1 most significant, then the fermionic mask in the
+    low num_fermionic bits.  Codes therefore sort as the monomials'
+    ``sort_key`` (total degree, exponents, mask) does, and every code of
+    degree <= d is below (d + 1) << degree_shift.
     """
 
-    __slots__ = ("num_bosonic", "num_fermionic", "bound", "width", "field_mask", "degree_shift")
+    __slots__ = (
+        "num_bosonic", "num_fermionic", "bound", "width", "field_mask", "degree_shift", "shifts"
+    )
 
     def __init__(self, sig: VariableSignature, bound: int):
         self.num_bosonic, self.num_fermionic = sig
@@ -264,6 +270,10 @@ class CodeLayout:
         self.width = bound.bit_length()
         self.field_mask = (1 << self.width) - 1
         self.degree_shift = self.num_fermionic + self.num_bosonic * self.width
+        # the lowest bit of each field, x_1's first
+        self.shifts = tuple(
+            self.degree_shift - (i + 1) * self.width for i in range(self.num_bosonic)
+        )
 
     def pack(self, mono: SuperMonomial) -> int:
         """The code of mono; a ValueError past the bound or the signature."""
@@ -274,18 +284,14 @@ class CodeLayout:
         if len(bos) != self.num_bosonic or mask >> self.num_fermionic:
             raise ValueError(f"monomial {mono} outside the code layout's signature")
         code = degree
-        for e in reversed(bos):
+        for e in bos:
             code = code << self.width | e
         return code << self.num_fermionic | mask
 
     def unpack(self, code: int) -> SuperMonomial:
-        mask = code & ((1 << self.num_fermionic) - 1)
-        code >>= self.num_fermionic
-        bos = []
-        for _ in range(self.num_bosonic):
-            bos.append(code & self.field_mask)
-            code >>= self.width
-        return SuperMonomial(tuple(bos), mask)
+        fmask = self.field_mask
+        bos = tuple(code >> shift & fmask for shift in self.shifts)
+        return SuperMonomial(bos, code & ((1 << self.num_fermionic) - 1))
 
 
 class ActionProgram(NamedTuple):
@@ -316,7 +322,6 @@ def compile_atoms(atoms, layout: CodeLayout) -> ActionProgram:
     so the chain's sign is the parity of source mask & (XOR of the
     bit - 1 masks), times a constant folded into the coefficient.
     """
-    nf, width = layout.num_fermionic, layout.width
     ops, rise = [], 0
     for a, chain in atoms:
         change = [0] * layout.num_bosonic
@@ -326,7 +331,7 @@ def compile_atoms(atoms, layout: CodeLayout) -> ActionProgram:
             if kind == MUL_X:
                 change[i] += 1
             elif kind == DER_X:
-                reads.append((nf + i * width, change[i]))
+                reads.append((layout.shifts[i], change[i]))
                 change[i] -= 1
             else:
                 bit = 1 << i
@@ -341,36 +346,29 @@ def compile_atoms(atoms, layout: CodeLayout) -> ActionProgram:
             gained, lost = toggled & ~check_value, toggled & check_value
             shift = sum(change) + gained.bit_count() - lost.bit_count()
             delta = gained - lost + (shift << layout.degree_shift)
-            delta += sum(c << (nf + v * width) for v, c in enumerate(change))
+            delta += sum(c << layout.shifts[v] for v, c in enumerate(change))
             ops.append((-a if flip else a, check_mask, check_value, sign_mask, tuple(reads), delta))
             rise = max(rise, shift)
     limit = max(0, layout.bound - rise + 1) << layout.degree_shift
     return ActionProgram(layout, tuple(ops), limit)
 
 
-def act_on_terms(program: ActionProgram, terms, index: dict, halo: dict, D) -> dict:
+def act_on_terms(program: ActionProgram, terms) -> dict:
     """Image of sum(c * code for code, c in terms) under the program, as a
-    sparse row {position: coefficient}; terms are (code, coefficient) pairs
-    in the program's layout.
+    sparse row {code: coefficient}; terms are (code, coefficient) pairs in
+    the program's layout.
 
     Each (term, op) pair adds a multiple of one image code: the op's check
     must match the source mask, its sign is the parity of the masked source
     bits, each read multiplies by an exponent (0 kills the term), and the
     image is the source code plus the op's delta.  A source at or above the
-    program's limit raises ValueError before any field can wrap.
-
-    An image code in index gets its position there.  Any other image of
-    degree > D gets a position >= len(index), numbered in halo (keyed by
-    code) on first sight; one of degree <= D raises KeyError.  The degree
-    sits in the code's top bits, so the test is one comparison.  With an
-    empty index and D = -1 every image is numbered in halo; with D = inf
-    none is.  Coefficients may be ints or Fractions; no zero entry is kept.
+    program's limit raises ValueError before any field can wrap.  Which
+    image codes a caller keeps (a window, a slice) is the caller's test: the
+    degree sits in a code's top bits.  Coefficients may be ints or
+    Fractions; no zero entry is kept.
     """
     layout, ops, limit = program
     fmask = layout.field_mask
-    top = inf if D == inf else (D + 1) << layout.degree_shift
-    base = len(index)
-    at_index, at_halo = index.get, halo.get
     out: dict = {}
     for code, c in terms:
         if code >= limit:
@@ -389,18 +387,11 @@ def act_on_terms(program: ActionProgram, terms, index: dict, halo: dict, D) -> d
                 f *= e
             else:
                 image = code + delta
-                j = at_index(image)
-                if j is None:
-                    j = at_halo(image)
-                    if j is None:
-                        if image < top:
-                            raise KeyError(f"monomial {layout.unpack(image)} outside the slice")
-                        j = halo[image] = base + len(halo)
-                s = out.get(j, 0) + c * f
+                s = out.get(image, 0) + c * f
                 if s:
-                    out[j] = s
+                    out[image] = s
                 else:
-                    del out[j]
+                    del out[image]
     return out
 
 
@@ -413,17 +404,14 @@ def _program(atoms: tuple, sig: VariableSignature, degree: int) -> ActionProgram
 
 
 def _act(atoms: tuple, p: SuperPolynomial) -> SuperPolynomial:
-    """The atoms applied to p, through ``act_on_terms`` with an empty index;
-    the program is compiled once per (atoms, signature, degree of p)."""
+    """The atoms applied to p, through ``act_on_terms``; the program is
+    compiled once per (atoms, signature, degree of p)."""
     if not p.terms:
         return SuperPolynomial(p.sig)
     program = _program(atoms, p.sig, p.max_degree())
-    layout, halo = program.layout, {}
-    terms = [(layout.pack(m), c) for m, c in p.terms.items()]
-    image = act_on_terms(program, terms, {}, halo, -1)
-    return SuperPolynomial(
-        p.sig, {layout.unpack(code): image[j] for code, j in halo.items() if j in image}
-    )
+    layout = program.layout
+    image = act_on_terms(program, [(layout.pack(m), c) for m, c in p.terms.items()])
+    return SuperPolynomial(p.sig, {layout.unpack(code): c for code, c in image.items()})
 
 
 class SuperOperator:

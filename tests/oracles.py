@@ -9,8 +9,9 @@ only as containers.  The library must agree with these on every frozen
 example.  These call library code, so they check only what they add to it:
 ``weight_of`` (``rep_element``), ``k_degree`` (``variable_k_weights``),
 ``eta_polynomial`` (``delta_eta``), ``parse_poly`` (polynomial products),
-``reference_closure`` (``rep_element``, ``Echelon``, ``MonomialIndex``) and
-``scan_insert`` (``linalg.normalize``).
+``reference_closure`` (``rep_element``, ``Echelon``, ``MonomialIndex``),
+``scan_insert`` (``linalg.normalize``) and ``reference_slice_monomials``
+(``variable_k_weights``).
 """
 
 import re
@@ -238,17 +239,56 @@ def scan_insert(rows, vec):
     return vec
 
 
-def reference_act_on_terms(atoms, terms, index, halo, D):
-    """The tuple-based action kernel the packed one replaced, kept as its
-    reference: terms are (SuperMonomial, coefficient) pairs, atoms are
-    (integer coefficient, chain) pairs, and index and halo are keyed by
-    monomials.  Same contract as ``superpoly.act_on_terms`` otherwise: the
-    image as {position: coefficient}, an image monomial outside index of
-    degree > D numbered in halo on first sight, one of degree <= D a
-    KeyError.
+def reference_slice_monomials(key):
+    """The tuple enumerator ``slices.slice_codes`` replaced, kept as its
+    reference: all monomials with grading k and total degree <= D, as
+    (degree, exponents, mask) tuples sorted, which is canonical order.
+
+    A swapped bosonic variable counts -1 to the grading, every other
+    variable +1.  So t fermions and swapped degree b leave unswapped degree
+    k - t + b >= 0, and the total degree is k + 2b <= D.
     """
-    base = len(index)
-    at_index, at_halo = index.get, halo.get
+    cfg, k, D = key.cfg, key.k, key.max_degree
+    weights, _ = variable_k_weights(cfg)
+    groups = [[i for i, w in enumerate(weights) if w == sign] for sign in (1, -1)]
+    nf = cfg.signature.num_fermionic
+    out = []
+    for t in range(nf + 1):
+        masks = [mask for mask in range(1 << nf) if mask.bit_count() == t]
+        for b in range(max(0, t - k), (D - k) // 2 + 1):
+            bos_list = list(exponents(groups, (k - t + b, b)))
+            out += [(k + 2 * b, bos, mask) for mask in masks for bos in bos_list]
+    return [SuperMonomial(bos, mask) for _, bos, mask in sorted(out)]
+
+
+def exponents(groups, degrees):
+    """Exponent tuples whose entries on groups[i] sum to degrees[i]; the
+    groups partition the positions."""
+    e = [0] * sum(map(len, groups))
+    for parts in product(*map(exponents_with_sum, map(len, groups), degrees)):
+        for g, part in zip(groups, parts):
+            for i, x in zip(g, part):
+                e[i] = x
+        yield tuple(e)
+
+
+def exponents_with_sum(nvars, total):
+    if nvars == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for tail in exponents_with_sum(nvars - 1, total - head):
+            yield (head,) + tail
+
+
+def reference_act_on_terms(atoms, terms):
+    """The tuple-based action kernel the packed one replaced, kept as its
+    reference: terms are (SuperMonomial, coefficient) pairs and atoms are
+    (integer coefficient, chain) pairs.  Same contract as
+    ``superpoly.act_on_terms`` otherwise: the image as {monomial:
+    coefficient}, keys in order of first sight, no zero entry kept.
+    """
     out = {}
     for (bos0, mask0), c in terms:
         for a, chain in atoms:
@@ -271,20 +311,12 @@ def reference_act_on_terms(atoms, terms, index, halo, D):
                         f = -f
                     mask ^= bit
             else:
-                key = (tuple(bos), mask)
-                j = at_index(key)
-                if j is None:
-                    j = at_halo(key)
-                    if j is None:
-                        m = SuperMonomial(*key)
-                        if m.total_degree <= D:
-                            raise KeyError(f"monomial {m} outside the slice")
-                        j = halo[m] = base + len(halo)
-                s = out.get(j, 0) + c * f
+                m = SuperMonomial(tuple(bos), mask)
+                s = out.get(m, 0) + c * f
                 if s:
-                    out[j] = s
+                    out[m] = s
                 else:
-                    del out[j]
+                    del out[m]
     return out
 
 

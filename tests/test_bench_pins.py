@@ -66,6 +66,25 @@ def test_closure_top_rung_work_is_pinned(monkeypatch):
     assert calls == {"images": 13574, "accepted": 702}
 
 
+def test_kernel_top_rung_work_is_pinned(monkeypatch):
+    """The kernel ladder's top rung, A(2,2,1) k2 D16 m4, builds 2,936 images
+    (one act_on_terms call each): the lowering image of each of the 1,984
+    slice monomials and the raising image of each of the 952 monomials of
+    the source slice (k0, <= 14).  A faster direct sum must build the same
+    images, each for less."""
+    calls = 0
+    real_act = slices.act_on_terms
+
+    def counting_act(*args):
+        nonlocal calls
+        calls += 1
+        return real_act(*args)
+
+    monkeypatch.setattr(slices, "act_on_terms", counting_act)
+    replay("kernel", len(ladders.LADDERS["kernel"][1]) - 1)
+    assert calls == 2936
+
+
 @pytest.mark.parametrize(
     "workload, rung",
     [(w, rung) for w in ("series", "kernel") for rung in range(len(ladders.LADDERS[w][1]))],

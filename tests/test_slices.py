@@ -6,8 +6,10 @@ Expected dimensions are frozen from the brute-force oracles in oracles.py
 
 import json
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -29,17 +31,16 @@ from ospoly.osp import (
 from ospoly.slices import (
     MonomialIndex,
     SliceKey,
-    _exponents,
     _generates_layer,
     _int_atoms,
     _lowering_kernel,
-    _monos_up_to,
     _weight_table,
     eta_image,
     eta_span_of_slice,
     generate_submodule,
     harmonic_space,
     singular_vectors,
+    slice_codes,
     slice_is_exact,
     slice_monomials,
     verify_aprime_structure,
@@ -48,8 +49,10 @@ from ospoly.slices import (
 )
 from ospoly.superpoly import (
     DER_T,
+    DER_X,
     MUL_T,
     MUL_X,
+    CodeLayout,
     SuperMonomial,
     SuperOperator,
     SuperPolynomial,
@@ -62,10 +65,12 @@ from oracles import (
     dense_nullspace,
     enumerate_slice,
     eta_polynomial,
+    exponents,
     k_degree,
     naive_apply,
     reference_act_on_terms,
     reference_closure,
+    reference_slice_monomials,
     weight_of,
 )
 
@@ -87,6 +92,11 @@ def closure_polys(key, gens):
     idx = MonomialIndex(key)
     rows = generate_submodule(idx, [idx.vec(g) for g in gens])
     return [idx.poly(row) for row in rows]
+
+
+def index_monomials(idx):
+    """The index's monomials: its codes unpacked, in canonical order."""
+    return list(map(idx.layout.unpack, idx.codes))
 
 
 def oracle_slice(cfg, k, D):
@@ -148,6 +158,38 @@ def test_slice_is_sorted_canonically():
     monos = slice_monomials(SliceKey(config_a(2, 1, 1), 0, 5))
     keys = [m.sort_key() for m in monos]
     assert keys == sorted(keys)
+
+
+def _grid_configs(family, parity):
+    """Family A with m1 <= 3, n <= 2 and every r, or family A' with m1 <= 2,
+    n <= 2 and every swap set T."""
+    if family == "A":
+        return [config_a(m1, n, r, parity) for m1 in range(4) for n in range(3)
+                for r in range(m1 + 1)]
+    return [config_aprime(m1, n, T, parity) for m1 in range(3) for n in range(3)
+            for t in range(2 * n + 1) for T in combinations(range(1, 2 * n + 1), t)]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("family", ["A", "Aprime"])
+def test_slice_codes_are_the_packed_reference_in_canonical_order(family, parity):
+    """slice_codes equals the tuple reference, sorted as (degree, exponents,
+    mask) tuples and then packed, element for element on every window
+    k -4..6, D 0..8: code order is canonical order.  The codes are in one
+    layout of bound 8, above most windows' D as a window index's bound is;
+    the reference at D = 8 cut below degree D + 1 is the reference at D."""
+    windows = 0
+    for cfg in _grid_configs(family, parity):
+        layout = CodeLayout(cfg.signature, 8)
+        for k in range(-4, 7):
+            want = list(map(layout.pack, reference_slice_monomials(SliceKey(cfg, k, 8))))
+            for D in range(9):
+                got = slice_codes(SliceKey(cfg, k, D), layout)
+                assert got == want[: bisect_left(want, (D + 1) << layout.degree_shift)], (
+                    cfg.describe(), k, D,
+                )
+                windows += bool(got)
+    assert windows > 100
 
 
 # -- harmonic spaces ------------------------------------------------------
@@ -242,17 +284,17 @@ def test_integer_lowering_kernel_matches_the_polynomial_action(case):
     sig = cfg.signature
     lower, _ = delta_eta(cfg)
     images = [
-        naive_apply(lower, SuperPolynomial.from_monomial(sig, m)) for m in idx.monomials
+        naive_apply(lower, SuperPolynomial.from_monomial(sig, m)) for m in index_monomials(idx)
     ]
     target = sorted({m for p in images for m in p.terms}, key=lambda m: m.sort_key())
     dense = [[p.terms.get(m, 0) for p in images] for m in target]
     oracle = [
-        vec_from_fractions({i: c for i, c in enumerate(v) if c})
+        vec_from_fractions({idx.codes[i]: c for i, c in enumerate(v) if c})
         for v in dense_nullspace(dense, len(idx))
     ]
     want = span(oracle).basis()
     assert 0 < len(want) < len(idx)
-    assert _lowering_kernel(idx) == want
+    assert _lowering_kernel(idx, idx.codes) == want
     polys = public(cfg)
     assert len(polys) == len(want)
     assert span(idx.vec(p) for p in polys).basis() == want
@@ -292,11 +334,11 @@ def unbounded_eta_span(idx):
     """eta_span_of_slice with the source slice (k - 2) up to degree D, and
     how many kept rows come from a source monomial of degree > D - 2."""
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
-    program, halo = idx.delta_eta_programs()[1], {}
+    program, top = idx.delta_eta_programs()[1], idx.level_bound(D)
     rows, late = [], 0
     for m in slice_monomials(SliceKey(cfg, k - 2, D)):
-        image = act_on_terms(program, ((idx.layout.pack(m), 1),), idx.position, halo, D)
-        if image and max(image) < len(idx):
+        image = act_on_terms(program, ((idx.layout.pack(m), 1),))
+        if image and max(image) < top:
             rows.append(linalg.normalize(image))
             late += m.total_degree > D - 2
     return rows, late
@@ -325,9 +367,9 @@ def test_eta_span_source_stops_at_D_minus_2_where_q_is_regular(
     idx = MonomialIndex(SliceKey(cfg, k, D))
     want, late = unbounded_eta_span(idx)
     tops = []
-    real = slices.slice_monomials
+    real = slices.slice_codes
     monkeypatch.setattr(
-        slices, "slice_monomials", lambda key: tops.append(key.max_degree) or real(key)
+        slices, "slice_codes", lambda key, layout: tops.append(key.max_degree) or real(key, layout)
     )
     assert eta_span_of_slice(idx) == want
     assert (late == 0) == regular
@@ -442,8 +484,8 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     assert singular_vectors(idx, "positive", within, modulo=mod_rows[::-1]) == rows
     # a set of weight codes solves only those groups: the same rows, filtered
     codes, _ = idx.weight_codes()
-    some = set(sorted(set(codes))[::2])
-    assert some < set(codes)
+    some = set(sorted(set(codes.values()))[::2])
+    assert some < set(codes.values())
     kept = [row for row in rows if codes[min(row)] in some]
     assert singular_vectors(idx, "positive", within, modulo=mod_rows, weights=some) == kept
     assert singular_vectors(idx, "positive", within, modulo=mod_rows, weights=set()) == []
@@ -503,8 +545,8 @@ def widened_eta_rows(idx, power):
     operator on every harmonic_space vector of grading k - 2p and degree
     <= D + 2p: eta_image's result computed from a widened source, which
     needs no regular q = eta(1).  The window part is the filtration prefix
-    below the slice size, over the slice's monomials followed by those of
-    degree > D."""
+    of degree <= D over a wider index, whose monomials of degree <= D are
+    the slice's; its rows are relabelled to idx's codes."""
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
     _, eta = delta_eta(cfg)
     images = []
@@ -513,10 +555,13 @@ def widened_eta_rows(idx, power):
             p = eta(p)
         images.append(p)
     # H has degree <= D + 2p and eta^p raises degree by at most 2p
-    wide_monos = {m for p in images for m in p.terms} | set(idx.monomials)
+    monos = index_monomials(idx)
+    wide_monos = {m for p in images for m in p.terms} | set(monos)
     wide = MonomialIndex(SliceKey(cfg, k, D + 4 * power), wide_monos)
-    assert wide.monomials[: len(idx)] == idx.monomials
-    return restrict_to_zone(filtration([wide.vec(p) for p in images]), len(idx))
+    assert index_monomials(wide)[: len(idx)] == monos
+    to_idx = dict(zip(wide.codes, idx.codes))
+    rows = restrict_to_zone(filtration([wide.vec(p) for p in images]), wide.level_bound(D))
+    return [{to_idx[c]: v for c, v in row.items()} for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -692,7 +737,7 @@ def test_closure_monotone_in_window():
         dims.append(len(gen))
         # verified dimension at degree <= 2, read through the filtration
         rows = filtration(gen)
-        low.append(len(restrict_to_zone(rows, _monos_up_to(idx, 2))))
+        low.append(len(restrict_to_zone(rows, idx.level_bound(2))))
     assert dims[0] <= dims[1] <= dims[2]
     assert low[0] <= low[1] <= low[2]
 
@@ -709,28 +754,30 @@ def test_closure_monotone_in_window():
 def test_int_image_matches_the_polynomial_action(cfg, k, D):
     """Every basis element on every monomial of two windows (D and D+1, so
     images reach one and two degrees past the window): the integer image
-    maps back to the polynomial image, and a halo index survives exactly
-    when the image leaves the window."""
+    maps back to the polynomial image, a code at or above the window's
+    level bound survives exactly when the image leaves the window, and every
+    code below it is a slice member."""
     sig = cfg.signature
     past = set()
     for top in (D, D + 1):
         idx = MonomialIndex(SliceKey(cfg, k, top))
-        halo = {}
+        unpack, bound = idx.layout.unpack, idx.level_bound(top)
         for e, program in idx.element_programs("all"):
             op = rep_element(cfg, e)
             scale = _int_atoms(op)[0][0] / op.atoms[0][0]
-            for code, m in zip(idx.codes, idx.monomials):
-                image = act_on_terms(program, ((code, 1),), idx.position, halo, top)
+            for code in idx.codes:
+                m = unpack(code)
+                image = act_on_terms(program, ((code, 1),))
                 p = SuperPolynomial.from_monomial(sig, m)
                 want = naive_apply(op, p)
                 assert apply_operator(op, p) == want, (e, m)
-                monos = idx.monomials + list(map(idx.layout.unpack, halo))
-                assert {monos[j]: c for j, c in image.items()} == {
+                assert {unpack(j): c for j, c in image.items()} == {
                     mono: c * scale for mono, c in want.terms.items()
                 }, (e, m)
-                leaves = bool(image) and max(image) >= len(idx)
+                leaves = bool(image) and max(image) >= bound
                 assert leaves == (want.max_degree() > top), (e, m)
-        past.update(idx.layout.unpack(code).total_degree - top for code in halo)
+                assert all(j in idx.members for j in image if j < bound), (e, m)
+                past.update(unpack(j).total_degree - top for j in image if j >= bound)
     assert past == {1, 2}
 
 
@@ -757,56 +804,31 @@ def test_int_atoms_clear_denominators_by_their_lcm():
 def test_packed_kernel_matches_the_tuple_reference(cfg, k, D, with_delta_eta):
     """Every element of "all" (Cartan included), and the lowering and raising
     operators where they are defined, on every monomial of a window, one at
-    a time and all at once: the packed kernel gives the tuple reference's
-    row, numbers the halo in the same order, and raises the same KeyError
-    for an in-degree image outside the index.  Elements run over the window
-    and over the window less one monomial; the lowering and raising
-    operators over an empty index and over the window of grading k -+ 2,
-    which has the same layout."""
+    a time and all at once: the packed kernel's row, unpacked, is the tuple
+    reference's, with its keys in the same order."""
     idx = MonomialIndex(SliceKey(cfg, k, D))
-    index = {m: i for i, m in enumerate(idx.monomials)}
-    gone = len(idx) // 2
-    lacking = (
-        {m: i for m, i in index.items() if i != gone},
-        {c: i for c, i in idx.position.items() if i != gone},
-    )
-    targets = [(lacking, D), ((index, idx.position), D)]
-    ops = [(rep_element(cfg, e), targets) for e in osp_basis(cfg, "all")]
+    ops = [rep_element(cfg, e) for e in osp_basis(cfg, "all")]
     if with_delta_eta:
-        for op, step in zip(delta_eta(cfg), (-2, 2)):
-            other = MonomialIndex(SliceKey(cfg, k + step, D))
-            assert list(map(idx.layout.pack, other.monomials)) == other.codes
-            other_index = {m: i for i, m in enumerate(other.monomials)}
-            ops.append((op, [(({}, {}), -1), ((other_index, other.position), D)]))
-    terms = [([(m, 1)], [(code, 1)]) for m, code in zip(idx.monomials, idx.codes)]
+        ops += delta_eta(cfg)
+    monos = index_monomials(idx)
+    terms = [([(m, 1)], [(code, 1)]) for m, code in zip(monos, idx.codes)]
     coeffs = range(1, len(idx) + 1)
-    terms.append((list(zip(idx.monomials, coeffs)), list(zip(idx.codes, coeffs))))
+    terms.append((list(zip(monos, coeffs)), list(zip(idx.codes, coeffs))))
     unpack = idx.layout.unpack
-    raised = 0
-    for op, op_targets in ops:
+    for op in ops:
         atoms = _int_atoms(op)
         program = compile_atoms(atoms, idx.layout)
-        for (ref_index, new_index), top in op_targets:
-            halo_ref, halo_new = {}, {}
-            for ref_terms, new_terms in terms:
-                try:
-                    want = reference_act_on_terms(atoms, ref_terms, ref_index, halo_ref, top)
-                except KeyError as err:
-                    with pytest.raises(KeyError) as got:
-                        act_on_terms(program, new_terms, new_index, halo_new, top)
-                    assert str(got.value) == str(err)
-                    raised += 1
-                else:
-                    got = act_on_terms(program, new_terms, new_index, halo_new, top)
-                    assert got == want, (op, ref_terms)
-                assert list(map(unpack, halo_new)) == list(halo_ref)
-                assert list(halo_new.values()) == list(halo_ref.values())
-    assert raised
+        for ref_terms, new_terms in terms:
+            want = reference_act_on_terms(atoms, ref_terms)
+            got = act_on_terms(program, new_terms)
+            assert [(unpack(j), c) for j, c in got.items()] == list(want.items()), (op, ref_terms)
 
 
 def _slice_monomial(i):
     """Generator list: the i-th monomial of the slice."""
-    return lambda cfg, idx: [SuperPolynomial.from_monomial(cfg.signature, idx.monomials[i])]
+    return lambda cfg, idx: [
+        SuperPolynomial.from_monomial(cfg.signature, idx.layout.unpack(idx.codes[i]))
+    ]
 
 
 def _x2_squared(cfg, idx):
@@ -838,9 +860,9 @@ def _seeded_monomial(j):
     at seed 0."""
 
     def gens(cfg, idx):
-        pool = list(idx.monomials)
+        pool = list(idx.codes)
         random.Random(0).shuffle(pool)
-        return [SuperPolynomial.from_monomial(cfg.signature, pool[j])]
+        return [SuperPolynomial.from_monomial(cfg.signature, idx.layout.unpack(pool[j]))]
 
     return gens
 
@@ -887,9 +909,11 @@ def test_weight_codes_sort_and_separate_weights_a_root_apart(cfg, k, D):
     equals code(weight) + code(root)."""
     idx = MonomialIndex(SliceKey(cfg, k, D))
     codes, base = idx.weight_codes()
-    weights = [monomial_weight(cfg, m) for m in idx.monomials]
+    assert list(codes) == idx.codes
+    weights = [monomial_weight(cfg, m) for m in index_monomials(idx)]
     assert len(set(weights)) > 1
-    assert sorted(range(len(idx)), key=codes.__getitem__) == sorted(
+    in_order = list(codes.values())
+    assert sorted(range(len(idx)), key=in_order.__getitem__) == sorted(
         range(len(idx)), key=lambda i: (weights[i], i)
     )
     roots = [element_root(cfg, e) for e in osp_basis(cfg, "roots")]
@@ -926,8 +950,9 @@ def test_weight_table_gives_monomial_weight(cfg, k, D):
     table, nf = _weight_table(cfg), cfg.signature.num_fermionic
     codes, base = idx.weight_codes()
     swapped = [i for i, w in enumerate(variable_k_weights(cfg)[0]) if w < 0]
-    assert any(m.bos[i] for m in idx.monomials for i in swapped)
-    for m, code in zip(idx.monomials, codes):
+    monos = index_monomials(idx)
+    assert any(m.bos[i] for m in monos for i in swapped)
+    for m, code in zip(monos, codes.values()):
         exps = m.bos + tuple(m.mask >> p & 1 for p in range(nf))
         w = monomial_weight(cfg, m)
         assert tuple(c + sum(a * e for a, e in zip(row, exps)) for c, row in table) == (
@@ -949,21 +974,22 @@ def test_index_of_a_key_is_its_slice(cfg, k, D):
     key = SliceKey(cfg, k, D)
     idx = MonomialIndex(key)
     assert idx.key == key and idx.cfg == cfg
-    assert idx.monomials == slice_monomials(key)
-    assert idx.position == {idx.layout.pack(m): i for i, m in enumerate(idx.monomials)}
+    assert index_monomials(idx) == slice_monomials(key)
+    assert idx.codes == [idx.layout.pack(m) for m in slice_monomials(key)]
+    assert idx.members == set(idx.codes) and len(idx) == len(idx.codes)
 
 
 def test_an_index_sorts_the_monomials_passed_in():
     """Passed-in monomials, in any order, are put in canonical order; a
-    key's own slice comes from slice_monomials in that order already."""
+    key's own slice comes from slice_codes in that order already."""
     key = SliceKey(config_a(2, 1, 1), 2, 6)
     want = MonomialIndex(key)
-    monos = list(want.monomials)
+    monos = index_monomials(want)
     rng = random.Random(3)
     for _ in range(3):
         rng.shuffle(monos)
         idx = MonomialIndex(key, monos)
-        assert idx.monomials == want.monomials and idx.position == want.position
+        assert idx.codes == want.codes and idx.members == want.members
 
 
 def test_a_cell_index_lies_inside_its_keys_slice():
@@ -971,8 +997,9 @@ def test_a_cell_index_lies_inside_its_keys_slice():
     for s, t in [(0, 1), (1, 1), (-1, 2), (0, 2), (1, 2)]:
         idx = _cell_index(cfg, s, t)
         assert idx.key.cfg == cfg and idx.key.k == s + t
-        assert idx.monomials and set(idx.monomials) <= set(slice_monomials(idx.key)), (s, t)
-        assert sorted(idx.monomials) == sorted(bigraded_monomials(cfg, s, t))
+        monos = index_monomials(idx)
+        assert monos and set(monos) <= set(slice_monomials(idx.key)), (s, t)
+        assert sorted(monos) == sorted(bigraded_monomials(cfg, s, t))
 
 
 def test_index_builds_weight_codes_and_atoms_once(monkeypatch):
@@ -1071,6 +1098,44 @@ def test_halo_is_read_after_cancellation(monkeypatch):
     gen = closure_polys(key, [q])
     assert gen == reference_closure(key, [q], ops=[op])
     assert sorted(map(str, gen)) == ["1 * x1 t1 + 1 * x1 t2", "1 * x1 x2"]
+
+
+def test_an_in_window_image_outside_the_slice_raises_on_every_kept_path(monkeypatch):
+    """act_on_terms keeps every image code, so each path that keeps an image
+    checks that its in-window codes lie in the slice.  The program of
+    x1 d/dx2 (x1 swapped, x2 not: grading -2, degree kept) stands in for
+    every element and for the raising operator: the closure's accepted
+    remainder, a stability leak, a weight group's singular-vector images,
+    a kept eta image and a final eta^p row each raise KeyError."""
+    cfg = config_a(2, 1, 1)
+    sig = cfg.signature
+    assert variable_k_weights(cfg)[0][:2] == [-1, 1]
+    breaking = SuperOperator(sig, [(1, ((MUL_X, 0), (DER_X, 1)))], 0)
+    cartan = osp_basis(cfg, "cartan")[0]
+    real_delta_eta = MonomialIndex.delta_eta_programs
+    monkeypatch.setattr(
+        MonomialIndex, "element_programs", lambda idx, part: ((cartan, idx._compile(breaking)),)
+    )
+    monkeypatch.setattr(
+        MonomialIndex,
+        "delta_eta_programs",
+        lambda idx: (real_delta_eta(idx)[0], idx._compile(breaking)),
+    )
+    idx = MonomialIndex(SliceKey(cfg, 2, 6))
+    x2, x3 = SuperPolynomial.x(sig, 2), SuperPolynomial.x(sig, 3)
+    mixed = idx.vec(x2**2 + x3**2)  # two weights: every image is built
+    row = idx.vec(x2**2)
+    outside = "outside the slice"
+    with pytest.raises(KeyError, match=outside):
+        generate_submodule(idx, [mixed])
+    with pytest.raises(KeyError, match=outside):
+        slices._stable_under_action([row], span([row]), idx)
+    with pytest.raises(KeyError, match=outside):
+        singular_vectors(idx, "positive", "A")
+    with pytest.raises(KeyError, match=outside):
+        eta_span_of_slice(idx)
+    with pytest.raises(KeyError, match=outside):
+        eta_image(idx, 1)
 
 
 def test_row_paths_never_apply_a_polynomial_operator(monkeypatch):
@@ -1199,7 +1264,7 @@ def _whole_closure_layer_check(seed_row, top_rows, bottom_rows, idx, closure):
     lhs = span(closure(idx, [seed_row]) + bottom_rows)
     for r in top_rows:
         if not lhs.contains(r):
-            return False, idx.monomials[max(r)].total_degree
+            return False, idx.layout.unpack(max(r)).total_degree
     return True, -1
 
 
@@ -1274,7 +1339,7 @@ def test_series_terms_are_weight_graded(monkeypatch, name, cfg, k, D, power, x_t
     the verifier then passes a set of weights for every layer."""
     idx = MonomialIndex(SliceKey(cfg, k, D))
     codes, _ = idx.weight_codes()
-    terms = {"H": _lowering_kernel(idx), f"eta^{power}": eta_image(idx, power)}
+    terms = {"H": _lowering_kernel(idx, idx.codes), f"eta^{power}": eta_image(idx, power)}
     if x_term:
         x_power = idx.vec(SuperPolynomial.x(cfg.signature, cfg.m1) ** k)
         terms[f"<x{cfg.m1}^{k}>"] = generate_submodule(idx, [x_power])
@@ -1332,7 +1397,7 @@ def test_series_term_not_inside_the_next(monkeypatch):
     # r = m1-1: eta^1 H(k=0) replaced by all of H, which <x2^2> does not hold
     cfg = config_a(2, 1, 1)
     monkeypatch.setattr(
-        slices, "eta_image", lambda idx, power: _lowering_kernel(idx)
+        slices, "eta_image", lambda idx, power: _lowering_kernel(idx, idx.codes)
     )
     rep = verify_composition_series(cfg, 2, 6, margin=2)
     assert rep.status == "inconclusive-window"
@@ -1396,7 +1461,7 @@ def test_series_zero_layer_is_inconclusive_not_fail(monkeypatch):
     # the verifier builds the eta term (and its source kernel) before H
     monkeypatch.setattr(slices, "eta_image", eta_term)
     monkeypatch.setattr(
-        slices, "_lowering_kernel", lambda idx: list(eta_rows) or real_kernel(idx)
+        slices, "_lowering_kernel", lambda idx, codes: list(eta_rows) or real_kernel(idx, codes)
     )
     rep = verify_composition_series(cfg, 2, 6, margin=0)
     assert rep.status == "inconclusive-window"
@@ -1518,6 +1583,31 @@ def test_series_above_the_window_reports_every_term_empty(cfg, k, D, terms):
     ]
 
 
+def test_series_verdicts_are_monotone_in_the_window():
+    """Over m1 <= 3, n <= 2, r < m1, k 0..5 and D 4/6/8 at margin 2 (D 4/6
+    alone for m1 = 3, n = 2, the costliest windows), a fail at D stays a
+    fail at D + 2, and a pass never becomes a fail there.  A pass may turn
+    inconclusive-window: the from-below <x_m1^k> closure can miss layer rows
+    of the larger window (A(3,1,2) k2 D6 does)."""
+    seen = Counter()
+    for m1 in range(1, 4):
+        for n in range(3):
+            for r in range(m1):
+                for k in range(6):
+                    last = None
+                    for D in (4, 6) if (m1, n) == (3, 2) else (4, 6, 8):
+                        try:
+                            status = verify_composition_series(config_a(m1, n, r), k, D, 2).status
+                        except ValueError:  # k outside the chain's window
+                            break
+                        seen[status] += 1
+                        case = (m1, n, r, k, D)
+                        assert last != "fail" or status == "fail", case
+                        assert last != "pass" or status != "fail", case
+                        last = status
+    assert seen["fail"] and seen["pass"] and seen["inconclusive-window"], seen
+
+
 def test_series_fully_swapped_edge():
     cfg = config_a(2, 1, 1)  # r = m1-1 = 1: chain with the generated middle term
     rep = verify_composition_series(cfg, 2, 8, margin=4)
@@ -1611,14 +1701,14 @@ def test_closure_does_not_depend_on_generator_order(cfg, k, D):
     codes, _ = idx.weight_codes()
     rng = random.Random(1)
     for trial in range(6):
-        pos = rng.sample(range(len(idx)), 2 + trial % 3)
+        pos = rng.sample(idx.codes, 2 + trial % 3)
         gens = [{i: 1} for i in pos]
         # one two-term weight vector, and once a generator that is none
-        same = [j for j in range(len(idx)) if codes[j] == codes[pos[0]] and j != pos[0]]
+        same = [j for j in idx.codes if codes[j] == codes[pos[0]] and j != pos[0]]
         if same:
             gens.append({pos[0]: 2, rng.choice(same): -3})
         if trial == 5:
-            gens.append({pos[0]: 1, rng.randrange(len(idx)): 1})
+            gens.append({pos[0]: 1, idx.codes[rng.randrange(len(idx))]: 1})
         want = generate_submodule(idx, gens)
         assert generate_submodule(idx, gens[::-1]) == want
         for _ in range(3):
@@ -1740,7 +1830,7 @@ def bigraded_monomials(cfg, s: int, t: int) -> list[SuperMonomial]:
     for mask in range(1 << (2 * m1)):
         low = (mask & ((1 << m1) - 1)).bit_count()
         up = (mask >> m1).bit_count()
-        out += [(t - s + 2 * up, bos, mask) for bos in _exponents(groups, (t - low, up - s))]
+        out += [(t - s + 2 * up, bos, mask) for bos in exponents(groups, (t - low, up - s))]
     return [SuperMonomial(bos, mask) for _, bos, mask in sorted(out)]
 
 
@@ -1755,7 +1845,7 @@ def _cell_index(cfg, s: int, t: int) -> MonomialIndex:
 def bigraded_harmonic(cfg, s: int, t: int) -> list[SuperPolynomial]:
     """Exact kernel of the lowering operator on the finite (s, t) cell."""
     idx = _cell_index(cfg, s, t)
-    return [idx.poly(row) for row in _lowering_kernel(idx)]
+    return [idx.poly(row) for row in _lowering_kernel(idx, idx.codes)]
 
 
 def test_bigraded_cells_are_finite_and_graded():
