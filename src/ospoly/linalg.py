@@ -26,7 +26,11 @@ span . {index < b} as a prefix for every bound b at once
 The forward kernel.  ``kernel_basis`` runs the step forward only, with no
 back-reduction, on images extended by one tag coordinate each: the tags of
 an image that cancels are a kernel vector.  ``kernel`` is the canonical
-echelon basis of the same span.
+echelon basis of the same span.  ``combination_basis`` turns kernel vectors
+into the canonical basis of the rows they combine: the direct-sum verifier
+reads the meet H . V off the kernel of the lowering operator on V this way,
+and ``intersect``, which only the A' two-block split calls, the meet of two
+spans off the kernel of (a, b) -> a - b.
 
 The rank profile.  ``rank_profile`` runs the step forward only with the rule
 "largest coordinate index wins" and keeps only the pivots.  The pivot set of
@@ -242,17 +246,17 @@ def kernel(images: list[Vec]) -> list[Vec]:
     return span(kernel_basis(images)).basis()
 
 
-def intersect(u_vectors: list[Vec], v_vectors: list[Vec]) -> list[Vec]:
-    """Canonical basis of span(u) . span(v), from the u-parts of
-    ``kernel_basis`` of (a, b) -> a - b; any kernel basis gives the meet."""
-    nu = len(u_vectors)
+def combination_basis(rows: list[Vec], combos) -> list[Vec]:
+    """Canonical basis of the span of sum(c * rows[i]) over each combination
+    {i: c} of combos; an index past rows is skipped."""
+    n = len(rows)
     out = []
-    for combo in kernel_basis(u_vectors + v_vectors):
+    for combo in combos:
         vec: Vec = {}
         for i, c in combo.items():
-            if i >= nu:
+            if i >= n:
                 continue
-            for k, v in u_vectors[i].items():
+            for k, v in rows[i].items():
                 s = vec.get(k, 0) + c * v
                 if s:
                     vec[k] = s
@@ -261,6 +265,12 @@ def intersect(u_vectors: list[Vec], v_vectors: list[Vec]) -> list[Vec]:
         if vec:
             out.append(normalize(vec))
     return span(out).basis()
+
+
+def intersect(u_vectors: list[Vec], v_vectors: list[Vec]) -> list[Vec]:
+    """Canonical basis of span(u) . span(v), from the u-parts of
+    ``kernel_basis`` of (a, b) -> a - b; any kernel basis gives the meet."""
+    return combination_basis(u_vectors, kernel_basis(u_vectors + v_vectors))
 
 
 def filtration(vectors) -> list[Vec]:

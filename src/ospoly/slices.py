@@ -17,8 +17,10 @@ flip with a larger window are labeled "inconclusive-window", never "pass".
 
 Kernels are different: the lowering operator never raises degree, so its
 kernel computed on a slice is exactly the harmonic space intersected with
-the slice.  Mixed checks exploit this asymmetry (kernel side exact, image
-side from below).
+the slice, and its kernel on the monomials of degree <= d is exactly the
+harmonic part of degree <= d.  Mixed checks exploit this asymmetry (kernel
+side exact, image side from below); the direct sum reads every dimension it
+reports off ranks of lowering images and never builds a basis of H.
 
 A window's vectors are sparse integer rows keyed by packed monomial code
 (``superpoly.CodeLayout``): codes sort in canonical order (total degree,
@@ -36,7 +38,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from math import inf, lcm
-from operator import mul
 
 from . import linalg
 from .osp import (
@@ -125,26 +126,55 @@ class MonomialIndex:
 
     def weight_codes(self) -> tuple[dict[int, int], int]:
         """Per monomial code, the ``weight_code`` of its monomial's weight,
-        and the weight code's base.  Computed once, from ``_weight_table``.
+        and the weight code's base.  Computed once.
 
         The base exceeds 2 * top + 4, top the largest coordinate size of a
         slice weight, so codes sort as the weights do and stay one-to-one on
         the slice's weights and on every weight a root (coordinates at most
         2 in size) away.
+
+        A weight is affine in the exponents and mask bits (``_weight_table``)
+        and ``weight_code`` is linear, so in a provisional base, wide enough
+        for every weight of degree <= the layout's bound, a code's weight
+        code is that of 1 plus each field's value times the field's weight
+        code.  Only the distinct provisional codes are decoded to weights,
+        to find top, and coded again in the final base.
         """
         if self._weights is None:
-            cfg = self.cfg
-            table, nf = _weight_table(cfg), cfg.signature.num_fermionic
-            bits = [tuple(mask >> p & 1 for p in range(nf)) for mask in range(1 << nf)]
-            weights = [
-                tuple(c + sum(map(mul, bos + bits[mask], row)) for c, row in table)
-                for bos, mask in map(self.layout.unpack, self.codes)
+            cfg, layout = self.cfg, self.layout
+            table, nb, low = _weight_table(cfg), layout.num_bosonic, (1 << layout.num_fermionic) - 1
+            # every coordinate of such a weight lies in -wide..wide
+            wide = max((abs(c) + layout.bound * sum(map(abs, row)) for c, row in table), default=0)
+            pbase = 2 * wide + 1
+
+            def pcode(coords):
+                return weight_code(Weight(tuple(coords), ()), pbase)
+
+            deltas = [pcode(column) for column in zip(*(row for _, row in table))]
+            one = pcode(c for c, _ in table)
+            masks = [
+                one + sum(d for p, d in enumerate(deltas[nb:]) if mask >> p & 1)
+                for mask in range(low + 1)
             ]
-            distinct = set(weights)
-            top = max((abs(c) for w in distinct for c in w), default=0)
+            prov, fmask = [masks[code & low] for code in self.codes], layout.field_mask
+            for shift, d in zip(layout.shifts, deltas):
+                if d:
+                    prov = [w + (code >> shift & fmask) * d for w, code in zip(prov, self.codes)]
+            weights = {}
+            for w in set(prov):
+                coords, rest = [], w
+                for _ in table:  # balanced digits, the last coordinate first
+                    digit = (rest + wide) % pbase - wide
+                    coords.append(digit)
+                    rest = (rest - digit) // pbase
+                weights[w] = coords[::-1]
+            top = max((abs(c) for coords in weights.values() for c in coords), default=0)
             base = 2 * top + 5
-            codes = {w: weight_code(Weight(w[: cfg.m1], w[cfg.m1 :]), base) for w in distinct}
-            self._weights = (dict(zip(self.codes, map(codes.__getitem__, weights))), base)
+            codes = {
+                w: weight_code(Weight(tuple(c[: cfg.m1]), tuple(c[cfg.m1 :])), base)
+                for w, c in weights.items()
+            }
+            self._weights = (dict(zip(self.codes, map(codes.__getitem__, prov))), base)
         return self._weights
 
     def element_programs(self, part: str) -> tuple:
@@ -305,17 +335,16 @@ def slice_monomials(key: SliceKey) -> list[SuperMonomial]:
 # harmonic kernels
 
 
-def _lowering_kernel(idx: MonomialIndex, codes, solve=None) -> list[dict[int, int]]:
+def _lowering_kernel(idx: MonomialIndex, codes) -> list[dict[int, int]]:
     """Exact kernel of the lowering operator on the span of the monomial
-    codes, ascending and in idx's layout: solve's basis (``linalg.kernel``'s
-    when None) of the nullspace of e_i -> image of codes[i], as integer rows
-    over the codes.
+    codes, ascending and in idx's layout: ``linalg.kernel`` of e_i -> image
+    of codes[i], as integer rows over the codes.
 
     The operator's program is compiled once per window.  Relabelling i to
-    codes[i] keeps the order, so ``linalg.kernel``'s basis stays canonical.
+    codes[i] keeps the order, so the kernel's basis stays canonical.
     """
     program = idx.delta_eta_programs()[0]
-    combos = (solve or linalg.kernel)([act_on_terms(program, ((code, 1),)) for code in codes])
+    combos = linalg.kernel([act_on_terms(program, ((code, 1),)) for code in codes])
     return [{codes[i]: c for i, c in combo.items()} for combo in combos]
 
 
@@ -510,6 +539,7 @@ def generate_submodule(
 
 def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
     """Do span(first) and span(second) meet trivially and fill the slice?
+    The A' two-block split's check; ``verify_direct_sum`` has its own.
 
     first must be linearly independent.  One ``rank_profile`` of the sum, with
     second counted first, gives Grassmann's formula dim(meet) = len(first) +
@@ -523,32 +553,43 @@ def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
     pivots, (rank_second, rank_sum) = linalg.rank_profile(second, first)
     if len(first) + rank_second > rank_sum:
         statuses.append("fail")
-        for wrow in linalg.intersect(first, second)[:2]:
-            rep.witnesses.append(str(idx.poly(wrow)))
-        rep.notes.append(meet_note)
-    statuses += _fill_levels(rep, idx, pivots, level_dims)
+        _add_witnesses(rep, idx, linalg.intersect(first, second), meet_note)
+    statuses += _fill_levels(rep, idx, _pivot_count(idx, pivots), level_dims)
     rep.status = _combine(statuses) if statuses else "inconclusive-window"
 
 
-def _fill_levels(rep, idx, pivots, level_dims) -> list[str]:
+def _add_witnesses(rep, idx, meet, note) -> None:
+    """Record the first two rows of a nonzero meet's canonical basis, which
+    are genuine witnesses, and the note that names the meet."""
+    for wrow in meet[:2]:
+        rep.witnesses.append(str(idx.poly(wrow)))
+    rep.notes.append(note)
+
+
+def _pivot_count(idx, pivots):
+    """filled for ``_fill_levels`` from a span's ``rank_profile`` pivots,
+    ascending: its part on level d has one dimension per pivot below
+    ``idx.level_bound(d)``."""
+    return lambda d, _: bisect_left(pivots, idx.level_bound(d))
+
+
+def _fill_levels(rep, idx, filled, level_dims) -> list[str]:
     """Does a span fill the slice on each nonempty level d <= D - margin?
 
-    pivots are the span's ``rank_profile`` pivots, ascending.  With bound =
-    ``idx.level_bound(d)``, dimA counts the slice codes below bound, and the
-    span's part on level d has one dimension per pivot below bound.  Appends
-    a dims entry per level, level_dims(bound, dimA, filled) plus degree and
-    status, and returns the statuses.
+    dimA counts the slice codes below ``idx.level_bound(d)``, and filled(d,
+    dimA) is the dimension of the span's part on level d.  Appends a dims
+    entry per level, level_dims(d, dimA, filled) plus degree and status, and
+    returns the statuses.
     """
     statuses = []
     for d in range(0, rep.max_degree - rep.margin + 1):
-        bound = idx.level_bound(d)
-        dim_a = bisect_left(idx.codes, bound)
+        dim_a = bisect_left(idx.codes, idx.level_bound(d))
         if dim_a == 0:
             continue
-        filled = bisect_left(pivots, bound)
-        status = "pass" if filled == dim_a else "inconclusive-window"
+        got = filled(d, dim_a)
+        status = "pass" if got == dim_a else "inconclusive-window"
         statuses.append(status)
-        rep.dims.append({"d": d, **level_dims(bound, dim_a, filled), "status": status})
+        rep.dims.append({"d": d, **level_dims(d, dim_a, got), "status": status})
     return statuses
 
 
@@ -620,28 +661,51 @@ def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
 def verify_direct_sum(
     cfg: RepConfig, k: int, max_degree: int, margin: int = 4, seed: int | None = None
 ) -> VerificationReport:
-    """Windowed check that the slice splits as kernel + raised image.
+    """Windowed check that the slice A splits as H + V, H = ker Delta the
+    exact harmonic side and V the raised side from below: the span of
+    ``eta_span_of_slice``, which lies inside A.  The meet must be zero, and
+    H + V must fill each nonempty level d <= D - margin, A_<=d being the
+    codes below ``idx.level_bound(d)``.
 
-    Per filtration level d <= D - margin: the kernel side is exact, the
-    image side is generated from the margin-enlarged preimage slice; the
-    check is trivial intersection plus additive dimensions.
+    No basis of H is built.  Every number is read off images under Delta,
+    since H is its kernel on A:
+      H . V = ker(Delta|V), so dim meet = rank V - rank Delta V;
+      H + V = {x in A : Delta x in Delta V}, so dimSum(d) = #A_<=d -
+        (rank(Delta V + Delta A_<=d) - rank Delta V);
+      dimH(d) = #A_<=d - rank Delta A_<=d.
+    The ranks come from two ``rank_profile`` calls over the Delta images of
+    the codes of degree <= D - margin, one part per level, the first with
+    Delta V counted first.  rank V is needed only when Delta V has rank
+    below len(V); otherwise the meet is zero.  A nonzero meet's witnesses
+    are the first two rows of its canonical basis, the combinations of V
+    that ``linalg.kernel_basis`` of Delta V gives.
     """
     D = max_degree
     rep = VerificationReport("direct-sum", cfg, k, D, margin, seed, "pass")
     idx = MonomialIndex(SliceKey(cfg, k, D))
-    # the kernel side is exact and the image side from below; the forward
-    # kernel basis is independent, as _check_direct_sum needs
-    h_vecs = _lowering_kernel(idx, idx.codes, linalg.kernel_basis)
-    img_vecs = eta_span_of_slice(idx)
-    h_pivots, _ = linalg.rank_profile(h_vecs)
-    _check_direct_sum(
-        rep, idx, h_vecs, img_vecs, "kernel meets the raised space",
-        lambda bound, dim_a, filled: {
-            "dimA": dim_a,
-            "dimH": bisect_left(h_pivots, bound),
-            "dimSum": filled,
-        },
+    lower = idx.delta_eta_programs()[0]
+    raised = eta_span_of_slice(idx)
+    low_raised = [act_on_terms(lower, row.items()) for row in raised]
+    cuts = [bisect_left(idx.codes, idx.level_bound(d)) for d in range(D - margin + 1)]
+    images = [act_on_terms(lower, ((code, 1),)) for code in idx.codes[: cuts[-1]]]
+    levels = [images[a:b] for a, b in zip([0] + cuts, cuts)]
+    _, (rank_low_raised, *sum_ranks) = linalg.rank_profile(low_raised, *levels)
+    _, low_ranks = linalg.rank_profile(*levels)
+    del images, levels  # a nonzero meet's witnesses need the memory
+    statuses, dim_meet = [], 0
+    if rank_low_raised < len(raised):  # else Delta is injective on V's rows
+        _, (rank_raised,) = linalg.rank_profile(raised)
+        dim_meet = rank_raised - rank_low_raised
+    if dim_meet:
+        statuses.append("fail")
+        meet = linalg.combination_basis(raised, linalg.kernel_basis(low_raised))
+        _add_witnesses(rep, idx, meet, "kernel meets the raised space")
+    statuses += _fill_levels(
+        rep, idx,
+        lambda d, dim_a: dim_a - sum_ranks[d] + rank_low_raised,
+        lambda d, dim_a, filled: {"dimA": dim_a, "dimH": dim_a - low_ranks[d], "dimSum": filled},
     )
+    rep.status = _combine(statuses) if statuses else "inconclusive-window"
     if not rep.dims:
         rep.notes.append("slice empty on every verified level")
     return rep
@@ -912,7 +976,7 @@ def verify_aprime_structure(
         for s in seeds:
             reached, _ = linalg.rank_profile(generate_submodule(idx, [idx.vec(s)]))
             statuses += _fill_levels(
-                rep, idx, reached,
+                rep, idx, _pivot_count(idx, reached),
                 lambda _, dim_a, got: {"seed": str(s), "dim_reached": got, "dimA": dim_a},
             )
         rep.status = _combine(statuses) if statuses else "inconclusive-window"

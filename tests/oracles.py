@@ -10,18 +10,46 @@ example.  These call library code, so they check only what they add to it:
 ``weight_of`` (``rep_element``), ``k_degree`` (``variable_k_weights``),
 ``eta_polynomial`` (``delta_eta``), ``parse_poly`` (polynomial products),
 ``reference_closure`` (``rep_element``, ``Echelon``, ``MonomialIndex``),
-``scan_insert`` (``linalg.normalize``) and ``reference_slice_monomials``
-(``variable_k_weights``).
+``scan_insert`` (``linalg.normalize``), ``reference_slice_monomials``
+(``variable_k_weights``), ``reference_weight_codes`` (``_weight_table``,
+``weight_code``) and ``reference_direct_sum`` (``kernel_basis``,
+``rank_profile``, ``eta_span_of_slice``, ``_check_direct_sum``).
 """
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
-from ospoly.linalg import Echelon, normalize
-from ospoly.osp import MatrixElement, Weight, delta_eta, osp_basis, rep_element, variable_k_weights
-from ospoly.slices import MonomialIndex
-from ospoly.superpoly import DER_T, DER_X, MUL_T, MUL_X, SuperMonomial, SuperPolynomial, mono_one
+from ospoly.linalg import Echelon, kernel_basis, normalize, rank_profile
+from ospoly.osp import (
+    MatrixElement,
+    Weight,
+    delta_eta,
+    osp_basis,
+    rep_element,
+    variable_k_weights,
+    weight_code,
+)
+from ospoly.slices import (
+    MonomialIndex,
+    SliceKey,
+    VerificationReport,
+    _check_direct_sum,
+    _weight_table,
+    eta_span_of_slice,
+)
+from ospoly.superpoly import (
+    DER_T,
+    DER_X,
+    MUL_T,
+    MUL_X,
+    SuperMonomial,
+    SuperPolynomial,
+    act_on_terms,
+    mono_one,
+)
 
 
 def sort_word(word):
@@ -440,3 +468,49 @@ def parse_poly(text, sig):
             poly = poly * base**exp
         total = total + poly
     return total
+
+
+def reference_weight_codes(idx):
+    """The tuple body ``MonomialIndex.weight_codes`` replaced, kept as its
+    reference: each code unpacked and its weight summed coordinate by
+    coordinate off ``_weight_table``, then the distinct weights coded in
+    base 2 * top + 5.  Returns the same (codes, base) pair."""
+    cfg = idx.cfg
+    table, nf = _weight_table(cfg), cfg.signature.num_fermionic
+    bits = [tuple(mask >> p & 1 for p in range(nf)) for mask in range(1 << nf)]
+    weights = [
+        tuple(c + sum(map(mul, bos + bits[mask], row)) for c, row in table)
+        for bos, mask in map(idx.layout.unpack, idx.codes)
+    ]
+    distinct = set(weights)
+    top = max((abs(c) for w in distinct for c in w), default=0)
+    base = 2 * top + 5
+    codes = {w: weight_code(Weight(w[: cfg.m1], w[cfg.m1 :]), base) for w in distinct}
+    return dict(zip(idx.codes, map(codes.__getitem__, weights))), base
+
+
+def reference_direct_sum(cfg, k, max_degree, margin=4, seed=None):
+    """The direct-sum check ``slices.verify_direct_sum`` replaced, kept as
+    its reference: a basis of H by ``linalg.kernel_basis`` over the lowering
+    images of every slice monomial, the ``rank_profile`` of H, then
+    ``slices._check_direct_sum`` of H and the raised rows, which counts the
+    meet by Grassmann's formula and runs ``intersect`` on a nonzero one.
+    Returns the same report."""
+    D = max_degree
+    rep = VerificationReport("direct-sum", cfg, k, D, margin, seed, "pass")
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    program = idx.delta_eta_programs()[0]
+    combos = kernel_basis([act_on_terms(program, ((code, 1),)) for code in idx.codes])
+    h_vecs = [{idx.codes[i]: c for i, c in combo.items()} for combo in combos]
+    h_pivots, _ = rank_profile(h_vecs)
+    _check_direct_sum(
+        rep, idx, h_vecs, eta_span_of_slice(idx), "kernel meets the raised space",
+        lambda d, dim_a, filled: {
+            "dimA": dim_a,
+            "dimH": bisect_left(h_pivots, idx.level_bound(d)),
+            "dimSum": filled,
+        },
+    )
+    if not rep.dims:
+        rep.notes.append("slice empty on every verified level")
+    return rep

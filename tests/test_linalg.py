@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ospoly.linalg import (
     Echelon,
     _eliminate,
+    combination_basis,
     filtration,
     intersect,
     kernel,
@@ -314,6 +315,14 @@ def test_kernel_vectors_annihilate():
             for k, v in images[i].items():
                 acc[k] = acc.get(k, 0) + c * v
         assert all(v == 0 for v in acc.values())
+
+
+def test_combination_basis_is_the_canonical_basis_of_the_combined_rows():
+    rows = [{0: 1, 1: 1}, {2: 1}, {0: 2, 1: 2}]
+    # the first combination cancels; index 5 lies past the rows and is skipped
+    combos = [{0: 2, 2: -1}, {1: -2, 5: 3}, {0: 3, 1: 6}]
+    assert combination_basis(rows, combos) == [{0: 1, 1: 1}, {2: 1}]
+    assert combination_basis(rows, []) == []
 
 
 def test_intersect():

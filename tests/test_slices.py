@@ -34,6 +34,7 @@ from ospoly.slices import (
     _generates_layer,
     _int_atoms,
     _lowering_kernel,
+    _q_is_regular,
     _weight_table,
     eta_image,
     eta_span_of_slice,
@@ -70,7 +71,9 @@ from oracles import (
     naive_apply,
     reference_act_on_terms,
     reference_closure,
+    reference_direct_sum,
     reference_slice_monomials,
+    reference_weight_codes,
     weight_of,
 )
 
@@ -961,6 +964,24 @@ def test_weight_table_gives_monomial_weight(cfg, k, D):
         assert code == weight_code(w, base), m
 
 
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("family", ["A", "Aprime"])
+def test_weight_codes_are_the_tuple_reference(family, parity):
+    """weight_codes, summed from per-field deltas in a provisional base,
+    gives the tuple reference's (codes, base) pair, keys in slice order, on
+    every window k -2..5, D 6 of the grid."""
+    windows = 0
+    for cfg in _grid_configs(family, parity):
+        for k in range(-2, 6):
+            idx = MonomialIndex(SliceKey(cfg, k, 6))
+            got, want = idx.weight_codes(), reference_weight_codes(idx)
+            assert (list(got[0].items()), got[1]) == (list(want[0].items()), want[1]), (
+                cfg.describe(), k,
+            )
+            windows += bool(idx.codes)
+    assert windows > 100
+
+
 @pytest.mark.parametrize(
     "cfg, k, D",
     [
@@ -1221,6 +1242,51 @@ def test_direct_sum_with_a_zero_meet_builds_no_echelon(monkeypatch, cfg, k, D, m
     monkeypatch.setattr(linalg, "Echelon", None)
     monkeypatch.setattr(linalg, "restrict_to_zone", None)
     assert verify_direct_sum(cfg, k, D, margin).status != "fail"
+
+
+def test_direct_sum_is_the_harmonic_basis_reference():
+    """verify_direct_sum, which reads every number off Delta images, gives
+    the report of the reference that builds a basis of H and intersects it
+    with the raised span, field for field, on family A of both parities,
+    m1 <= 3, n <= 2, every r <= m1 (so q nilpotent too), k -2..5, D 2/4/6
+    and margin 0/2."""
+    seen = Counter()
+    for parity in ("even", "odd"):
+        for cfg in _grid_configs("A", parity):
+            for k in range(-2, 6):
+                for D in (2, 4, 6):
+                    for margin in (0, 2):
+                        got = verify_direct_sum(cfg, k, D, margin).to_dict()
+                        want = reference_direct_sum(cfg, k, D, margin).to_dict()
+                        assert got == want, (cfg.describe(), k, D, margin)
+                        seen[got["status"]] += 1
+    assert seen["pass"] and seen["fail"] and seen["inconclusive-window"], seen
+
+
+def test_direct_sum_verdicts_are_monotone_in_the_window():
+    """Where q = eta(1) is regular both sides of the direct sum are exact on
+    the window, so from D to D + 2 at margin 2 every level that passes still
+    passes and a fail stays a fail.  Family A of both parities, m1 <= 3,
+    n <= 2, every r with q regular, k -2..5 and D 2/4/6/8 (D 8 left out for
+    m1 = 3, n = 2, the costliest windows)."""
+    seen = Counter()
+    for parity in ("even", "odd"):
+        for cfg in filter(_q_is_regular, _grid_configs("A", parity)):
+            for k in range(-2, 6):
+                last = None
+                for D in (2, 4, 6) if (cfg.m1, cfg.n) == (3, 2) else (2, 4, 6, 8):
+                    rep = verify_direct_sum(cfg, k, D, 2)
+                    seen[rep.status] += 1
+                    case = (cfg.describe(), k, D)
+                    if last is not None:
+                        assert last.status != "fail" or rep.status == "fail", case
+                        levels = {level["d"]: level["status"] for level in rep.dims}
+                        for level in last.dims:
+                            assert level["status"] != "pass" or levels[level["d"]] == "pass", (
+                                case, level,
+                            )
+                    last = rep
+    assert seen["fail"] and seen["pass"] and seen["inconclusive-window"], seen
 
 
 def test_series_window_case():
@@ -1663,24 +1729,28 @@ def test_series_report_matches_golden(name, cfg, k, D, margin):
 
 
 @pytest.mark.parametrize(
-    "verify, cfg, k, D, margin, golden, calls",
+    "verify, cfg, k, D, margin, golden, builder, calls",
     [
-        (verify_direct_sum, config_a(2, 2, 2), 2, 8, 4, "direct_sum_A222_k2_D8_m4", 0),
+        (verify_direct_sum, config_a(2, 2, 2), 2, 8, 4, "direct_sum_A222_k2_D8_m4",
+         "kernel_basis", 0),
         # the normalized two-block split at k = m1
         (verify_aprime_structure, config_aprime(1, 2, {3, 4}), 1, 6, 3,
-         "aprime_A12_T34_k1_D6_m3", 0),
-        (verify_direct_sum, config_a(1, 1, 0), 2, 4, 0, "direct_sum_A110_k2_D4_m0", 1),
+         "aprime_A12_T34_k1_D6_m3", "intersect", 0),
+        (verify_direct_sum, config_a(1, 1, 0), 2, 4, 0, "direct_sum_A110_k2_D4_m0",
+         "kernel_basis", 1),
     ],
     ids=["direct-sum-pass", "aprime-split-pass", "direct-sum-fail"],
 )
-def test_intersect_runs_only_on_a_nonzero_meet(
-    monkeypatch, verify, cfg, k, D, margin, golden, calls
+def test_witnesses_are_built_only_on_a_nonzero_meet(
+    monkeypatch, verify, cfg, k, D, margin, golden, builder, calls
 ):
-    """The rank count finds a zero meet without intersect; a nonzero meet
-    still runs it once and names the golden's witnesses."""
+    """The rank count finds a zero meet without building witnesses; a
+    nonzero meet builds them once and names the golden's witnesses.  The
+    direct sum builds them from ``kernel_basis`` of Delta V, which it calls
+    for nothing else; the A' two-block split from ``intersect``."""
     seen = []
-    real = linalg.intersect
-    monkeypatch.setattr(linalg, "intersect", lambda u, v: seen.append(1) or real(u, v))
+    real = getattr(linalg, builder)
+    monkeypatch.setattr(linalg, builder, lambda *args: seen.append(1) or real(*args))
     rep = verify(cfg, k, D, margin)
     want = json.loads((GOLDEN / f"{golden}.json").read_text())
     assert (len(seen), rep.status, rep.witnesses) == (calls, want["status"], want["witnesses"])
