@@ -3,9 +3,8 @@
 The ambient algebra is gl(m|2n) spanned by matrix units E(i,j), 1 <= i,j <=
 m+2n, with parity even when i and j are on the same side of the m|2n split.
 osp(m|2n) sits inside as the span of explicit two-term combinations of
-matrix units; ``osp_basis`` returns those spanning sets (whole algebra, even
-part, odd part, Cartan, positive part, even positive part) for both even and
-odd m.
+matrix units; ``osp_basis`` returns those spanning sets (the whole algebra,
+its root elements and its positive root elements) for both even and odd m.
 
 Both families of actions on supercommutative polynomials come from one
 move.  Canonically each gl index a names one variable v_a and E(i,j) acts as
@@ -320,73 +319,53 @@ def _root_element(cfg: RepConfig, a: int, b: int) -> MatrixElement:
 
 
 def osp_basis(cfg: RepConfig, part: str = "all") -> list[MatrixElement]:
-    """Spanning set of the requested part of osp(m|2n).
+    """Spanning set of the requested part of osp(m|2n): "all", "roots" or
+    "positive".
 
-    part: "all", "even", "odd", "cartan", "roots", "positive",
-    "positive_even".  "roots" is "all" without the Cartan elements (the
-    leads a = b), in the same order: the elements that move a weight vector
-    to another weight, by ``element_root``.  Each element is
-    ``_root_element(a, b)``.  For odd m the unpaired row u = 2*m1+1 only
-    appends its own entries to the lists of even m.
+    Each element is ``_root_element(a, b)``.  "roots" is "all" without the
+    Cartan elements (the leads a = b), in the same order: the elements that
+    move a weight vector to another weight, by ``element_root``.
+    "positive" is "roots", in the same order, filtered to the elements whose
+    root is positive (``Weight.is_positive``): the positive part of the
+    Borel subalgebra that the lexicographic order on the roots fixes.  For
+    odd m the unpaired row u = 2*m1+1 only appends its own entries to the
+    lists of even m.
     """
+    if part not in ("all", "roots", "positive"):
+        raise ValueError(f"unknown part {part!r}: expected 'all', 'roots' or 'positive'")
     m1, n, m = cfg.m1, cfg.n, cfg.m
     u = m  # the unpaired row/column when m is odd
     odd_m = cfg.m_parity == "odd"
-    if part == "cartan":
-        leads = [(i, i) for i in range(1, m1 + 1)]
-        leads += [(m + j, m + j) for j in range(1, n + 1)]
-    elif part in ("all", "even", "odd", "roots"):
-        so_even, sp_even, odd = [], [], []
+    so_even, sp_even, odd = [], [], []
+    for i in range(1, m1 + 1):
+        for j in range(1, m1 + 1):
+            so_even.append((i, j))
+    for i in range(1, m1 + 1):
+        for j in range(i + 1, m1 + 1):
+            so_even += [(i, m1 + j), (m1 + i, j)]
+    if odd_m:
         for i in range(1, m1 + 1):
-            for j in range(1, m1 + 1):
-                so_even.append((i, j))
-        for i in range(1, m1 + 1):
-            for j in range(i + 1, m1 + 1):
-                so_even += [(i, m1 + j), (m1 + i, j)]
-        if odd_m:
-            for i in range(1, m1 + 1):
-                so_even += [(i, u), (m1 + i, u)]
+            so_even += [(i, u), (m1 + i, u)]
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            sp_even.append((m + p, m + q))
+    for p in range(1, n + 1):
+        for q in range(p, n + 1):
+            sp_even += [(m + p, m + n + q), (m + n + p, m + q)]
+    for i in range(1, m1 + 1):
         for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                sp_even.append((m + p, m + q))
+            odd += [(i, m + p), (i, m + n + p)]
+            odd += [(m1 + i, m + p), (m1 + i, m + n + p)]
+    if odd_m:
         for p in range(1, n + 1):
-            for q in range(p, n + 1):
-                sp_even += [(m + p, m + n + q), (m + n + p, m + q)]
-        for i in range(1, m1 + 1):
-            for p in range(1, n + 1):
-                odd += [(i, m + p), (i, m + n + p)]
-                odd += [(m1 + i, m + p), (m1 + i, m + n + p)]
-        if odd_m:
-            for p in range(1, n + 1):
-                odd += [(u, m + p), (u, m + n + p)]
-        leads = {
-            "all": so_even + sp_even + odd,
-            "even": so_even + sp_even,
-            "odd": odd,
-            "roots": [(a, b) for a, b in so_even + sp_even + odd if a != b],
-        }[part]
-    elif part in ("positive", "positive_even"):
-        leads = []
-        for i in range(1, m1 + 1):
-            for j in range(i + 1, m1 + 1):
-                leads += [(i, j), (i, m1 + j)]
-        if odd_m:
-            leads += [(i, u) for i in range(1, m1 + 1)]
-        for p in range(1, n + 1):
-            for q in range(p + 1, n + 1):
-                leads.append((m + p, m + q))
-        for p in range(1, n + 1):
-            for q in range(p, n + 1):
-                leads.append((m + p, m + n + q))
-        if part == "positive":
-            for i in range(1, m1 + 1):
-                for q in range(1, n + 1):
-                    leads += [(i, m + q), (i, m + n + q)]
-            if odd_m:
-                leads += [(u, m + n + p) for p in range(1, n + 1)]
-    else:
-        raise ValueError(f"unknown part {part!r}")
-    return [_root_element(cfg, a, b) for a, b in leads]
+            odd += [(u, m + p), (u, m + n + p)]
+    leads = so_even + sp_even + odd
+    if part != "all":
+        leads = [(a, b) for a, b in leads if a != b]
+    elements = [_root_element(cfg, a, b) for a, b in leads]
+    if part == "positive":
+        elements = [e for e in elements if element_root(cfg, e).is_positive()]
+    return elements
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +377,13 @@ class Weight(NamedTuple):
 
     eps_so: tuple[int | Fraction, ...]
     eps_sp: tuple[int | Fraction, ...]
+
+    def is_positive(self) -> bool:
+        """Is the first nonzero coordinate, eps_so then eps_sp, positive?
+        On the roots this order fixes the Borel subalgebra whose positive
+        part kills a singular vector; exactly one of each pair +-a of roots
+        is positive."""
+        return next((c for c in self.eps_so + self.eps_sp if c), 0) > 0
 
 
 def monomial_weight(cfg: RepConfig, mono) -> Weight:

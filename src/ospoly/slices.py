@@ -86,10 +86,8 @@ class MonomialIndex:
 
     The codes are in ``layout`` (bound D + 2, as every atom is a chain of
     two actions) and are the coordinates of every row over the window.
-    ``MonomialIndex(key)`` enumerates them with ``slice_codes``, ascending,
-    which is canonical order.  A caller may pass its own monomials instead,
-    in any order, with a key whose slice holds them; their codes are
-    sorted.  ``members`` is the set of the codes; a code's total degree is
+    They are ``slice_codes`` of the key, ascending, which is canonical
+    order.  ``members`` is the set of the codes; a code's total degree is
     its top bits, so the codes of degree <= d are those below
     ``level_bound(d)``.  The helpers that work on a window take the index
     alone and read ``key`` and ``cfg`` from it; it keeps what they build
@@ -98,13 +96,10 @@ class MonomialIndex:
     operators.
     """
 
-    def __init__(self, key: SliceKey, monomials=None):
+    def __init__(self, key: SliceKey):
         self.key, self.cfg = key, key.cfg
         self.layout = CodeLayout(self.cfg.signature, key.max_degree + _CHAIN)
-        if monomials is None:
-            self.codes = slice_codes(key, self.layout)
-        else:
-            self.codes = sorted(map(self.layout.pack, monomials))
+        self.codes = slice_codes(key, self.layout)
         self.members = set(self.codes)
         self._weights = None
         self._programs: dict = {}
@@ -128,63 +123,55 @@ class MonomialIndex:
         """Per monomial code, the ``weight_code`` of its monomial's weight,
         and the weight code's base.  Computed once.
 
-        The base exceeds 2 * top + 4, top the largest coordinate size of a
-        slice weight, so codes sort as the weights do and stay one-to-one on
-        the slice's weights and on every weight a root (coordinates at most
-        2 in size) away.
+        Every coordinate of a weight of degree <= the layout's bound lies in
+        -wide..wide, and the base is 2 * wide + 5, so codes sort as the
+        weights do and stay one-to-one on the slice's weights and on every
+        weight a root (coordinates at most 2 in size) away.
 
         A weight is affine in the exponents and mask bits (``_weight_table``)
-        and ``weight_code`` is linear, so in a provisional base, wide enough
-        for every weight of degree <= the layout's bound, a code's weight
-        code is that of 1 plus each field's value times the field's weight
-        code.  Only the distinct provisional codes are decoded to weights,
-        to find top, and coded again in the final base.
+        and ``weight_code`` is linear, so a code's weight code is that of 1
+        plus each field's value times the field's weight code.
         """
         if self._weights is None:
-            cfg, layout = self.cfg, self.layout
-            table, nb, low = _weight_table(cfg), layout.num_bosonic, (1 << layout.num_fermionic) - 1
-            # every coordinate of such a weight lies in -wide..wide
+            layout, table = self.layout, _weight_table(self.cfg)
+            nb, low = layout.num_bosonic, (1 << layout.num_fermionic) - 1
             wide = max((abs(c) + layout.bound * sum(map(abs, row)) for c, row in table), default=0)
-            pbase = 2 * wide + 1
+            base = 2 * wide + 5
 
-            def pcode(coords):
-                return weight_code(Weight(tuple(coords), ()), pbase)
+            def code(coords):
+                return weight_code(Weight(tuple(coords), ()), base)
 
-            deltas = [pcode(column) for column in zip(*(row for _, row in table))]
-            one = pcode(c for c, _ in table)
+            deltas = [code(column) for column in zip(*(row for _, row in table))]
+            one = code(c for c, _ in table)
             masks = [
                 one + sum(d for p, d in enumerate(deltas[nb:]) if mask >> p & 1)
                 for mask in range(low + 1)
             ]
-            prov, fmask = [masks[code & low] for code in self.codes], layout.field_mask
+            codes, fmask = self.codes, layout.field_mask
+            weights = [masks[c & low] for c in codes]
             for shift, d in zip(layout.shifts, deltas):
                 if d:
-                    prov = [w + (code >> shift & fmask) * d for w, code in zip(prov, self.codes)]
-            weights = {}
-            for w in set(prov):
-                coords, rest = [], w
-                for _ in table:  # balanced digits, the last coordinate first
-                    digit = (rest + wide) % pbase - wide
-                    coords.append(digit)
-                    rest = (rest - digit) // pbase
-                weights[w] = coords[::-1]
-            top = max((abs(c) for coords in weights.values() for c in coords), default=0)
-            base = 2 * top + 5
-            codes = {
-                w: weight_code(Weight(tuple(c[: cfg.m1]), tuple(c[cfg.m1 :])), base)
-                for w, c in weights.items()
-            }
-            self._weights = (dict(zip(self.codes, map(codes.__getitem__, prov))), base)
+                    weights = [w + (c >> shift & fmask) * d for w, c in zip(weights, codes)]
+            self._weights = (dict(zip(codes, weights)), base)
         return self._weights
 
     def element_programs(self, part: str) -> tuple:
         """(element, its operator's ``_int_atoms`` compiled for ``layout``)
         for each element of ``osp_basis(cfg, part)``, in that order.  Built
-        once per part."""
+        once per part; "positive" filters the "roots" programs, so each root
+        element is compiled once."""
         if part not in self._programs:
-            self._programs[part] = tuple(
-                (e, self._compile(rep_element(self.cfg, e))) for e in osp_basis(self.cfg, part)
-            )
+            if part == "positive":
+                programs = tuple(
+                    (e, program)
+                    for e, program in self.element_programs("roots")
+                    if element_root(self.cfg, e).is_positive()
+                )
+            else:
+                programs = tuple(
+                    (e, self._compile(rep_element(self.cfg, e))) for e in osp_basis(self.cfg, part)
+                )
+            self._programs[part] = programs
         return self._programs[part]
 
     def delta_eta_programs(self) -> tuple:
@@ -360,15 +347,18 @@ def harmonic_space(key: SliceKey) -> list[SuperPolynomial]:
 
 def singular_vectors(
     idx: MonomialIndex,
-    part: str = "positive",
     within: str = "H",
     modulo: list[dict[int, int]] | None = None,
     weights=None,
 ) -> list[dict[int, int]]:
-    """Weight vectors annihilated by the chosen positive set on the slice.
+    """Weight vectors annihilated by the positive root elements on the slice.
 
     ``modulo`` and the returned vectors are integer rows over idx.  within
     "H" intersects with the kernel of the lowering operator; "A" does not.
+    The layer checks of ``verify_composition_series`` solve within "A".
+    "H" gives the singular vectors of the harmonic space itself, which the
+    planned check of H's irreducibility outside the chain window solves
+    (ROADMAP item 1); no verifier calls it yet.
     With ``modulo`` the annihilation conditions are relaxed to "image lies
     in the span of these rows" (quotient singular vectors; the span is used
     as given, so from-below inputs keep the result from-below sound: every
@@ -398,7 +388,7 @@ def singular_vectors(
     top = idx.level_bound(idx.key.max_degree)
     # images of the first num_mod operators are taken modulo the span, the
     # lowering operator must annihilate outright
-    ops = [program for _, program in idx.element_programs(part)]
+    ops = [program for _, program in idx.element_programs("positive")]
     num_pos = len(ops)
     num_mod = num_pos if modulo else 0
     if within == "H":
@@ -480,31 +470,28 @@ def generate_submodule(
     closure so far.  A true return stops the closure; the basis returned is
     then that of the span so far.
 
-    An image is not built at all when weights alone show it cannot add a
-    row.  Precondition: every generator is a weight vector (its codes
-    share one ``MonomialIndex.weight_codes`` code).  Then every echelon row
-    is a weight vector, with its pivot's weight, and a root element maps a
-    row of weight w into weight w + ``element_root``.  room[u] counts the
-    slice monomials of weight u less the rows whose pivot has weight u
-    (weights by their codes); at 0 the rows span the slice's weight-u space,
-    so an image of weight u is zero, leaves the window or lies in the span,
-    and inserting it would change nothing.  The Cartan elements only
-    rescale a weight vector and are left out ("roots").  Without the
-    precondition the whole slice is one class under every element of "all":
-    the closure stops building images once the span fills the slice.
+    Every generator must be a weight vector (its codes share one
+    ``MonomialIndex.weight_codes`` code); one that is not is a ValueError.
+    Then every echelon row is a weight vector, with its pivot's weight, and
+    a root element maps a row of weight w into weight w + ``element_root``,
+    so an image is not built at all when weights alone show it cannot add
+    a row.  room[u] counts the slice monomials of weight u less the rows
+    whose pivot has weight u (weights by their codes); at 0 the rows span
+    the slice's weight-u space, so an image of weight u is zero, leaves the
+    window or lies in the span, and inserting it would change nothing.  The
+    Cartan elements only rescale a weight vector and are left out ("roots").
     """
     if not gens:
         raise ValueError("empty generator list")
     cfg, top = idx.cfg, idx.level_bound(idx.key.max_degree)
     weights, base = idx.weight_codes()
-    if all(len({weights[i] for i in g}) <= 1 for g in gens):
-        ops = [
-            (program, weight_code(element_root(cfg, e), base))
-            for e, program in idx.element_programs("roots")
-        ]
-    else:
-        weights = dict.fromkeys(idx.codes, 0)
-        ops = [(program, 0) for _, program in idx.element_programs("all")]
+    for g in gens:
+        if len({weights[i] for i in g}) > 1:
+            raise ValueError(f"generator {idx.poly(g)} is not a weight vector")
+    ops = [
+        (program, weight_code(element_root(cfg, e), base))
+        for e, program in idx.element_programs("roots")
+    ]
     room = Counter(weights.values())
     ech = linalg.span(gens)
     queue = ech.basis()
@@ -819,6 +806,13 @@ def verify_composition_series(
     for name, rows in [("H", _lowering_kernel(idx, idx.codes))] + chain + [("0", [])]:
         window_rows = linalg.restrict_to_zone(linalg.filtration(rows), bound)
         terms.append((name, rows, linalg.span(rows), window_rows))
+    # Delta, eta and the action keep weights, so each term's echelon rows are
+    # weight vectors: a layer's singular vectors are solved only on the
+    # weights of its rows outside the next term down
+    codes = idx.weight_codes()[0]
+    for name, _, ech, _ in terms:
+        if any(len({codes[i] for i in row}) > 1 for row in ech.rows.values()):
+            raise ValueError(f"{name}: an echelon row is no weight vector")
     statuses = []
 
     # every chain term consists of exactly harmonic vectors of grading k;
@@ -874,12 +868,9 @@ def verify_composition_series(
     # layer irreducibility evidence: every singular vector of each layer
     # generates the layer over the next term down; singular vectors are
     # solved only on the weights where the layer is nonzero
-    codes = idx.weight_codes()[0]
     for (name_hi, _, ech_hi, rows_hi), (name_lo, lo_rows, ech_lo, _) in layers:
         live = {codes[p] for p, row in ech_hi.rows.items() if not ech_lo.contains(row)}
-        if any(len({codes[i] for i in row}) > 1 for row in ech_hi.rows.values()):
-            live = None  # not a weight-graded span: solve every weight
-        sing = singular_vectors(idx, "positive", "A", modulo=lo_rows, weights=live)
+        sing = singular_vectors(idx, "A", modulo=lo_rows, weights=live)
         layer_sing = [s for s in sing if ech_hi.contains(s) and not ech_lo.contains(s)]
         if not layer_sing:
             # a layer that is zero on the slice holds no singular vector to find

@@ -12,8 +12,9 @@ example.  These call library code, so they check only what they add to it:
 ``reference_closure`` (``rep_element``, ``Echelon``, ``MonomialIndex``),
 ``scan_insert`` (``linalg.normalize``), ``reference_slice_monomials``
 (``variable_k_weights``), ``reference_weight_codes`` (``_weight_table``,
-``weight_code``) and ``reference_direct_sum`` (``kernel_basis``,
-``rank_profile``, ``eta_span_of_slice``, ``_check_direct_sum``).
+``weight_code``), ``osp_part`` (``osp_basis``) and ``reference_direct_sum``
+(``kernel_basis``, ``rank_profile``, ``eta_span_of_slice``,
+``_check_direct_sum``).
 """
 
 import re
@@ -24,6 +25,8 @@ from operator import mul
 
 from ospoly.linalg import Echelon, kernel_basis, normalize, rank_profile
 from ospoly.osp import (
+    EVEN,
+    ODD,
     MatrixElement,
     Weight,
     delta_eta,
@@ -381,12 +384,27 @@ def k_degree(cfg, mono) -> int:
     )
 
 
+def osp_part(cfg, part):
+    """A part of osp(m|2n) that only tests read, filtered from an
+    ``osp_basis`` list in its order: "even" and "odd" from "all" by parity,
+    "cartan" from "all" as the diagonal elements, and "positive_even" from
+    "positive" by parity."""
+    if part == "positive_even":
+        return [e for e in osp_basis(cfg, "positive") if e.parity == EVEN]
+    keep = {
+        "even": lambda e: e.parity == EVEN,
+        "odd": lambda e: e.parity == ODD,
+        "cartan": lambda e: all(i == j for i, j in e.terms),
+    }[part]
+    return [e for e in osp_basis(cfg, "all") if keep(e)]
+
+
 def weight_of(cfg, p):
     """Simultaneous Cartan eigenvalue vector of p, or None if p is not one."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no weight")
     eigs = []
-    for h in osp_basis(cfg, "cartan"):
+    for h in osp_part(cfg, "cartan"):
         op = rep_element(cfg, h)
         image = op(p)
         # p is an eigenvector iff image == lam * p for one rational lam.
@@ -470,11 +488,11 @@ def parse_poly(text, sig):
     return total
 
 
-def reference_weight_codes(idx):
+def reference_weight_codes(idx, base):
     """The tuple body ``MonomialIndex.weight_codes`` replaced, kept as its
     reference: each code unpacked and its weight summed coordinate by
-    coordinate off ``_weight_table``, then the distinct weights coded in
-    base 2 * top + 5.  Returns the same (codes, base) pair."""
+    coordinate off ``_weight_table``, then the distinct weights coded in the
+    given base.  Returns the weight codes keyed by monomial code."""
     cfg = idx.cfg
     table, nf = _weight_table(cfg), cfg.signature.num_fermionic
     bits = [tuple(mask >> p & 1 for p in range(nf)) for mask in range(1 << nf)]
@@ -482,11 +500,8 @@ def reference_weight_codes(idx):
         tuple(c + sum(map(mul, bos + bits[mask], row)) for c, row in table)
         for bos, mask in map(idx.layout.unpack, idx.codes)
     ]
-    distinct = set(weights)
-    top = max((abs(c) for w in distinct for c in w), default=0)
-    base = 2 * top + 5
-    codes = {w: weight_code(Weight(w[: cfg.m1], w[cfg.m1 :]), base) for w in distinct}
-    return dict(zip(idx.codes, map(codes.__getitem__, weights))), base
+    codes = {w: weight_code(Weight(w[: cfg.m1], w[cfg.m1 :]), base) for w in set(weights)}
+    return dict(zip(idx.codes, map(codes.__getitem__, weights)))
 
 
 def reference_direct_sum(cfg, k, max_degree, margin=4, seed=None):

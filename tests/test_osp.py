@@ -27,6 +27,7 @@ from oracles import (
     eta_polynomial,
     k_degree,
     low_degree_monomials,
+    osp_part,
     superbracket,
     weight_of,
 )
@@ -188,7 +189,7 @@ def test_rep_property_odd():
 
 
 def test_cartan_even_m1_1_n_1():
-    h = osp_basis(A11_R0, "cartan")
+    h = osp_part(A11_R0, "cartan")
     assert h[0] == unit(A11_R0, 1, 1) - unit(A11_R0, 2, 2)
     assert h[1] == unit(A11_R0, 3, 3) - unit(A11_R0, 4, 4)
 
@@ -211,8 +212,8 @@ def test_even_part_dimensions():
     # so(2m1) + sp(2n) and the odd block of size m * 2n
     for m1, n in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         cfg = config_a(m1, n, 0)
-        ev = osp_basis(cfg, "even")
-        od = osp_basis(cfg, "odd")
+        ev = osp_part(cfg, "even")
+        od = osp_part(cfg, "odd")
         dim_so = m1 * (2 * m1 - 1)
         dim_sp = n * (2 * n + 1)
         assert len(ev) == dim_so + dim_sp
@@ -222,11 +223,34 @@ def test_even_part_dimensions():
 def test_odd_case_even_part_dimensions():
     for m1, n in [(1, 1), (2, 2)]:
         cfg = config_a(m1, n, 0, "odd")
-        ev = osp_basis(cfg, "even")
-        od = osp_basis(cfg, "odd")
+        ev = osp_part(cfg, "even")
+        od = osp_part(cfg, "odd")
         m = 2 * m1 + 1
         assert len(ev) == m1 * (2 * m1 + 1) + n * (2 * n + 1)
         assert len(od) == m * 2 * n
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_positive_is_the_lex_positive_roots(parity):
+    """On the golden's range, "positive" is the subsequence of "roots" whose
+    root has a positive first nonzero coordinate, eps_so then eps_sp; the
+    roots come in pairs +-a, one element each, and one of each pair is
+    positive."""
+    for m1, n in product(range(4), range(3)):
+        cfg = config_a(m1, n, 0, parity)
+        roots = osp_basis(cfg, "roots")
+        flat = [element_root(cfg, e).eps_so + element_root(cfg, e).eps_sp for e in roots]
+        lex_positive = [e for e, a in zip(roots, flat) if a > tuple(0 for _ in a)]
+        assert osp_basis(cfg, "positive") == lex_positive, (m1, n)
+        assert len(set(flat)) == len(flat)
+        assert set(flat) == {tuple(-c for c in a) for a in flat}
+        assert 2 * len(lex_positive) == len(roots)
+
+
+@pytest.mark.parametrize("part", ["cartan", "even", "odd", "positive_even", "Positive"])
+def test_osp_basis_rejects_a_part_it_does_not_list(part):
+    with pytest.raises(ValueError, match=r"expected 'all', 'roots' or 'positive'$"):
+        osp_basis(A11_R0, part)
 
 
 # -- weights -------------------------------------------------------------
@@ -314,7 +338,7 @@ def test_roots_are_all_without_the_cartan(parity, m1, n):
     element_root is zero exactly on those."""
     cfg = config_a(m1, n, 0, parity)
     everything = osp_basis(cfg, "all")
-    cartan = osp_basis(cfg, "cartan")
+    cartan = osp_part(cfg, "cartan")
     assert osp_basis(cfg, "roots") == [e for e in everything if e not in cartan]
     assert all(e in everything for e in cartan)
     for e in everything:

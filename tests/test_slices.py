@@ -17,6 +17,7 @@ import pytest
 from ospoly import linalg, slices, superpoly
 from ospoly.linalg import Echelon, filtration, restrict_to_zone, span, vec_from_fractions
 from ospoly.osp import (
+    EVEN,
     Weight,
     config_a,
     config_aprime,
@@ -69,6 +70,7 @@ from oracles import (
     exponents,
     k_degree,
     naive_apply,
+    osp_part,
     reference_act_on_terms,
     reference_closure,
     reference_direct_sum,
@@ -82,10 +84,10 @@ A11_R1 = config_a(1, 1, 1)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def singular_polys(key, part, within):
+def singular_polys(key, within):
     """singular_vectors over the key's own slice index, as polynomials."""
     idx = MonomialIndex(key)
-    rows = singular_vectors(idx, part, within)
+    rows = singular_vectors(idx, within)
     return [idx.poly(row) for row in rows]
 
 
@@ -95,6 +97,15 @@ def closure_polys(key, gens):
     idx = MonomialIndex(key)
     rows = generate_submodule(idx, [idx.vec(g) for g in gens])
     return [idx.poly(row) for row in rows]
+
+
+def index_over(key, monomials):
+    """A window over the given monomials of key's slice: key's index with
+    its codes replaced by theirs, in canonical order."""
+    idx = MonomialIndex(key)
+    idx.codes = sorted(map(idx.layout.pack, monomials))
+    idx.members = set(idx.codes)
+    return idx
 
 
 def index_monomials(idx):
@@ -387,29 +398,36 @@ def test_eta_span_source_stops_at_D_minus_2_where_q_is_regular(
 
 def test_unique_highest_weight_vector_outside_window():
     # m1=2, n=1, k=3 > 2(n-m1+1) = 0: only x1^3 up to scale
-    sing = singular_polys(SliceKey(config_a(2, 1, 0), 3, 3), "positive", "H")
+    sing = singular_polys(SliceKey(config_a(2, 1, 0), 3, 3), "H")
     assert len(sing) == 1
     assert str(sing[0]) == "1 * x1^3"
 
 
 def test_highest_weight_vectors_k1():
-    sing = singular_polys(SliceKey(A11_R0, 1, 1), "positive", "H")
+    sing = singular_polys(SliceKey(A11_R0, 1, 1), "H")
     assert len(sing) == 1
     assert str(sing[0]) == "1 * x1"
 
 
 def test_window_slice_has_two_highest_weight_lines():
     # k = 2 inside the window: x1^2 and the quadratic invariant
-    sing = singular_polys(SliceKey(A11_R0, 2, 2), "positive", "H")
+    sing = singular_polys(SliceKey(A11_R0, 2, 2), "H")
     reprs = {str(s) for s in sing}
     assert "1 * x1^2" in reprs
     assert "1 * t1 t2 + 1 * x1 x2" in reprs
     assert len(sing) == 2
 
 
-def test_even_singular_family_count():
+def test_even_singular_family_count(monkeypatch):
     # within H, even positive part, m1=2, n=1, k=2: three ladder lines
-    sing = singular_polys(SliceKey(config_a(2, 1, 0), 2, 2), "positive_even", "H")
+    real = MonomialIndex.element_programs
+
+    def even_positive(idx, part):
+        programs = real(idx, part)
+        return tuple(p for p in programs if p[0].parity == EVEN) if part == "positive" else programs
+
+    monkeypatch.setattr(MonomialIndex, "element_programs", even_positive)
+    sing = singular_polys(SliceKey(config_a(2, 1, 0), 2, 2), "H")
     assert len(sing) == 3
 
 
@@ -422,7 +440,7 @@ def test_abelian_orthogonal_factor_boundary_split():
     hs = harmonic_space(key)
     assert len(hs) == 8
     idx = MonomialIndex(key)
-    sing = singular_vectors(idx, "positive", "H")
+    sing = singular_vectors(idx, "H")
     assert len(sing) == 2
     gens = [generate_submodule(idx, [s]) for s in sing]
     dims = sorted(len(g) for g in gens)
@@ -438,7 +456,7 @@ def test_abelian_orthogonal_factor_boundary_split():
 def test_singular_vectors_are_weight_vectors_and_annihilated():
     cfg = config_a(1, 2, 0)
     key = SliceKey(cfg, 2, 2)
-    sing = singular_polys(key, "positive", "H")
+    sing = singular_polys(key, "H")
     pos_ops = [rep_element(cfg, e) for e in osp_basis(cfg, "positive")]
     lower, _ = delta_eta(cfg)
     assert sing
@@ -452,7 +470,7 @@ def test_singular_vectors_are_weight_vectors_and_annihilated():
 def test_aprime_highest_weight_vector():
     # normal form, k < m1 needs m1 >= 1; use m1=2, n=2, k=1: x_n^{m1-k} t1 t2
     cfg = config_aprime(2, 2, {1, 2})
-    sing = singular_polys(SliceKey(cfg, 1, 3), "positive", "A")
+    sing = singular_polys(SliceKey(cfg, 1, 3), "A")
     reprs = {str(s) for s in sing}
     assert "1 * x2 t1 t2" in reprs
 
@@ -482,16 +500,16 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     idx = MonomialIndex(key)
     mod_rows = eta_image(idx, 1) if cfg.family == "A" else widened_eta_rows(idx, 1)
     modulo = [idx.poly(row) for row in mod_rows]
-    rows = singular_vectors(idx, "positive", within, modulo=mod_rows)
+    rows = singular_vectors(idx, within, modulo=mod_rows)
     assert modulo and rows
-    assert singular_vectors(idx, "positive", within, modulo=mod_rows[::-1]) == rows
+    assert singular_vectors(idx, within, modulo=mod_rows[::-1]) == rows
     # a set of weight codes solves only those groups: the same rows, filtered
     codes, _ = idx.weight_codes()
     some = set(sorted(set(codes.values()))[::2])
     assert some < set(codes.values())
     kept = [row for row in rows if codes[min(row)] in some]
-    assert singular_vectors(idx, "positive", within, modulo=mod_rows, weights=some) == kept
-    assert singular_vectors(idx, "positive", within, modulo=mod_rows, weights=set()) == []
+    assert singular_vectors(idx, within, modulo=mod_rows, weights=some) == kept
+    assert singular_vectors(idx, within, modulo=mod_rows, weights=set()) == []
     sing = [idx.poly(row) for row in rows]
 
     pos_ops = [rep_element(cfg, e) for e in osp_basis(cfg, "positive")]
@@ -560,7 +578,7 @@ def widened_eta_rows(idx, power):
     # H has degree <= D + 2p and eta^p raises degree by at most 2p
     monos = index_monomials(idx)
     wide_monos = {m for p in images for m in p.terms} | set(monos)
-    wide = MonomialIndex(SliceKey(cfg, k, D + 4 * power), wide_monos)
+    wide = index_over(SliceKey(cfg, k, D + 4 * power), wide_monos)
     assert index_monomials(wide)[: len(idx)] == monos
     to_idx = dict(zip(wide.codes, idx.codes))
     rows = restrict_to_zone(filtration([wide.vec(p) for p in images]), wide.level_bound(D))
@@ -967,17 +985,20 @@ def test_weight_table_gives_monomial_weight(cfg, k, D):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("family", ["A", "Aprime"])
 def test_weight_codes_are_the_tuple_reference(family, parity):
-    """weight_codes, summed from per-field deltas in a provisional base,
-    gives the tuple reference's (codes, base) pair, keys in slice order, on
-    every window k -2..5, D 6 of the grid."""
+    """weight_codes, summed from per-field deltas in a base fixed by the
+    layout, gives the tuple reference's codes at that base, keys in slice
+    order, on every window k -2..5, D 6 of the grid; the base exceeds twice
+    the largest coordinate size of a slice weight by at least 5."""
     windows = 0
     for cfg in _grid_configs(family, parity):
         for k in range(-2, 6):
             idx = MonomialIndex(SliceKey(cfg, k, 6))
-            got, want = idx.weight_codes(), reference_weight_codes(idx)
-            assert (list(got[0].items()), got[1]) == (list(want[0].items()), want[1]), (
-                cfg.describe(), k,
-            )
+            got, base = idx.weight_codes()
+            want = reference_weight_codes(idx, base)
+            assert list(got.items()) == list(want.items()), (cfg.describe(), k)
+            weights = [monomial_weight(cfg, m) for m in index_monomials(idx)]
+            top = max((abs(c) for w in weights for c in w.eps_so + w.eps_sp), default=0)
+            assert base >= 2 * top + 5, (cfg.describe(), k)
             windows += bool(idx.codes)
     assert windows > 100
 
@@ -1000,19 +1021,6 @@ def test_index_of_a_key_is_its_slice(cfg, k, D):
     assert idx.members == set(idx.codes) and len(idx) == len(idx.codes)
 
 
-def test_an_index_sorts_the_monomials_passed_in():
-    """Passed-in monomials, in any order, are put in canonical order; a
-    key's own slice comes from slice_codes in that order already."""
-    key = SliceKey(config_a(2, 1, 1), 2, 6)
-    want = MonomialIndex(key)
-    monos = index_monomials(want)
-    rng = random.Random(3)
-    for _ in range(3):
-        rng.shuffle(monos)
-        idx = MonomialIndex(key, monos)
-        assert idx.codes == want.codes and idx.members == want.members
-
-
 def test_a_cell_index_lies_inside_its_keys_slice():
     cfg = config_aprime(1, 2, {1, 2})
     for s, t in [(0, 1), (1, 1), (-1, 2), (0, 2), (1, 2)]:
@@ -1027,6 +1035,8 @@ def test_index_builds_weight_codes_and_atoms_once(monkeypatch):
     idx = MonomialIndex(SliceKey(config_a(2, 1, 1), 2, 5))
     codes = idx.weight_codes()
     programs = {part: idx.element_programs(part) for part in ("positive", "roots", "all")}
+    roots = {id(program) for _, program in programs["roots"]}
+    assert programs["positive"] and {id(program) for _, program in programs["positive"]} < roots
     lower_raise = idx.delta_eta_programs()
     monkeypatch.setattr(slices, "_weight_table", None)
     monkeypatch.setattr(slices, "rep_element", None)
@@ -1039,15 +1049,15 @@ def test_index_builds_weight_codes_and_atoms_once(monkeypatch):
 def test_a_verifier_builds_each_element_operator_once(monkeypatch):
     """singular_vectors, generate_submodule and _stable_under_action take
     their atoms from the verifier's index: one composition-series check
-    builds each element's operator once for "positive" and once for
-    "roots", however many layers, closures and stability checks it runs."""
+    builds each root element's operator once, however many layers, closures
+    and stability checks it runs; "positive" reuses the "roots" programs."""
     cfg = config_a(2, 1, 1)
     built = []
     real = slices.rep_element
     monkeypatch.setattr(slices, "rep_element", lambda cfg, e: built.append(e) or real(cfg, e))
     rep = verify_composition_series(cfg, 2, 6, 2)
     assert len(rep.dims) == 3 and len(rep.witnesses) == 3
-    assert len(built) == len(osp_basis(cfg, "positive")) + len(osp_basis(cfg, "roots"))
+    assert built == osp_basis(cfg, "roots")
 
 
 def test_closures_that_fill_the_slice():
@@ -1092,10 +1102,22 @@ def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
 
     monkeypatch.setattr(slices, "act_on_terms", counting)
     rows = generate_submodule(idx, [idx.vec(SuperPolynomial.x(cfg.signature, 2) ** 2)])
-    cartan = [program for _, program in idx.element_programs("cartan")]
-    assert len(cartan) == len(osp_basis(cfg, "cartan"))
-    assert built and not any(program in cartan for program in built)
-    assert len(built) < len(rows) * len(osp_basis(cfg, "roots"))
+    roots = {id(program) for _, program in idx.element_programs("roots")}
+    assert built and all(id(program) in roots for program in built)
+    assert len(built) < len(rows) * len(roots)
+
+
+def _stand_in_for_every_element(monkeypatch, op):
+    """op's program stands in for every element, paired with a Cartan
+    element (root 0), and every slice monomial gets weight code 0: one
+    weight class, so a closure builds op's image of each row until the span
+    fills the slice, and op need not move weights by a root."""
+    monkeypatch.setattr(
+        MonomialIndex,
+        "element_programs",
+        lambda idx, part: ((osp_part(idx.cfg, "cartan")[0], idx._compile(op)),),
+    )
+    monkeypatch.setattr(MonomialIndex, "weight_codes", lambda idx: (dict.fromkeys(idx.codes, 0), 1))
 
 
 def test_halo_is_read_after_cancellation(monkeypatch):
@@ -1104,14 +1126,14 @@ def test_halo_is_read_after_cancellation(monkeypatch):
     With q = x1 t1 + x1 t2 (q^2 = 0) and the operator q + x2 d/dt1, q maps to
     x1 x2 of degree 2 through the cancelling degree-4 terms of q^2; on the
     degree <= 2 window the closure of q is span{q, x1 x2}.  Testing the halo
-    before cancellation would stop at span{q}.
+    before cancellation would stop at span{q}.  q mixes the weights of t1
+    and t2, so the slice is put in one weight class.
     """
     cfg = A11_R1
     sig = cfg.signature
     q_times = [(1, ((MUL_X, 0), (MUL_T, 0))), (1, ((MUL_X, 0), (MUL_T, 1)))]
     op = SuperOperator(sig, q_times + [(1, ((MUL_X, 1), (DER_T, 0)))], 1)
-    monkeypatch.setattr(slices, "osp_basis", lambda cfg, part: ["q + x2 dt1"])
-    monkeypatch.setattr(slices, "rep_element", lambda cfg, e: op)
+    _stand_in_for_every_element(monkeypatch, op)
     x1, x2 = SuperPolynomial.x(sig, 1), SuperPolynomial.x(sig, 2)
     q = x1 * (SuperPolynomial.theta(sig, 1) + SuperPolynomial.theta(sig, 2))
     assert op(q) == x1 * x2
@@ -1127,32 +1149,28 @@ def test_an_in_window_image_outside_the_slice_raises_on_every_kept_path(monkeypa
     x1 d/dx2 (x1 swapped, x2 not: grading -2, degree kept) stands in for
     every element and for the raising operator: the closure's accepted
     remainder, a stability leak, a weight group's singular-vector images,
-    a kept eta image and a final eta^p row each raise KeyError."""
+    a kept eta image and a final eta^p row each raise KeyError.  The slice
+    is one weight class, so the closure builds every image."""
     cfg = config_a(2, 1, 1)
     sig = cfg.signature
     assert variable_k_weights(cfg)[0][:2] == [-1, 1]
     breaking = SuperOperator(sig, [(1, ((MUL_X, 0), (DER_X, 1)))], 0)
-    cartan = osp_basis(cfg, "cartan")[0]
     real_delta_eta = MonomialIndex.delta_eta_programs
-    monkeypatch.setattr(
-        MonomialIndex, "element_programs", lambda idx, part: ((cartan, idx._compile(breaking)),)
-    )
+    _stand_in_for_every_element(monkeypatch, breaking)
     monkeypatch.setattr(
         MonomialIndex,
         "delta_eta_programs",
         lambda idx: (real_delta_eta(idx)[0], idx._compile(breaking)),
     )
     idx = MonomialIndex(SliceKey(cfg, 2, 6))
-    x2, x3 = SuperPolynomial.x(sig, 2), SuperPolynomial.x(sig, 3)
-    mixed = idx.vec(x2**2 + x3**2)  # two weights: every image is built
-    row = idx.vec(x2**2)
+    row = idx.vec(SuperPolynomial.x(sig, 2) ** 2)
     outside = "outside the slice"
     with pytest.raises(KeyError, match=outside):
-        generate_submodule(idx, [mixed])
+        generate_submodule(idx, [row])
     with pytest.raises(KeyError, match=outside):
         slices._stable_under_action([row], span([row]), idx)
     with pytest.raises(KeyError, match=outside):
-        singular_vectors(idx, "positive", "A")
+        singular_vectors(idx, "A")
     with pytest.raises(KeyError, match=outside):
         eta_span_of_slice(idx)
     with pytest.raises(KeyError, match=outside):
@@ -1175,8 +1193,8 @@ def test_row_paths_never_apply_a_polynomial_operator(monkeypatch):
     key = SliceKey(cfg, 2, 6)
     idx = MonomialIndex(key)
     raised = eta_span_of_slice(idx)
-    assert singular_vectors(idx, "positive", "H")
-    assert singular_vectors(idx, "positive", "A", modulo=raised)
+    assert singular_vectors(idx, "H")
+    assert singular_vectors(idx, "A", modulo=raised)
     assert generate_submodule(idx, [idx.vec(SuperPolynomial.x(sig, 2) ** 2)])
     assert verify_direct_sum(cfg, 2, 8, 4).dims
     # the seeded closures, and the normalized two-block split
@@ -1419,17 +1437,18 @@ def test_series_terms_are_weight_graded(monkeypatch, name, cfg, k, D, power, x_t
     assert seen and all(w is not None for w in seen)
 
 
-def test_series_solves_every_weight_of_a_term_that_is_no_weight_vector(monkeypatch):
+def test_series_rejects_a_term_that_is_no_weight_vector(monkeypatch):
     """A term whose echelon rows mix weights gives no live weights to read:
-    its layer's singular vectors are solved on every weight."""
+    a ValueError naming the term, before any singular vector is solved."""
     cfg = config_a(2, 2, 0)
     sig = cfg.signature
     x1, x3 = SuperPolynomial.x(sig, 1), SuperPolynomial.x(sig, 3)
     mixed = x1**2 + x1 * x3
     monkeypatch.setattr(slices, "eta_image", lambda idx, power: [idx.vec(mixed)])
     seen = _record_solved_weights(monkeypatch)
-    verify_composition_series(cfg, 2, 6, margin=2)
-    assert seen[0] is not None and seen[1] is None
+    with pytest.raises(ValueError, match=r"^eta\^1 H\(k=0\): an echelon row is no weight vector$"):
+        verify_composition_series(cfg, 2, 6, margin=2)
+    assert seen == []
 
 
 def test_series_layer_checks_skip_dead_weights_and_covered_closures(monkeypatch):
@@ -1773,17 +1792,30 @@ def test_closure_does_not_depend_on_generator_order(cfg, k, D):
     for trial in range(6):
         pos = rng.sample(idx.codes, 2 + trial % 3)
         gens = [{i: 1} for i in pos]
-        # one two-term weight vector, and once a generator that is none
+        # one two-term weight vector
         same = [j for j in idx.codes if codes[j] == codes[pos[0]] and j != pos[0]]
         if same:
             gens.append({pos[0]: 2, rng.choice(same): -3})
-        if trial == 5:
-            gens.append({pos[0]: 1, idx.codes[rng.randrange(len(idx))]: 1})
         want = generate_submodule(idx, gens)
         assert generate_submodule(idx, gens[::-1]) == want
         for _ in range(3):
             rng.shuffle(gens)
             assert generate_submodule(idx, gens) == want
+
+
+def test_closure_rejects_a_generator_that_is_no_weight_vector():
+    """A generator whose monomials have two weights is a ValueError naming
+    it, wherever it stands in the list."""
+    cfg = config_a(2, 1, 1)
+    sig = cfg.signature
+    idx = MonomialIndex(SliceKey(cfg, 2, 6))
+    x2, x3 = SuperPolynomial.x(sig, 2), SuperPolynomial.x(sig, 3)
+    codes, _ = idx.weight_codes()
+    assert codes[min(idx.vec(x2**2))] != codes[min(idx.vec(x3**2))]
+    mixed = r"^generator 1 \* x3\^2 \+ 1 \* x2\^2 is not a weight vector$"
+    for gens in ([x2**2 + x3**2], [x2**2, x2**2 + x3**2]):
+        with pytest.raises(ValueError, match=mixed):
+            generate_submodule(idx, [idx.vec(g) for g in gens])
 
 
 @pytest.mark.parametrize(
@@ -1909,7 +1941,7 @@ def _cell_index(cfg, s: int, t: int) -> MonomialIndex:
     to the cell's top degree, which holds every cell monomial."""
     cell = bigraded_monomials(cfg, s, t)
     top = max((m.total_degree for m in cell), default=0)
-    return MonomialIndex(SliceKey(cfg, s + t, top), cell)
+    return index_over(SliceKey(cfg, s + t, top), cell)
 
 
 def bigraded_harmonic(cfg, s: int, t: int) -> list[SuperPolynomial]:
