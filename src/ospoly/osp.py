@@ -3,8 +3,9 @@
 The ambient algebra is gl(m|2n) spanned by matrix units E(i,j), 1 <= i,j <=
 m+2n, with parity even when i and j are on the same side of the m|2n split.
 osp(m|2n) sits inside as the span of explicit two-term combinations of
-matrix units; ``osp_basis`` returns those spanning sets (the whole algebra,
-its root elements and its positive root elements) for both even and odd m.
+matrix units; ``osp_basis`` returns that one spanning set for both even and
+odd m.  Which of its elements are roots, and which roots are positive, is
+read off their root codes (``element_root``, ``weight_code``).
 
 Both families of actions on supercommutative polynomials come from one
 move.  Canonically each gl index a names one variable v_a and E(i,j) acts as
@@ -72,6 +73,8 @@ class RepConfig:
     def __post_init__(self):
         if self.m_parity not in ("even", "odd"):
             raise ValueError("m_parity must be 'even' or 'odd'")
+        for name in ("m1", "n") if self.r is None else ("m1", "n", "r"):
+            check_int(name, getattr(self, name))
         if self.m1 < 0 or self.n < 0:
             raise ValueError("m1 and n must be nonnegative")
         if self.family == "A":
@@ -84,6 +87,8 @@ class RepConfig:
                 object.__setattr__(self, "T", frozenset())
             if self.r is not None:
                 raise ValueError("family Aprime takes no swap range r")
+            for i in self.T:
+                check_int("a T entry", i)
             bad = [i for i in self.T if not 1 <= i <= 2 * self.n]
             if bad:
                 raise ValueError(f"T entries outside 1..2n: {bad}")
@@ -123,6 +128,12 @@ class RepConfig:
         else:
             d["T"] = sorted(self.T)
         return d
+
+
+def check_int(name: str, value) -> None:
+    """A ValueError unless value is an int; a bool is no size."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def config_a(m1, n, r, m_parity="even") -> RepConfig:
@@ -318,21 +329,15 @@ def _root_element(cfg: RepConfig, a: int, b: int) -> MatrixElement:
     return unit(cfg, a, b) + unit(cfg, partner(b), partner(a)).scale(-eps_ab)
 
 
-def osp_basis(cfg: RepConfig, part: str = "all") -> list[MatrixElement]:
-    """Spanning set of the requested part of osp(m|2n): "all", "roots" or
-    "positive".
+def osp_basis(cfg: RepConfig) -> list[MatrixElement]:
+    """The spanning set of osp(m|2n): one ``_root_element(a, b)`` per lead.
 
-    Each element is ``_root_element(a, b)``.  "roots" is "all" without the
-    Cartan elements (the leads a = b), in the same order: the elements that
-    move a weight vector to another weight, by ``element_root``.
-    "positive" is "roots", in the same order, filtered to the elements whose
-    root is positive (``Weight.is_positive``): the positive part of the
-    Borel subalgebra that the lexicographic order on the roots fixes.  For
-    odd m the unpaired row u = 2*m1+1 only appends its own entries to the
-    lists of even m.
+    The leads a = b give the Cartan elements, whose root (``element_root``)
+    is 0; every other element moves a weight vector to another weight.  A
+    window reads the root elements, and the positive ones, off their root
+    codes (``slices.MonomialIndex.roots``).  For odd m the unpaired row
+    u = 2*m1+1 only appends its own entries to the list of even m.
     """
-    if part not in ("all", "roots", "positive"):
-        raise ValueError(f"unknown part {part!r}: expected 'all', 'roots' or 'positive'")
     m1, n, m = cfg.m1, cfg.n, cfg.m
     u = m  # the unpaired row/column when m is odd
     odd_m = cfg.m_parity == "odd"
@@ -359,13 +364,7 @@ def osp_basis(cfg: RepConfig, part: str = "all") -> list[MatrixElement]:
     if odd_m:
         for p in range(1, n + 1):
             odd += [(u, m + p), (u, m + n + p)]
-    leads = so_even + sp_even + odd
-    if part != "all":
-        leads = [(a, b) for a, b in leads if a != b]
-    elements = [_root_element(cfg, a, b) for a, b in leads]
-    if part == "positive":
-        elements = [e for e in elements if element_root(cfg, e).is_positive()]
-    return elements
+    return [_root_element(cfg, a, b) for a, b in so_even + sp_even + odd]
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +372,13 @@ def osp_basis(cfg: RepConfig, part: str = "all") -> list[MatrixElement]:
 
 
 class Weight(NamedTuple):
-    """Cartan eigenvalues in epsilon coordinates: (orthogonal, symplectic)."""
+    """Cartan eigenvalues in epsilon coordinates: (orthogonal, symplectic).
+    A root is positive when its first nonzero coordinate, eps_so then
+    eps_sp, is: the sign of its ``weight_code``.  This order fixes the Borel
+    subalgebra whose positive part kills a singular vector."""
 
     eps_so: tuple[int | Fraction, ...]
     eps_sp: tuple[int | Fraction, ...]
-
-    def is_positive(self) -> bool:
-        """Is the first nonzero coordinate, eps_so then eps_sp, positive?
-        On the roots this order fixes the Borel subalgebra whose positive
-        part kills a singular vector; exactly one of each pair +-a of roots
-        is positive."""
-        return next((c for c in self.eps_so + self.eps_sp if c), 0) > 0
 
 
 def monomial_weight(cfg: RepConfig, mono) -> Weight:
@@ -431,7 +426,8 @@ def weight_code(w: Weight, base: int) -> int:
 
     The code is linear: code(v + w) = code(v) + code(w).  On weights whose
     coordinates differ by less than base it is one-to-one and sorts as the
-    weights do.
+    weights do, so a root's code is 0 only for root 0 and has the sign of
+    the root order (``Weight``).
     """
     code = 0
     for c in w.eps_so + w.eps_sp:

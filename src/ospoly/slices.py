@@ -37,6 +37,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf, lcm
 
 from . import linalg
@@ -44,6 +45,7 @@ from .osp import (
     RepConfig,
     Weight,
     aprime_normalize,
+    check_int,
     delta_eta,
     element_root,
     markers,
@@ -90,10 +92,10 @@ class MonomialIndex:
     order.  ``members`` is the set of the codes; a code's total degree is
     its top bits, so the codes of degree <= d are those below
     ``level_bound(d)``.  The helpers that work on a window take the index
-    alone and read ``key`` and ``cfg`` from it; it keeps what they build
-    once per window: the weight codes keyed by monomial code, and the
-    compiled programs of the elements and of the lowering and raising
-    operators.
+    alone and read ``key`` and ``cfg`` from it.  What they need of the
+    algebra is built once per window, on first use, from the weight codes:
+    ``weight_codes``, the ``roots`` table, its ``positive`` programs and the
+    compiled lowering and raising operators (``delta_eta``).
     """
 
     def __init__(self, key: SliceKey):
@@ -101,8 +103,6 @@ class MonomialIndex:
         self.layout = CodeLayout(self.cfg.signature, key.max_degree + _CHAIN)
         self.codes = slice_codes(key, self.layout)
         self.members = set(self.codes)
-        self._weights = None
-        self._programs: dict = {}
 
     def __len__(self):
         return len(self.codes)
@@ -119,9 +119,10 @@ class MonomialIndex:
             if code not in members:
                 raise KeyError(f"monomial {self.layout.unpack(code)} outside the slice")
 
+    @cached_property
     def weight_codes(self) -> tuple[dict[int, int], int]:
         """Per monomial code, the ``weight_code`` of its monomial's weight,
-        and the weight code's base.  Computed once.
+        and the weight code's base.
 
         Every coordinate of a weight of degree <= the layout's bound lies in
         -wide..wide, and the base is 2 * wide + 5, so codes sort as the
@@ -132,57 +133,51 @@ class MonomialIndex:
         and ``weight_code`` is linear, so a code's weight code is that of 1
         plus each field's value times the field's weight code.
         """
-        if self._weights is None:
-            layout, table = self.layout, _weight_table(self.cfg)
-            nb, low = layout.num_bosonic, (1 << layout.num_fermionic) - 1
-            wide = max((abs(c) + layout.bound * sum(map(abs, row)) for c, row in table), default=0)
-            base = 2 * wide + 5
+        layout, table = self.layout, _weight_table(self.cfg)
+        nb, low = layout.num_bosonic, (1 << layout.num_fermionic) - 1
+        wide = max((abs(c) + layout.bound * sum(map(abs, row)) for c, row in table), default=0)
+        base = 2 * wide + 5
 
-            def code(coords):
-                return weight_code(Weight(tuple(coords), ()), base)
+        def code(coords):
+            return weight_code(Weight(tuple(coords), ()), base)
 
-            deltas = [code(column) for column in zip(*(row for _, row in table))]
-            one = code(c for c, _ in table)
-            masks = [
-                one + sum(d for p, d in enumerate(deltas[nb:]) if mask >> p & 1)
-                for mask in range(low + 1)
-            ]
-            codes, fmask = self.codes, layout.field_mask
-            weights = [masks[c & low] for c in codes]
-            for shift, d in zip(layout.shifts, deltas):
-                if d:
-                    weights = [w + (c >> shift & fmask) * d for w, c in zip(weights, codes)]
-            self._weights = (dict(zip(codes, weights)), base)
-        return self._weights
+        deltas = [code(column) for column in zip(*(row for _, row in table))]
+        one = code(c for c, _ in table)
+        masks = [
+            one + sum(d for p, d in enumerate(deltas[nb:]) if mask >> p & 1)
+            for mask in range(low + 1)
+        ]
+        codes, fmask = self.codes, layout.field_mask
+        weights = [masks[c & low] for c in codes]
+        for shift, d in zip(layout.shifts, deltas):
+            if d:
+                weights = [w + (c >> shift & fmask) * d for w, c in zip(weights, codes)]
+        return dict(zip(codes, weights)), base
 
-    def element_programs(self, part: str) -> tuple:
-        """(element, its operator's ``_int_atoms`` compiled for ``layout``)
-        for each element of ``osp_basis(cfg, part)``, in that order.  Built
-        once per part; "positive" filters the "roots" programs, so each root
-        element is compiled once."""
-        if part not in self._programs:
-            if part == "positive":
-                programs = tuple(
-                    (e, program)
-                    for e, program in self.element_programs("roots")
-                    if element_root(self.cfg, e).is_positive()
-                )
-            else:
-                programs = tuple(
-                    (e, self._compile(rep_element(self.cfg, e))) for e in osp_basis(self.cfg, part)
-                )
-            self._programs[part] = programs
-        return self._programs[part]
+    @cached_property
+    def roots(self) -> tuple:
+        """(element, program, root code) per element of ``osp_basis`` with a
+        nonzero root code, the ``weight_code`` of its ``element_root``, in that
+        order; the program is its operator's ``_int_atoms`` compiled for
+        ``layout``.  Root coordinates are at most 2 < base / 2 in size, so
+        the code is 0 exactly on the Cartan elements."""
+        cfg, (_, base) = self.cfg, self.weight_codes
+        steps = [(e, weight_code(element_root(cfg, e), base)) for e in osp_basis(cfg)]
+        return tuple(
+            (e, compile_atoms(_int_atoms(rep_element(cfg, e)), self.layout), step)
+            for e, step in steps if step
+        )
 
-    def delta_eta_programs(self) -> tuple:
-        """The lowering and raising operators of ``delta_eta`` compiled for
-        ``layout``.  Built once."""
-        if "delta_eta" not in self._programs:
-            self._programs["delta_eta"] = tuple(map(self._compile, delta_eta(self.cfg)))
-        return self._programs["delta_eta"]
+    @cached_property
+    def positive(self) -> tuple:
+        """The programs of ``roots`` with a positive root code, in order: the
+        roots that are positive in the lexicographic order (``Weight``)."""
+        return tuple(program for _, program, step in self.roots if step > 0)
 
-    def _compile(self, op: SuperOperator):
-        return compile_atoms(_int_atoms(op), self.layout)
+    @cached_property
+    def delta_eta(self) -> tuple:
+        """The lowering and raising operators of ``osp.delta_eta``, compiled."""
+        return tuple(compile_atoms(_int_atoms(op), self.layout) for op in delta_eta(self.cfg))
 
     def vec(self, poly: SuperPolynomial) -> dict[int, int]:
         """Content-free integer row of poly; a monomial outside the window,
@@ -239,6 +234,8 @@ class VerificationReport:
 
     def __post_init__(self):
         # every verifier builds its report first, so this guards all three
+        for name, value in [("k", self.k), ("D", self.max_degree), ("margin", self.margin)]:
+            check_int(name, value)
         if not 0 <= self.margin <= self.max_degree:
             raise ValueError(f"margin must lie in 0..D={self.max_degree}, got {self.margin}")
 
@@ -330,7 +327,7 @@ def _lowering_kernel(idx: MonomialIndex, codes) -> list[dict[int, int]]:
     The operator's program is compiled once per window.  Relabelling i to
     codes[i] keeps the order, so the kernel's basis stays canonical.
     """
-    program = idx.delta_eta_programs()[0]
+    program = idx.delta_eta[0]
     combos = linalg.kernel([act_on_terms(program, ((code, 1),)) for code in codes])
     return [{codes[i]: c for i, c in combo.items()} for combo in combos]
 
@@ -351,7 +348,8 @@ def singular_vectors(
     modulo: list[dict[int, int]] | None = None,
     weights=None,
 ) -> list[dict[int, int]]:
-    """Weight vectors annihilated by the positive root elements on the slice.
+    """Weight vectors annihilated by the positive root elements
+    (``idx.positive``) on the slice.
 
     ``modulo`` and the returned vectors are integer rows over idx.  within
     "H" intersects with the kernel of the lowering operator; "A" does not.
@@ -388,16 +386,16 @@ def singular_vectors(
     top = idx.level_bound(idx.key.max_degree)
     # images of the first num_mod operators are taken modulo the span, the
     # lowering operator must annihilate outright
-    ops = [program for _, program in idx.element_programs("positive")]
+    ops = list(idx.positive)
     num_pos = len(ops)
     num_mod = num_pos if modulo else 0
     if within == "H":
-        ops.append(idx.delta_eta_programs()[0])
+        ops.append(idx.delta_eta[0])
     elif within != "A":
         raise ValueError("within must be 'H' or 'A'")
 
     groups: dict = {}
-    for code, w in idx.weight_codes()[0].items():
+    for code, w in idx.weight_codes[0].items():
         if weights is None or w in weights:
             groups.setdefault(w, []).append(code)
 
@@ -446,8 +444,8 @@ def generate_submodule(
 
     gens and the returned canonical echelon basis are integer rows over idx.
     The queue starts as the canonical basis of span(gens), so the result does
-    not depend on the order of gens.  Each osp operator is compiled once per
-    window (``idx.element_programs``), and ``act_on_terms`` builds a popped
+    not depend on the order of gens.  Each root element is compiled once per
+    window (``idx.roots``), and ``act_on_terms`` builds a popped
     row's images straight from its (code, coefficient) items.  An image is
     skipped exactly when a coefficient on a monomial of degree > D (a code
     at or above ``idx.level_bound(D)``) is nonzero after cancellation.
@@ -473,25 +471,21 @@ def generate_submodule(
     Every generator must be a weight vector (its codes share one
     ``MonomialIndex.weight_codes`` code); one that is not is a ValueError.
     Then every echelon row is a weight vector, with its pivot's weight, and
-    a root element maps a row of weight w into weight w + ``element_root``,
-    so an image is not built at all when weights alone show it cannot add
-    a row.  room[u] counts the slice monomials of weight u less the rows
-    whose pivot has weight u (weights by their codes); at 0 the rows span
-    the slice's weight-u space, so an image of weight u is zero, leaves the
-    window or lies in the span, and inserting it would change nothing.  The
-    Cartan elements only rescale a weight vector and are left out ("roots").
+    a root element maps a row of weight code w to w + its root code
+    (``idx.roots``), so an image is not built at all when weights alone show
+    it cannot add a row.  room[u] counts the slice monomials of weight code
+    u less the rows whose pivot has weight code u; at 0 the rows span the
+    slice's weight-u space, so an image of weight u is zero, leaves the
+    window or lies in the span, and inserting it would change nothing.  A
+    Cartan element only rescales a weight vector and is not in ``idx.roots``.
     """
     if not gens:
         raise ValueError("empty generator list")
-    cfg, top = idx.cfg, idx.level_bound(idx.key.max_degree)
-    weights, base = idx.weight_codes()
+    top = idx.level_bound(idx.key.max_degree)
+    weights, _ = idx.weight_codes
     for g in gens:
         if len({weights[i] for i in g}) > 1:
             raise ValueError(f"generator {idx.poly(g)} is not a weight vector")
-    ops = [
-        (program, weight_code(element_root(cfg, e), base))
-        for e, program in idx.element_programs("roots")
-    ]
     room = Counter(weights.values())
     ech = linalg.span(gens)
     queue = ech.basis()
@@ -501,7 +495,7 @@ def generate_submodule(
     while queue and not stop:
         v = queue.pop()
         w = weights[min(v)]
-        for program, step in ops:
+        for _, program, step in idx.roots:
             u = w + step
             if not room.get(u):  # a weight outside the slice has no entry
                 continue
@@ -607,7 +601,7 @@ def eta_image(idx: MonomialIndex, power: int) -> list[dict[int, int]]:
         return []
     source = SliceKey(cfg, k - 2 * power, D - 2 * power)
     rows = _lowering_kernel(idx, slice_codes(source, idx.layout))
-    program = idx.delta_eta_programs()[1]
+    program = idx.delta_eta[1]
     for _ in range(power):
         rows = [act_on_terms(program, row.items()) for row in rows]
     for row in rows:
@@ -630,7 +624,7 @@ def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
     source_top = D - 2 if _q_is_regular(cfg) else D
     if source_top < 0:
         return []
-    program = idx.delta_eta_programs()[1]
+    program = idx.delta_eta[1]
     top = idx.level_bound(D)
     out = []
     for code in slice_codes(SliceKey(cfg, k - 2, source_top), idx.layout):
@@ -670,7 +664,7 @@ def verify_direct_sum(
     D = max_degree
     rep = VerificationReport("direct-sum", cfg, k, D, margin, seed, "pass")
     idx = MonomialIndex(SliceKey(cfg, k, D))
-    lower = idx.delta_eta_programs()[0]
+    lower = idx.delta_eta[0]
     raised = eta_span_of_slice(idx)
     low_raised = [act_on_terms(lower, row.items()) for row in raised]
     cuts = [bisect_left(idx.codes, idx.level_bound(d)) for d in range(D - margin + 1)]
@@ -705,7 +699,7 @@ def _stable_under_action(rows, ech, idx) -> tuple | None:
     raises KeyError."""
     top = idx.level_bound(idx.key.max_degree)
     # a Cartan element keeps every weight space, so it never leaks
-    for e, program in idx.element_programs("roots"):
+    for e, program, _ in idx.roots:
         for i, row in enumerate(rows):
             image = act_on_terms(program, row.items())
             if image and max(image) < top and not ech.contains(image):
@@ -809,7 +803,7 @@ def verify_composition_series(
     # Delta, eta and the action keep weights, so each term's echelon rows are
     # weight vectors: a layer's singular vectors are solved only on the
     # weights of its rows outside the next term down
-    codes = idx.weight_codes()[0]
+    codes = idx.weight_codes[0]
     for name, _, ech, _ in terms:
         if any(len({codes[i] for i in row}) > 1 for row in ech.rows.values()):
             raise ValueError(f"{name}: an echelon row is no weight vector")
@@ -937,6 +931,7 @@ def verify_aprime_structure(
     else:
         split_case = False
     least = 0 if split_case else 1  # the split case seeds its extreme vector
+    check_int("num_seeds", num_seeds)
     if num_seeds < least:
         raise ValueError(f"num_seeds must be >= {least} here, got {num_seeds}")
 

@@ -179,9 +179,6 @@ class SuperPolynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.sig, frozenset(self.terms.items())))
-
     # -- arithmetic ----------------------------------------------------
 
     def _check_sig(self, other: "SuperPolynomial"):
@@ -210,11 +207,6 @@ class SuperPolynomial:
         if c == 0:
             return SuperPolynomial(self.sig)
         return SuperPolynomial(self.sig, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -455,17 +447,6 @@ class SuperOperator:
         return SuperOperator(
             self.sig, [(c * a, chain) for a, chain in self.atoms], self.parity
         )
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         return apply_operator(self, p)

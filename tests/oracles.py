@@ -12,9 +12,9 @@ example.  These call library code, so they check only what they add to it:
 ``reference_closure`` (``rep_element``, ``Echelon``, ``MonomialIndex``),
 ``scan_insert`` (``linalg.normalize``), ``reference_slice_monomials``
 (``variable_k_weights``), ``reference_weight_codes`` (``_weight_table``,
-``weight_code``), ``osp_part`` (``osp_basis``) and ``reference_direct_sum``
-(``kernel_basis``, ``rank_profile``, ``eta_span_of_slice``,
-``_check_direct_sum``).
+``weight_code``), ``osp_part`` (``osp_basis``, ``element_root``) and
+``reference_direct_sum`` (``kernel_basis``, ``rank_profile``,
+``eta_span_of_slice``, ``_check_direct_sum``).
 """
 
 import re
@@ -30,6 +30,7 @@ from ospoly.osp import (
     MatrixElement,
     Weight,
     delta_eta,
+    element_root,
     osp_basis,
     rep_element,
     variable_k_weights,
@@ -220,7 +221,7 @@ def reference_closure(key, gens, ops=None):
     sig = cfg.signature
     idx = MonomialIndex(key)
     if ops is None:
-        ops = [rep_element(cfg, e) for e in osp_basis(cfg, "all")]
+        ops = [rep_element(cfg, e) for e in osp_basis(cfg)]
     ech = Echelon()
     queue = []
     for g in gens:
@@ -385,18 +386,29 @@ def k_degree(cfg, mono) -> int:
 
 
 def osp_part(cfg, part):
-    """A part of osp(m|2n) that only tests read, filtered from an
-    ``osp_basis`` list in its order: "even" and "odd" from "all" by parity,
-    "cartan" from "all" as the diagonal elements, and "positive_even" from
-    "positive" by parity."""
-    if part == "positive_even":
-        return [e for e in osp_basis(cfg, "positive") if e.parity == EVEN]
+    """A part of osp(m|2n), filtered from ``osp_basis`` in its order: "even"
+    and "odd" by parity, "cartan" as the diagonal elements, "roots" as the
+    elements whose ``element_root`` is nonzero, "positive" as the roots
+    whose first nonzero coordinate, eps_so then eps_sp, is positive (the
+    lexicographic root order, the reference for ``MonomialIndex.positive``)
+    and "positive_even" as the even ones of "positive"."""
+
+    def root(e):
+        a = element_root(cfg, e)
+        return a.eps_so + a.eps_sp
+
+    def positive(e):
+        return next((c for c in root(e) if c), 0) > 0
+
     keep = {
         "even": lambda e: e.parity == EVEN,
         "odd": lambda e: e.parity == ODD,
         "cartan": lambda e: all(i == j for i, j in e.terms),
+        "roots": lambda e: any(root(e)),
+        "positive": positive,
+        "positive_even": lambda e: e.parity == EVEN and positive(e),
     }[part]
-    return [e for e in osp_basis(cfg, "all") if keep(e)]
+    return [e for e in osp_basis(cfg) if keep(e)]
 
 
 def weight_of(cfg, p):
@@ -514,7 +526,7 @@ def reference_direct_sum(cfg, k, max_degree, margin=4, seed=None):
     D = max_degree
     rep = VerificationReport("direct-sum", cfg, k, D, margin, seed, "pass")
     idx = MonomialIndex(SliceKey(cfg, k, D))
-    program = idx.delta_eta_programs()[0]
+    program = idx.delta_eta[0]
     combos = kernel_basis([act_on_terms(program, ((code, 1),)) for code in idx.codes])
     h_vecs = [{idx.codes[i]: c for i, c in combo.items()} for combo in combos]
     h_pivots, _ = rank_profile(h_vecs)

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from ospoly.osp import (
+    RepConfig,
     aprime_normalize,
     config_a,
     config_aprime,
@@ -18,10 +19,11 @@ from ospoly.osp import (
     rep_element,
     rep_matrix_unit,
     unit,
+    weight_code,
 )
 from ospoly.linalg import span, vec_from_fractions
-from ospoly.slices import SliceKey, slice_monomials
-from ospoly.superpoly import SuperMonomial, SuperPolynomial, theta_word
+from ospoly.slices import MonomialIndex, SliceKey, _int_atoms, slice_monomials
+from ospoly.superpoly import SuperMonomial, SuperPolynomial, compile_atoms, theta_word
 from oracles import (
     aprime_transport,
     eta_polynomial,
@@ -41,6 +43,39 @@ def mono(sig, bos, *ferm):
     for p in ferm:
         mask |= 1 << (p - 1)
     return SuperPolynomial.from_monomial(sig, SuperMonomial(tuple(bos), mask))
+
+
+# -- configurations --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("mixed", 1, 1, "A", 0), "m_parity must be 'even' or 'odd'"),
+        (("even", 1.5, 1, "A", 0), "m1 must be an int, got 1.5"),
+        (("even", 1, True, "A", 0), "n must be an int, got True"),
+        (("even", -1, 1, "A", 0), "m1 and n must be nonnegative"),
+        (("even", 1, -1, "A", 0), "m1 and n must be nonnegative"),
+        (("even", 1, 1, "A", 0.0), "r must be an int, got 0.0"),
+        (("even", 1, 1, "A"), "family A needs 0 <= r <= m1"),
+        (("even", 1, 1, "A", 2), "family A needs 0 <= r <= m1"),
+        (("even", 1, 1, "A", 0, frozenset()), "family A takes no swap set T"),
+        (("even", 1, 1, "Aprime", 0), "family Aprime takes no swap range r"),
+        (("even", 1, 2, "Aprime", None, {"1"}), "a T entry must be an int, got '1'"),
+        (("even", 1, 2, "Aprime", None, {True}), "a T entry must be an int, got True"),
+        (("even", 1, 2, "Aprime", None, {0, 5}), "T entries outside 1..2n: [0, 5]"),
+        (("even", 1, 1, "B", 0), "family must be 'A' or 'Aprime'"),
+    ],
+)
+def test_rep_config_rejects_bad_input(args, message):
+    with pytest.raises(ValueError) as err:
+        RepConfig(*args)
+    assert str(err.value) == message
+
+
+def test_aprime_swap_set_defaults_to_empty():
+    cfg = RepConfig("even", 1, 2, "Aprime")
+    assert cfg.T == frozenset() and cfg == config_aprime(1, 2, ())
 
 
 # -- matrix units under the action --------------------------------------
@@ -155,7 +190,7 @@ def check_rep_property(cfg):
     """[rho(u), rho(v)] = rho([u, v]) for every basis pair on every monomial
     of total degree <= 2."""
     sig = cfg.signature
-    basis = osp_basis(cfg, "all")
+    basis = osp_basis(cfg)
     reps = [rep_element(cfg, u) for u in basis]
     polys = [SuperPolynomial.from_monomial(sig, m) for m in low_degree_monomials(sig)]
     images = [[r(p) for p in polys] for r in reps]
@@ -196,14 +231,14 @@ def test_cartan_even_m1_1_n_1():
 
 def test_positive_contains_odd_combination():
     cfg = config_a(2, 2, 0)  # m1=2, n=2, m=4
-    pos = osp_basis(cfg, "positive")
+    pos = osp_part(cfg, "positive")
     target = unit(cfg, 1, 5) - unit(cfg, 7, 3)  # E(i,2m1+q) - E(2m1+n+q,m1+i)
     assert any(e == target for e in pos)
 
 
 def test_odd_positive_contains_unpaired_row():
     cfg = config_a(1, 1, 0, "odd")  # m = 3
-    pos = osp_basis(cfg, "positive")
+    pos = osp_part(cfg, "positive")
     target = unit(cfg, 3, 5) + unit(cfg, 4, 3)
     assert any(e == target for e in pos)
 
@@ -232,25 +267,27 @@ def test_odd_case_even_part_dimensions():
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_positive_is_the_lex_positive_roots(parity):
-    """On the golden's range, "positive" is the subsequence of "roots" whose
-    root has a positive first nonzero coordinate, eps_so then eps_sp; the
+    """On the golden's range, a window's root table is the reference "roots"
+    in order, each with its operator's compiled program and the weight code
+    of its root, and its positive programs are those of the reference
+    "positive" (positive first nonzero coordinate, eps_so then eps_sp); the
     roots come in pairs +-a, one element each, and one of each pair is
     positive."""
     for m1, n in product(range(4), range(3)):
         cfg = config_a(m1, n, 0, parity)
-        roots = osp_basis(cfg, "roots")
+        idx = MonomialIndex(SliceKey(cfg, 1, 2))
+        base = idx.weight_codes[1]
+        roots, positive = osp_part(cfg, "roots"), osp_part(cfg, "positive")
+        assert [e for e, _, _ in idx.roots] == roots, (m1, n)
+        for e, program, step in idx.roots:
+            assert step == weight_code(element_root(cfg, e), base), (m1, n, str(e))
+            want = compile_atoms(_int_atoms(rep_element(cfg, e)), idx.layout)
+            assert program.ops == want.ops, (m1, n, str(e))
+        assert idx.positive == tuple(p for e, p, _ in idx.roots if e in positive), (m1, n)
         flat = [element_root(cfg, e).eps_so + element_root(cfg, e).eps_sp for e in roots]
-        lex_positive = [e for e, a in zip(roots, flat) if a > tuple(0 for _ in a)]
-        assert osp_basis(cfg, "positive") == lex_positive, (m1, n)
         assert len(set(flat)) == len(flat)
         assert set(flat) == {tuple(-c for c in a) for a in flat}
-        assert 2 * len(lex_positive) == len(roots)
-
-
-@pytest.mark.parametrize("part", ["cartan", "even", "odd", "positive_even", "Positive"])
-def test_osp_basis_rejects_a_part_it_does_not_list(part):
-    with pytest.raises(ValueError, match=r"expected 'all', 'roots' or 'positive'$"):
-        osp_basis(A11_R0, part)
+        assert 2 * len(positive) == len(roots)
 
 
 # -- weights -------------------------------------------------------------
@@ -314,7 +351,7 @@ def test_root_elements_move_weights_by_their_root(case):
     monos = slice_monomials(SliceKey(cfg, k, D))
     sig = cfg.signature
     moved = 0
-    for e in osp_basis(cfg, "roots"):
+    for e in osp_part(cfg, "roots"):
         root = element_root(cfg, e)
         assert any(root.eps_so + root.eps_sp), str(e)
         op = rep_element(cfg, e)
@@ -334,12 +371,12 @@ def test_root_elements_move_weights_by_their_root(case):
 @pytest.mark.parametrize("parity", ["even", "odd"])
 @pytest.mark.parametrize("m1, n", [(0, 2), (1, 1), (2, 2), (3, 1)])
 def test_roots_are_all_without_the_cartan(parity, m1, n):
-    """"roots" is "all" with the Cartan elements taken out, in order, and
-    element_root is zero exactly on those."""
+    """The reference "roots" is the spanning set with the Cartan elements
+    taken out, in order, and element_root is zero exactly on those."""
     cfg = config_a(m1, n, 0, parity)
-    everything = osp_basis(cfg, "all")
+    everything = osp_basis(cfg)
     cartan = osp_part(cfg, "cartan")
-    assert osp_basis(cfg, "roots") == [e for e in everything if e not in cartan]
+    assert osp_part(cfg, "roots") == [e for e in everything if e not in cartan]
     assert all(e in everything for e in cartan)
     for e in everything:
         root = element_root(cfg, e)
@@ -397,7 +434,7 @@ def test_kernel_invariance_smoke():
     sig = cfg.signature
     f = mono(sig, (1, 1)) + theta_word(sig, [1, 2])  # x1 x2 + t1 t2
     assert d(f).is_zero()
-    for g in osp_basis(cfg, "all"):
+    for g in osp_basis(cfg):
         assert d(rep_element(cfg, g)(f)).is_zero()
 
 
@@ -439,6 +476,17 @@ def test_markers_mixed():
     cfg = config_aprime(1, 2, {1, 3})
     mk = markers(cfg)
     assert mk.T1 == frozenset({1}) and mk.S1 == frozenset({2})
+
+
+def test_markers_reject_family_a():
+    with pytest.raises(ValueError, match=r"^markers are defined for the Aprime family$"):
+        markers(A11_R0)
+
+
+@pytest.mark.parametrize("T", [set(), {1, 3}], ids=["S1", "T1"])
+def test_aprime_normalize_rejects_a_pair_outside_or_inside_the_swap_set(T):
+    with pytest.raises(ValueError, match=r"^normal form applies only when S1 and T1 are empty$"):
+        aprime_normalize(config_aprime(1, 2, T))
 
 
 def test_aprime_normalize():

@@ -2,16 +2,18 @@
 
 ``golden/osp_basis.json`` holds ``str`` of every spanning-set element, per
 part, for both parities of m, m1 in 0..3 and n in 0..2 (the spanning sets do
-not depend on the swap data): ``osp_basis``' "all" and "positive", and the
-test-only parts that ``oracles.osp_part`` filters from them.
+not depend on the swap data): ``osp_basis`` as "all", and the parts that
+``oracles.osp_part`` filters from it, "positive" by the lexicographic root
+order that ``MonomialIndex.positive`` reads off root codes.
 ``golden/osp_action_sha256.json`` holds, per configuration, the sha256 of
 the action table: one line
 ``i j monomial -> image`` for every matrix unit E(i,j) and every monomial of
 total degree <= 2, followed by the lines ``delta monomial -> image`` and
 ``eta monomial -> image`` where the lowering/raising pair is defined.  List
 order is part of the pin: the windowed closure and the first-failure notes
-of the verifiers depend on the order of "roots", which is "all"'s.
-``singular_vectors`` does not depend on the order of "positive".
+of the verifiers depend on the order of a window's ``roots``, which is
+``osp_basis``' order.  ``singular_vectors`` does not depend on the order of
+"positive".
 
 Regenerate only when a change of the spanning sets or of the action is
 intended:
@@ -31,8 +33,7 @@ from oracles import low_degree_monomials, osp_part
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BASIS_FILE = GOLDEN / "osp_basis.json"
 ACTION_FILE = GOLDEN / "osp_action_sha256.json"
-OSP_PARTS = ("all", "positive")
-TEST_PARTS = ("even", "odd", "cartan", "positive_even")
+PARTS = ("positive", "even", "odd", "cartan", "positive_even")
 PARITIES = ("even", "odd")
 M1_RANGE = range(0, 4)
 N_RANGE = range(0, 3)
@@ -42,8 +43,7 @@ def basis_table() -> dict:
     table = {}
     for parity, m1, n in product(PARITIES, M1_RANGE, N_RANGE):
         cfg = config_a(m1, n, 0, parity)
-        parts = {part: osp_basis(cfg, part) for part in OSP_PARTS}
-        parts |= {part: osp_part(cfg, part) for part in TEST_PARTS}
+        parts = {"all": osp_basis(cfg)} | {part: osp_part(cfg, part) for part in PARTS}
         table[f"{parity} m1={m1} n={n}"] = {
             part: [str(e) for e in elements] for part, elements in parts.items()
         }

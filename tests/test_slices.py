@@ -9,7 +9,7 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -264,7 +264,7 @@ def test_harmonic_action_invariance():
     lower, _ = delta_eta(cfg)
     hs = harmonic_space(SliceKey(cfg, 1, 4))
     for v in hs:
-        for e in osp_basis(cfg, "all"):
+        for e in osp_basis(cfg):
             assert lower(rep_element(cfg, e)(v)).is_zero()
 
 
@@ -348,7 +348,7 @@ def unbounded_eta_span(idx):
     """eta_span_of_slice with the source slice (k - 2) up to degree D, and
     how many kept rows come from a source monomial of degree > D - 2."""
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
-    program, top = idx.delta_eta_programs()[1], idx.level_bound(D)
+    program, top = idx.delta_eta[1], idx.level_bound(D)
     rows, late = [], 0
     for m in slice_monomials(SliceKey(cfg, k - 2, D)):
         image = act_on_terms(program, ((idx.layout.pack(m), 1),))
@@ -420,13 +420,10 @@ def test_window_slice_has_two_highest_weight_lines():
 
 def test_even_singular_family_count(monkeypatch):
     # within H, even positive part, m1=2, n=1, k=2: three ladder lines
-    real = MonomialIndex.element_programs
-
-    def even_positive(idx, part):
-        programs = real(idx, part)
-        return tuple(p for p in programs if p[0].parity == EVEN) if part == "positive" else programs
-
-    monkeypatch.setattr(MonomialIndex, "element_programs", even_positive)
+    even_positive = property(
+        lambda idx: tuple(p for e, p, step in idx.roots if step > 0 and e.parity == EVEN)
+    )
+    monkeypatch.setattr(MonomialIndex, "positive", even_positive)
     sing = singular_polys(SliceKey(config_a(2, 1, 0), 2, 2), "H")
     assert len(sing) == 3
 
@@ -457,7 +454,7 @@ def test_singular_vectors_are_weight_vectors_and_annihilated():
     cfg = config_a(1, 2, 0)
     key = SliceKey(cfg, 2, 2)
     sing = singular_polys(key, "H")
-    pos_ops = [rep_element(cfg, e) for e in osp_basis(cfg, "positive")]
+    pos_ops = [rep_element(cfg, e) for e in osp_part(cfg, "positive")]
     lower, _ = delta_eta(cfg)
     assert sing
     for s in sing:
@@ -504,7 +501,7 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     assert modulo and rows
     assert singular_vectors(idx, within, modulo=mod_rows[::-1]) == rows
     # a set of weight codes solves only those groups: the same rows, filtered
-    codes, _ = idx.weight_codes()
+    codes, _ = idx.weight_codes
     some = set(sorted(set(codes.values()))[::2])
     assert some < set(codes.values())
     kept = [row for row in rows if codes[min(row)] in some]
@@ -512,7 +509,7 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     assert singular_vectors(idx, within, modulo=mod_rows, weights=set()) == []
     sing = [idx.poly(row) for row in rows]
 
-    pos_ops = [rep_element(cfg, e) for e in osp_basis(cfg, "positive")]
+    pos_ops = [rep_element(cfg, e) for e in osp_part(cfg, "positive")]
     lower, _ = delta_eta(cfg)
     monos = slice_monomials(key)
     images = {
@@ -783,8 +780,9 @@ def test_int_image_matches_the_polynomial_action(cfg, k, D):
     for top in (D, D + 1):
         idx = MonomialIndex(SliceKey(cfg, k, top))
         unpack, bound = idx.layout.unpack, idx.level_bound(top)
-        for e, program in idx.element_programs("all"):
+        for e in osp_basis(cfg):
             op = rep_element(cfg, e)
+            program = _compiled(idx, op)
             scale = _int_atoms(op)[0][0] / op.atoms[0][0]
             for code in idx.codes:
                 m = unpack(code)
@@ -828,7 +826,7 @@ def test_packed_kernel_matches_the_tuple_reference(cfg, k, D, with_delta_eta):
     a time and all at once: the packed kernel's row, unpacked, is the tuple
     reference's, with its keys in the same order."""
     idx = MonomialIndex(SliceKey(cfg, k, D))
-    ops = [rep_element(cfg, e) for e in osp_basis(cfg, "all")]
+    ops = [rep_element(cfg, e) for e in osp_basis(cfg)]
     if with_delta_eta:
         ops += delta_eta(cfg)
     monos = index_monomials(idx)
@@ -929,7 +927,7 @@ def test_weight_codes_sort_and_separate_weights_a_root_apart(cfg, k, D):
     weight + root is one-to-one over every slice weight and root, and
     equals code(weight) + code(root)."""
     idx = MonomialIndex(SliceKey(cfg, k, D))
-    codes, base = idx.weight_codes()
+    codes, base = idx.weight_codes
     assert list(codes) == idx.codes
     weights = [monomial_weight(cfg, m) for m in index_monomials(idx)]
     assert len(set(weights)) > 1
@@ -937,7 +935,7 @@ def test_weight_codes_sort_and_separate_weights_a_root_apart(cfg, k, D):
     assert sorted(range(len(idx)), key=in_order.__getitem__) == sorted(
         range(len(idx)), key=lambda i: (weights[i], i)
     )
-    roots = [element_root(cfg, e) for e in osp_basis(cfg, "roots")]
+    roots = [element_root(cfg, e) for e in osp_part(cfg, "roots")]
     shifted = {
         Weight(
             tuple(x + y for x, y in zip(w.eps_so, a.eps_so)),
@@ -969,7 +967,7 @@ def test_weight_table_gives_monomial_weight(cfg, k, D):
     monomial of a slice holding swapped variables to positive powers."""
     idx = MonomialIndex(SliceKey(cfg, k, D))
     table, nf = _weight_table(cfg), cfg.signature.num_fermionic
-    codes, base = idx.weight_codes()
+    codes, base = idx.weight_codes
     swapped = [i for i, w in enumerate(variable_k_weights(cfg)[0]) if w < 0]
     monos = index_monomials(idx)
     assert any(m.bos[i] for m in monos for i in swapped)
@@ -993,7 +991,7 @@ def test_weight_codes_are_the_tuple_reference(family, parity):
     for cfg in _grid_configs(family, parity):
         for k in range(-2, 6):
             idx = MonomialIndex(SliceKey(cfg, k, 6))
-            got, base = idx.weight_codes()
+            got, base = idx.weight_codes
             want = reference_weight_codes(idx, base)
             assert list(got.items()) == list(want.items()), (cfg.describe(), k)
             weights = [monomial_weight(cfg, m) for m in index_monomials(idx)]
@@ -1033,17 +1031,13 @@ def test_a_cell_index_lies_inside_its_keys_slice():
 
 def test_index_builds_weight_codes_and_atoms_once(monkeypatch):
     idx = MonomialIndex(SliceKey(config_a(2, 1, 1), 2, 5))
-    codes = idx.weight_codes()
-    programs = {part: idx.element_programs(part) for part in ("positive", "roots", "all")}
-    roots = {id(program) for _, program in programs["roots"]}
-    assert programs["positive"] and {id(program) for _, program in programs["positive"]} < roots
-    lower_raise = idx.delta_eta_programs()
-    monkeypatch.setattr(slices, "_weight_table", None)
-    monkeypatch.setattr(slices, "rep_element", None)
-    monkeypatch.setattr(slices, "delta_eta", None)
-    assert idx.weight_codes() is codes
-    assert all(idx.element_programs(part) is got for part, got in programs.items())
-    assert idx.delta_eta_programs() is lower_raise
+    names = ("weight_codes", "roots", "positive", "delta_eta")
+    built = [getattr(idx, name) for name in names]
+    roots = {id(program) for _, program, _ in idx.roots}
+    assert idx.positive and {id(program) for program in idx.positive} < roots
+    for name in ("_weight_table", "osp_basis", "rep_element", "delta_eta"):
+        monkeypatch.setattr(slices, name, None)
+    assert all(getattr(idx, name) is got for name, got in zip(names, built))
 
 
 def test_a_verifier_builds_each_element_operator_once(monkeypatch):
@@ -1057,7 +1051,7 @@ def test_a_verifier_builds_each_element_operator_once(monkeypatch):
     monkeypatch.setattr(slices, "rep_element", lambda cfg, e: built.append(e) or real(cfg, e))
     rep = verify_composition_series(cfg, 2, 6, 2)
     assert len(rep.dims) == 3 and len(rep.witnesses) == 3
-    assert built == osp_basis(cfg, "roots")
+    assert built == osp_part(cfg, "roots")
 
 
 def test_closures_that_fill_the_slice():
@@ -1102,22 +1096,27 @@ def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
 
     monkeypatch.setattr(slices, "act_on_terms", counting)
     rows = generate_submodule(idx, [idx.vec(SuperPolynomial.x(cfg.signature, 2) ** 2)])
-    roots = {id(program) for _, program in idx.element_programs("roots")}
+    roots = {id(program) for _, program, _ in idx.roots}
     assert built and all(id(program) in roots for program in built)
     assert len(built) < len(rows) * len(roots)
 
 
+def _compiled(idx, op):
+    return compile_atoms(_int_atoms(op), idx.layout)
+
+
 def _stand_in_for_every_element(monkeypatch, op):
-    """op's program stands in for every element, paired with a Cartan
-    element (root 0), and every slice monomial gets weight code 0: one
-    weight class, so a closure builds op's image of each row until the span
-    fills the slice, and op need not move weights by a root."""
+    """op's program stands in for every root and every positive root element,
+    paired with a Cartan element and root code 0, and every slice monomial
+    gets weight code 0: one weight class, so a closure builds op's image of
+    each row until the span fills the slice, and op need not move weights by
+    a root."""
+    roots = lambda idx: ((osp_part(idx.cfg, "cartan")[0], _compiled(idx, op), 0),)
+    monkeypatch.setattr(MonomialIndex, "roots", property(roots))
+    monkeypatch.setattr(MonomialIndex, "positive", property(lambda idx: (_compiled(idx, op),)))
     monkeypatch.setattr(
-        MonomialIndex,
-        "element_programs",
-        lambda idx, part: ((osp_part(idx.cfg, "cartan")[0], idx._compile(op)),),
+        MonomialIndex, "weight_codes", property(lambda idx: (dict.fromkeys(idx.codes, 0), 1))
     )
-    monkeypatch.setattr(MonomialIndex, "weight_codes", lambda idx: (dict.fromkeys(idx.codes, 0), 1))
 
 
 def test_halo_is_read_after_cancellation(monkeypatch):
@@ -1155,12 +1154,12 @@ def test_an_in_window_image_outside_the_slice_raises_on_every_kept_path(monkeypa
     sig = cfg.signature
     assert variable_k_weights(cfg)[0][:2] == [-1, 1]
     breaking = SuperOperator(sig, [(1, ((MUL_X, 0), (DER_X, 1)))], 0)
-    real_delta_eta = MonomialIndex.delta_eta_programs
+    lower, _ = delta_eta(cfg)
     _stand_in_for_every_element(monkeypatch, breaking)
     monkeypatch.setattr(
         MonomialIndex,
-        "delta_eta_programs",
-        lambda idx: (real_delta_eta(idx)[0], idx._compile(breaking)),
+        "delta_eta",
+        property(lambda idx: (_compiled(idx, lower), _compiled(idx, breaking))),
     )
     idx = MonomialIndex(SliceKey(cfg, 2, 6))
     row = idx.vec(SuperPolynomial.x(sig, 2) ** 2)
@@ -1422,7 +1421,7 @@ def test_series_terms_are_weight_graded(monkeypatch, name, cfg, k, D, power, x_t
     precondition of solving singular vectors on a layer's live weights only;
     the verifier then passes a set of weights for every layer."""
     idx = MonomialIndex(SliceKey(cfg, k, D))
-    codes, _ = idx.weight_codes()
+    codes, _ = idx.weight_codes
     terms = {"H": _lowering_kernel(idx, idx.codes), f"eta^{power}": eta_image(idx, power)}
     if x_term:
         x_power = idx.vec(SuperPolynomial.x(cfg.signature, cfg.m1) ** k)
@@ -1737,6 +1736,8 @@ GOLDEN_OPTIONS = {"aprime_A12_k1_D6_m3_seed5": {"seed": 5, "num_seeds": 2}}
         # a fail on 19k monomials, frozen before the elimination kept rows
         # content-free
         ("direct_sum_A422_k2_D10_m4", config_a(4, 2, 2), 2, 10, 4),
+        # odd m: seeded closures whatever the swap set
+        ("aprime_A12_T12_odd_k1_D6_m3", config_aprime(1, 2, {1, 2}, "odd"), 1, 6, 3),
     ],
 )
 def test_series_report_matches_golden(name, cfg, k, D, margin):
@@ -1787,7 +1788,7 @@ def test_closure_does_not_depend_on_generator_order(cfg, k, D):
     drops images per queued row, so closures queued from two bases of one
     span can reach different spans."""
     idx = MonomialIndex(SliceKey(cfg, k, D))
-    codes, _ = idx.weight_codes()
+    codes, _ = idx.weight_codes
     rng = random.Random(1)
     for trial in range(6):
         pos = rng.sample(idx.codes, 2 + trial % 3)
@@ -1810,7 +1811,7 @@ def test_closure_rejects_a_generator_that_is_no_weight_vector():
     sig = cfg.signature
     idx = MonomialIndex(SliceKey(cfg, 2, 6))
     x2, x3 = SuperPolynomial.x(sig, 2), SuperPolynomial.x(sig, 3)
-    codes, _ = idx.weight_codes()
+    codes, _ = idx.weight_codes
     assert codes[min(idx.vec(x2**2))] != codes[min(idx.vec(x3**2))]
     mixed = r"^generator 1 \* x3\^2 \+ 1 \* x2\^2 is not a weight vector$"
     for gens in ([x2**2 + x3**2], [x2**2, x2**2 + x3**2]):
@@ -1840,7 +1841,7 @@ def test_reports_do_not_depend_on_operator_order(
         return json.dumps(verify(cfg, k, D, margin, **options).to_dict(), sort_keys=True)
 
     want = report()
-    reversed_basis = lambda cfg, part="all": osp_basis(cfg, part)[::-1]
+    reversed_basis = lambda cfg: osp_basis(cfg)[::-1]
     monkeypatch.setattr(slices, "osp_basis", reversed_basis)
     assert report() == want
 
@@ -1889,6 +1890,24 @@ def test_verifiers_accept_margin_D(verify, cfg, k, D, options):
     assert all(d["d"] <= 0 for d in rep.dims)
 
 
+@pytest.mark.parametrize("verify, cfg, k, D, options", VERIFIER_CASES)
+@pytest.mark.parametrize(
+    "name, bad", [("k", 2.5), ("k", True), ("D", 4.0), ("D", False), ("margin", 0.0)]
+)
+def test_verifiers_reject_a_window_size_that_is_no_int(verify, cfg, k, D, options, name, bad):
+    """Every verifier builds its report first, and the report takes k, D and
+    margin only as ints; a bool is no size."""
+    window = {"k": k, "D": D, "margin": 0, name: bad}
+    with pytest.raises(ValueError, match=rf"^{name} must be an int, got {bad}$"):
+        verify(cfg, window["k"], window["D"], margin=window["margin"], **options)
+
+
+@pytest.mark.parametrize("num_seeds", [1.5, True])
+def test_aprime_rejects_a_seed_count_that_is_no_int(num_seeds):
+    with pytest.raises(ValueError, match=rf"^num_seeds must be an int, got {num_seeds}$"):
+        verify_aprime_structure(config_aprime(1, 2, ()), 1, 4, margin=0, num_seeds=num_seeds)
+
+
 @pytest.mark.parametrize("num_seeds", [-1, 0])
 def test_aprime_rejects_a_seed_count_that_builds_no_seed(num_seeds):
     """num_seeds=-1 would run all seeds but one (pool[:-1]); 0 would run none."""
@@ -1909,6 +1928,46 @@ def test_aprime_split_case_seeds_its_extreme_vector_alone():
 def test_aprime_split_needs_two_pairs():
     with pytest.raises(ValueError, match=r"the split generator needs n >= 2"):
         verify_aprime_structure(config_aprime(1, 1, {1}), 1, 4, margin=2)
+
+
+def test_odd_aprime_windows_never_fail():
+    """Odd m has no markers, so every swap set takes the seeded closures: on
+    m1 <= 2, n <= 2, T in {}, {1..n}, {1}, k 0..2, D 4..6 (margin 2) no
+    report fails; the three inconclusive ones are the empty k = 2 slices of
+    A'(0,0), whose one variable is a fermion."""
+    statuses = Counter()
+    for m1, n in product(range(3), range(3)):
+        swap_sets = {frozenset(), frozenset(range(1, n + 1))} | ({frozenset({1})} if n else set())
+        for T, k, D in product(swap_sets, range(3), range(4, 7)):
+            rep = verify_aprime_structure(config_aprime(m1, n, T, "odd"), k, D, 2)
+            statuses[rep.status] += 1
+    assert statuses == {"pass": 159, "inconclusive-window": 3}
+
+
+def test_aprime_empty_slice_is_inconclusive():
+    rep = verify_aprime_structure(config_aprime(1, 2, set()), -1, 4, margin=0)
+    assert rep.status == "inconclusive-window" and rep.notes == ["empty slice"] and not rep.dims
+
+
+@pytest.mark.parametrize("cfg", [config_aprime(1, 2, {1, 2}), config_a(1, 1, 0, "odd")])
+def test_series_rejects_aprime_and_odd_m(cfg):
+    with pytest.raises(ValueError, match=r"^composition series checks apply to even family A$"):
+        verify_composition_series(cfg, 2, 6, margin=2)
+
+
+def test_aprime_structure_rejects_family_a():
+    with pytest.raises(ValueError, match=r"^expects an Aprime configuration$"):
+        verify_aprime_structure(A11_R0, 1, 4, margin=0)
+
+
+def test_slice_key_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match=r"^max_degree must be nonnegative$"):
+        SliceKey(A11_R0, 1, -1)
+
+
+def test_singular_vectors_reject_an_unknown_space():
+    with pytest.raises(ValueError, match=r"^within must be 'H' or 'A'$"):
+        singular_vectors(MonomialIndex(SliceKey(A11_R0, 1, 2)), "V")
 
 
 # -- bigraded cells ---------------------------------------------------------
