@@ -61,7 +61,7 @@ def vec_from_fractions(items) -> Vec:
     return normalize({k: int(v * scale) for k, v in items.items()})
 
 
-# No src caller; kept only while bench/tracer.py LAYERS names it (ROADMAP item 4).
+# No src caller; kept only while bench/tracer.py LAYERS names it (ROADMAP item 1).
 def exact_int_columns(frac_cols) -> list[Vec]:
     """Scale a list of Fraction vectors by one global factor to integers."""
     scale = lcm(*(Fraction(v).denominator for col in frac_cols for v in col.values()))
@@ -154,7 +154,7 @@ class Echelon:
     def contains(self, vec: Vec) -> bool:
         return not self.remainder(vec)
 
-    # No src caller; kept only while bench/tracer.py LAYERS names it (ROADMAP item 4).
+    # No src caller; kept only while bench/tracer.py LAYERS names it (ROADMAP item 1).
     def reduce_fraction(self, vec) -> dict[int, Fraction]:
         """Exact representative of vec modulo the span (no rescaling)."""
         vec = {k: Fraction(v) for k, v in vec.items() if v}

@@ -29,6 +29,10 @@ piece, and ``monomial_weight`` the Cartan eigenvalue vector of a monomial in
 epsilon coordinates (a swapped variable contributes -e-1 to its E(a,a)
 eigenvalue).  ``element_root`` is the shift a root element adds to a weight,
 and ``weight_code`` packs a weight into one int.
+
+Coefficients are ints from ``unit`` (1) and the swap rule (+-1, +-w in
+``delta_eta``) on, and ``slices`` compiles them as they are; ``MatrixElement``
+and ``SuperOperator`` make a Fraction only of a coefficient that is no int.
 """
 
 from __future__ import annotations
@@ -149,14 +153,17 @@ def config_aprime(m1, n, T, m_parity="even") -> RepConfig:
 
 
 class MatrixElement:
-    """Formal rational combination of matrix units of gl(m|2n)."""
+    """Formal combination of matrix units of gl(m|2n); a coefficient that is
+    no int becomes a Fraction."""
 
     __slots__ = ("size", "m", "terms", "parity")
 
     def __init__(self, size: int, m: int, terms: dict, parity=None):
         self.size = size
         self.m = m
-        self.terms = {ij: Fraction(c) for ij, c in terms.items() if c != 0}
+        self.terms = {
+            ij: c if type(c) is int else Fraction(c) for ij, c in terms.items() if c != 0
+        }
         parities = {self.unit_parity(i, j) for i, j in self.terms}
         if len(parities) > 1:
             raise ValueError("matrix element mixes parities")
@@ -225,7 +232,7 @@ def unit(cfg: RepConfig, i: int, j: int) -> MatrixElement:
     size = cfg.gl_size
     if not (1 <= i <= size and 1 <= j <= size):
         raise ValueError(f"index ({i},{j}) outside 1..{size}")
-    return MatrixElement(size, cfg.m, {(i, j): Fraction(1)})
+    return MatrixElement(size, cfg.m, {(i, j): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +297,14 @@ def rep_matrix_unit(cfg: RepConfig, i: int, j: int) -> SuperOperator:
 
 
 def rep_element(cfg: RepConfig, elem: MatrixElement) -> SuperOperator:
-    """Linear extension of rep_matrix_unit to a matrix element."""
-    out = SuperOperator.zero(cfg.signature)
-    for (i, j), c in elem.terms.items():
-        out = out + rep_matrix_unit(cfg, i, j).scale(c)
-    return out
+    """Linear extension of rep_matrix_unit to a matrix element: each term's
+    one atom times the term's coefficient."""
+    atoms = [
+        (c * a, chain)
+        for (i, j), c in elem.terms.items()
+        for a, chain in rep_matrix_unit(cfg, i, j).atoms
+    ]
+    return SuperOperator(cfg.signature, atoms, elem.parity)
 
 
 def variable_k_weights(cfg: RepConfig) -> tuple[list[int], int]:
@@ -377,8 +387,8 @@ class Weight(NamedTuple):
     eps_sp, is: the sign of its ``weight_code``.  This order fixes the Borel
     subalgebra whose positive part kills a singular vector."""
 
-    eps_so: tuple[int | Fraction, ...]
-    eps_sp: tuple[int | Fraction, ...]
+    eps_so: tuple[int, ...]
+    eps_sp: tuple[int, ...]
 
 
 def monomial_weight(cfg: RepConfig, mono) -> Weight:

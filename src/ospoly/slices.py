@@ -58,7 +58,6 @@ from .osp import (
 from .superpoly import (
     CodeLayout,
     SuperMonomial,
-    SuperOperator,
     SuperPolynomial,
     act_on_terms,
     compile_atoms,
@@ -79,6 +78,8 @@ class SliceKey:
     max_degree: int
 
     def __post_init__(self):
+        check_int("k", self.k)
+        check_int("max_degree", self.max_degree)
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
 
@@ -158,13 +159,13 @@ class MonomialIndex:
     def roots(self) -> tuple:
         """(element, program, root code) per element of ``osp_basis`` with a
         nonzero root code, the ``weight_code`` of its ``element_root``, in that
-        order; the program is its operator's ``_int_atoms`` compiled for
-        ``layout``.  Root coordinates are at most 2 < base / 2 in size, so
-        the code is 0 exactly on the Cartan elements."""
+        order; the program is its ``rep_element`` atoms, which have int
+        coefficients, compiled for ``layout``.  Root coordinates are at most
+        2 < base / 2 in size, so the code is 0 exactly on the Cartan elements."""
         cfg, (_, base) = self.cfg, self.weight_codes
         steps = [(e, weight_code(element_root(cfg, e), base)) for e in osp_basis(cfg)]
         return tuple(
-            (e, compile_atoms(_int_atoms(rep_element(cfg, e)), self.layout), step)
+            (e, compile_atoms(rep_element(cfg, e).atoms, self.layout), step)
             for e, step in steps if step
         )
 
@@ -176,8 +177,9 @@ class MonomialIndex:
 
     @cached_property
     def delta_eta(self) -> tuple:
-        """The lowering and raising operators of ``osp.delta_eta``, compiled."""
-        return tuple(compile_atoms(_int_atoms(op), self.layout) for op in delta_eta(self.cfg))
+        """The lowering and raising operators of ``osp.delta_eta``, whose
+        atoms have int coefficients, compiled."""
+        return tuple(compile_atoms(op.atoms, self.layout) for op in delta_eta(self.cfg))
 
     def vec(self, poly: SuperPolynomial) -> dict[int, int]:
         """Content-free integer row of poly; a monomial outside the window,
@@ -356,7 +358,7 @@ def singular_vectors(
     The layer checks of ``verify_composition_series`` solve within "A".
     "H" gives the singular vectors of the harmonic space itself, which the
     planned check of H's irreducibility outside the chain window solves
-    (ROADMAP item 1); no verifier calls it yet.
+    (ROADMAP item 2); no verifier calls it yet.
     With ``modulo`` the annihilation conditions are relaxed to "image lies
     in the span of these rows" (quotient singular vectors; the span is used
     as given, so from-below inputs keep the result from-below sound: every
@@ -423,14 +425,6 @@ def singular_vectors(
 
 # ---------------------------------------------------------------------------
 # windowed submodule generation
-
-
-def _int_atoms(op: SuperOperator) -> list[tuple[int, tuple]]:
-    """op's atoms with integer coefficients: op scaled by the lcm of its
-    coefficients' denominators, a positive factor that leaves spans and the
-    window test unchanged."""
-    scale = lcm(*(c.denominator for c, _ in op.atoms))
-    return [(int(c * scale), chain) for c, chain in op.atoms]
 
 
 def generate_submodule(

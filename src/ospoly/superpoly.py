@@ -410,26 +410,23 @@ class SuperOperator:
     """Formal sum of signed atomic-action chains with a declared parity.
 
     atoms: list of (coefficient, chain) where chain is a tuple of atomic
-    actions applied rightmost-first.  Parity 0 (even) or 1 (odd) must equal
-    the number of fermionic actions mod 2 in every atom.
+    actions applied rightmost-first; a coefficient that is no int becomes a
+    Fraction.  Parity 0 (even) or 1 (odd) must equal the number of fermionic
+    actions mod 2 in every atom.
     """
 
     __slots__ = ("sig", "atoms", "parity")
 
     def __init__(self, sig: VariableSignature, atoms, parity: int):
         self.sig = sig
-        self.atoms: list[tuple[Fraction, tuple]] = [
-            (Fraction(c), tuple(chain)) for c, chain in atoms if c != 0
+        self.atoms: list[tuple[int | Fraction, tuple]] = [
+            (c if type(c) is int else Fraction(c), tuple(chain)) for c, chain in atoms if c != 0
         ]
         self.parity = parity & 1
         for _, chain in self.atoms:
             ferm = sum(1 for k, _ in chain if k in (MUL_T, DER_T))
             if ferm & 1 != self.parity:
                 raise ValueError("atom parity disagrees with declared parity")
-
-    @staticmethod
-    def zero(sig, parity=0) -> "SuperOperator":
-        return SuperOperator(sig, [], parity)
 
     def __add__(self, other: "SuperOperator") -> "SuperOperator":
         if self.sig != other.sig:
@@ -441,12 +438,6 @@ class SuperOperator:
         if self.parity != other.parity:
             raise ValueError("cannot add operators of different parity")
         return SuperOperator(self.sig, self.atoms + other.atoms, self.parity)
-
-    def scale(self, c) -> "SuperOperator":
-        c = Fraction(c)
-        return SuperOperator(
-            self.sig, [(c * a, chain) for a, chain in self.atoms], self.parity
-        )
 
     def __call__(self, p: SuperPolynomial) -> SuperPolynomial:
         return apply_operator(self, p)
@@ -468,9 +459,7 @@ def apply_operator(op: SuperOperator, p: SuperPolynomial) -> SuperPolynomial:
     """Apply op to p exactly.  Chains act rightmost-first; atoms are summed."""
     if op.sig != p.sig:
         raise ValueError(f"signature mismatch: {op.sig} vs {p.sig}")
-    # integral coefficients as ints: one Fraction product per term, not several
-    atoms = tuple((a.numerator if a.denominator == 1 else a, chain) for a, chain in op.atoms)
-    return _act(atoms, p)
+    return _act(tuple(op.atoms), p)
 
 
 # -- text format -------------------------------------------------------

@@ -374,3 +374,4 @@ def test_vec_from_fractions():
     v = vec_from_fractions({0: Fraction(1, 2), 3: Fraction(-2, 3)})
     assert v == {0: 3, 3: -4}
     assert row_to_fractions(v) == {0: Fraction(1), 3: Fraction(-4, 3)}
+    assert row_to_fractions({}) == {}

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from ospoly.osp import (
+    MatrixElement,
     RepConfig,
     aprime_normalize,
     config_a,
@@ -22,7 +23,7 @@ from ospoly.osp import (
     weight_code,
 )
 from ospoly.linalg import span, vec_from_fractions
-from ospoly.slices import MonomialIndex, SliceKey, _int_atoms, slice_monomials
+from ospoly.slices import MonomialIndex, SliceKey, slice_monomials
 from ospoly.superpoly import SuperMonomial, SuperPolynomial, compile_atoms, theta_word
 from oracles import (
     aprime_transport,
@@ -115,6 +116,88 @@ def test_index_out_of_range():
         rep_matrix_unit(A11_R0, 0, 1)
     with pytest.raises(ValueError):
         rep_matrix_unit(A11_R0, 1, 5)
+    with pytest.raises(ValueError, match=r"^index \(5,1\) outside 1\.\.4$"):
+        unit(A11_R0, 5, 1)
+
+
+def test_operators_print_their_int_coefficients():
+    """A unit's and a two-term element's operator print each int
+    coefficient as an integer, the sign included."""
+    assert str(rep_matrix_unit(A11_R1, 1, 2)) == "1 * [dx1 dx2]"
+    e = unit(A11_R1, 1, 3) - unit(A11_R1, 4, 2)
+    assert str(e) == "E(1,3)-E(4,2)"
+    assert str(rep_element(A11_R1, e)) == "1 * [dx1 dt1] + -1 * [t2 dx2]"
+    assert repr(rep_matrix_unit(A11_R1, 1, 1)) == "SuperOperator(-1 * [dx1 x1])"
+
+
+# -- integer coefficients ------------------------------------------------
+
+
+def _golden_grid():
+    """Both families on the golden's range: both parities, m1 <= 3, n <= 2,
+    every r, and T empty, {1..n} and {1}."""
+    for parity, m1, n in product(("even", "odd"), range(4), range(3)):
+        for r in range(m1 + 1):
+            yield config_a(m1, n, r, parity)
+        for T in {frozenset(), frozenset(range(1, n + 1)), frozenset({1} if n else ())}:
+            yield config_aprime(m1, n, T, parity)
+
+
+def test_operators_keep_int_coefficients():
+    """Every spanning-set element's operator, and the lowering and raising
+    operators where they are defined, has int coefficients; odd m's pair
+    carries w = 2."""
+    pairs = 0
+    for cfg in _golden_grid():
+        ops = [rep_element(cfg, e) for e in osp_basis(cfg)]
+        try:
+            pair = delta_eta(cfg)
+        except ValueError:  # odd or non-normal-form Aprime
+            pair = ()
+        pairs += len(pair)
+        for op in ops + list(pair):
+            assert all(type(c) is int for c, _ in op.atoms), (cfg.describe(), str(op))
+    assert pairs
+    lower, raise_ = delta_eta(config_a(1, 1, 0, "odd"))
+    assert [c for c, _ in lower.atoms] == [c for c, _ in raise_.atoms] == [2, 1, 2]
+
+
+def test_window_programs_keep_int_coefficients():
+    """Every op of a window's root programs and of its compiled lowering and
+    raising operators has an int coefficient."""
+    for cfg in _golden_grid():
+        idx = MonomialIndex(SliceKey(cfg, 1, 2))
+        programs = [program for _, program, _ in idx.roots]
+        try:
+            programs += idx.delta_eta
+        except ValueError:  # odd or non-normal-form Aprime
+            pass
+        for program in programs:
+            assert all(type(op[0]) is int for op in program.ops), cfg.describe()
+
+
+def test_matrix_element_keeps_int_and_makes_fraction_of_other_coefficients():
+    e = MatrixElement(4, 2, {(1, 1): 2, (1, 2): Fraction(1, 2), (2, 1): 0.5, (2, 2): 0})
+    assert e.terms == {(1, 1): 2, (1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
+    assert [type(c) for c in e.terms.values()] == [int, Fraction, Fraction]
+    assert type(unit(A11_R0, 1, 1).terms[(1, 1)]) is int
+
+
+def test_matrix_element_rejects_mixed_parity_and_sizes():
+    with pytest.raises(ValueError, match=r"^matrix element mixes parities$"):
+        MatrixElement(4, 2, {(1, 1): 1, (1, 3): 1})
+    with pytest.raises(ValueError, match=r"^size mismatch$"):
+        unit(A11_R0, 1, 1) + unit(config_a(2, 1, 0), 1, 1)
+
+
+def test_matrix_element_sum_drops_a_cancelled_term_and_prints_zero():
+    e = unit(A11_R0, 1, 2) + unit(A11_R0, 2, 1)
+    assert (e + unit(A11_R0, 1, 2).scale(-1)).terms == {(2, 1): 1}
+    zero = e - e
+    assert zero.is_zero()
+    assert str(zero) == "0"
+    assert repr(zero) == "MatrixElement(0)"
+    assert repr(e) == "MatrixElement(E(1,2)+E(2,1))"
 
 
 # -- superbracket --------------------------------------------------------
@@ -281,7 +364,7 @@ def test_positive_is_the_lex_positive_roots(parity):
         assert [e for e, _, _ in idx.roots] == roots, (m1, n)
         for e, program, step in idx.roots:
             assert step == weight_code(element_root(cfg, e), base), (m1, n, str(e))
-            want = compile_atoms(_int_atoms(rep_element(cfg, e)), idx.layout)
+            want = compile_atoms(rep_element(cfg, e).atoms, idx.layout)
             assert program.ops == want.ops, (m1, n, str(e))
         assert idx.positive == tuple(p for e, p, _ in idx.roots if e in positive), (m1, n)
         flat = [element_root(cfg, e).eps_so + element_root(cfg, e).eps_sp for e in roots]

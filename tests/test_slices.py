@@ -33,7 +33,6 @@ from ospoly.slices import (
     MonomialIndex,
     SliceKey,
     _generates_layer,
-    _int_atoms,
     _lowering_kernel,
     _q_is_regular,
     _weight_table,
@@ -783,28 +782,18 @@ def test_int_image_matches_the_polynomial_action(cfg, k, D):
         for e in osp_basis(cfg):
             op = rep_element(cfg, e)
             program = _compiled(idx, op)
-            scale = _int_atoms(op)[0][0] / op.atoms[0][0]
             for code in idx.codes:
                 m = unpack(code)
                 image = act_on_terms(program, ((code, 1),))
                 p = SuperPolynomial.from_monomial(sig, m)
                 want = naive_apply(op, p)
                 assert apply_operator(op, p) == want, (e, m)
-                assert {unpack(j): c for j, c in image.items()} == {
-                    mono: c * scale for mono, c in want.terms.items()
-                }, (e, m)
+                assert {unpack(j): c for j, c in image.items()} == want.terms, (e, m)
                 leaves = bool(image) and max(image) >= bound
                 assert leaves == (want.max_degree() > top), (e, m)
                 assert all(j in idx.members for j in image if j < bound), (e, m)
                 past.update(unpack(j).total_degree - top for j in image if j >= bound)
     assert past == {1, 2}
-
-
-def test_int_atoms_clear_denominators_by_their_lcm():
-    sig = A11_R0.signature
-    up, down = ((MUL_X, 0), (MUL_X, 1)), ((DER_T, 0), (MUL_T, 1))
-    op = SuperOperator(sig, [(Fraction(1, 2), up), (Fraction(-2, 3), down)], 0)
-    assert _int_atoms(op) == [(3, up), (-4, down)]
 
 
 @pytest.mark.parametrize(
@@ -835,7 +824,7 @@ def test_packed_kernel_matches_the_tuple_reference(cfg, k, D, with_delta_eta):
     terms.append((list(zip(monos, coeffs)), list(zip(idx.codes, coeffs))))
     unpack = idx.layout.unpack
     for op in ops:
-        atoms = _int_atoms(op)
+        atoms = op.atoms
         program = compile_atoms(atoms, idx.layout)
         for ref_terms, new_terms in terms:
             want = reference_act_on_terms(atoms, ref_terms)
@@ -1102,7 +1091,7 @@ def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
 
 
 def _compiled(idx, op):
-    return compile_atoms(_int_atoms(op), idx.layout)
+    return compile_atoms(op.atoms, idx.layout)
 
 
 def _stand_in_for_every_element(monkeypatch, op):
@@ -1963,6 +1952,20 @@ def test_aprime_structure_rejects_family_a():
 def test_slice_key_rejects_a_negative_degree():
     with pytest.raises(ValueError, match=r"^max_degree must be nonnegative$"):
         SliceKey(A11_R0, 1, -1)
+
+
+@pytest.mark.parametrize(
+    "k, D, message",
+    [
+        (2.5, 4, "k must be an int, got 2.5"),
+        (2, 4.0, "max_degree must be an int, got 4.0"),
+        (True, 4, "k must be an int, got True"),
+        (2, True, "max_degree must be an int, got True"),
+    ],
+)
+def test_slice_key_rejects_a_size_that_is_no_int(k, D, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        MonomialIndex(SliceKey(config_a(2, 1, 1), k, D))
 
 
 def test_singular_vectors_reject_an_unknown_space():

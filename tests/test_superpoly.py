@@ -71,6 +71,36 @@ def test_signature_mismatch_rejected():
         mono_mul(mono((0, 0), 1), mono((0,), 1))
 
 
+def test_variables_outside_the_signature_rejected():
+    with pytest.raises(ValueError, match=r"^x3 outside signature "):
+        SuperPolynomial.x(SIG22, 3)
+    with pytest.raises(ValueError, match=r"^t0 outside signature "):
+        SuperPolynomial.theta(SIG22, 0)
+
+
+def test_polynomial_and_operator_signature_mismatches_rejected():
+    p, q = SuperPolynomial.one(SIG22), SuperPolynomial.one(SIG23)
+    op = SuperOperator(SIG22, [(1, ((MUL_X, 0),))], 0)
+    mismatch = r"^signature mismatch: VariableSignature\(num_bosonic=2, num_fermionic=2\) vs "
+    with pytest.raises(ValueError, match=mismatch):
+        p + q
+    with pytest.raises(ValueError, match=mismatch):
+        apply_operator(op, q)
+    with pytest.raises(ValueError, match=r"^signature mismatch$"):
+        op + SuperOperator(SIG23, [(1, ((MUL_X, 0),))], 0)
+
+
+def test_negative_power_rejected():
+    with pytest.raises(ValueError, match=r"^negative power$"):
+        SuperPolynomial.x(SIG22, 1) ** -1
+
+
+def test_polynomial_times_an_int_scales_it():
+    p = poly_of(SIG22, (1, 0), 2, coeff=Fraction(1, 2))
+    assert p * 3 == p.scale(3) == poly_of(SIG22, (1, 0), 2, coeff=Fraction(3, 2))
+    assert repr(p) == "SuperPolynomial('1/2 * x1 t2')"
+
+
 @given(
     st.integers(0, 15),
     st.integers(0, 15),
@@ -228,6 +258,35 @@ def test_chain_is_rightmost_first():
 def test_operator_parity_validation():
     with pytest.raises(ValueError):
         SuperOperator(SIG22, [(Fraction(1), ((DER_T, 0),))], 0)
+
+
+def test_operator_keeps_int_and_makes_fraction_of_other_coefficients():
+    chain = ((MUL_X, 0), (DER_X, 1))
+    op = SuperOperator(SIG22, [(Fraction(1, 2), chain), (0.5, chain), (3, chain), (0, chain)], 0)
+    assert op.atoms == [(Fraction(1, 2), chain), (Fraction(1, 2), chain), (3, chain)]
+    assert [type(c) for c, _ in op.atoms] == [Fraction, Fraction, int]
+
+
+def test_operator_sum():
+    """An empty operand is the other one, whatever its parity; two nonempty
+    operands of different parity are rejected."""
+    even = SuperOperator(SIG22, [(1, ((MUL_X, 0), (DER_X, 1)))], 0)
+    odd = SuperOperator(SIG22, [(-1, ((MUL_T, 0), (DER_X, 1)))], 1)
+    assert even + SuperOperator(SIG22, [], 1) is even
+    assert SuperOperator(SIG22, [], 0) + odd is odd
+    assert (even + even).atoms == even.atoms * 2
+    with pytest.raises(ValueError, match=r"^cannot add operators of different parity$"):
+        even + odd
+
+
+def test_operator_prints_its_atoms():
+    zero = SuperOperator(SIG22, [], 0)
+    assert (str(zero), repr(zero)) == ("0", "SuperOperator(0)")
+    op = SuperOperator(
+        SIG22, [(2, ((MUL_X, 0), (DER_T, 1), (MUL_T, 0))), (Fraction(-1, 2), ())], 0
+    )
+    assert str(op) == "2 * [x1 dt2 t1] + -1/2 * [1]"
+    assert repr(op) == f"SuperOperator({op})"
 
 
 SIG23 = VariableSignature(2, 3)
