@@ -417,17 +417,23 @@ def element_root(cfg: RepConfig, elem: MatrixElement) -> Weight:
 
     A term E(i,j) raises the E(i,i) eigenvalue by 1 and lowers the E(j,j)
     one by 1; the two terms of an osp element have the same root, and a
-    Cartan element has root 0.
+    Cartan element has root 0.  An element whose terms do not share one
+    root, the zero element included, is a ValueError.
     """
-    i, j = next(iter(elem.terms))
-
-    def shift(a: int) -> int:
-        return (a == i) - (a == j)
-
     m1, n, m = cfg.m1, cfg.n, cfg.m
-    so = tuple(shift(c) - shift(m1 + c) for c in range(1, m1 + 1))
-    sp = tuple(shift(m + c) - shift(m + n + c) for c in range(1, n + 1))
-    return Weight(so, sp)
+
+    def root(i: int, j: int) -> Weight:
+        def shift(a: int) -> int:
+            return (a == i) - (a == j)
+
+        so = tuple(shift(c) - shift(m1 + c) for c in range(1, m1 + 1))
+        sp = tuple(shift(m + c) - shift(m + n + c) for c in range(1, n + 1))
+        return Weight(so, sp)
+
+    roots = {root(i, j) for i, j in elem.terms}
+    if len(roots) != 1:
+        raise ValueError(f"{elem} is no root vector: its terms have {len(roots)} roots")
+    return roots.pop()
 
 
 def weight_code(w: Weight, base: int) -> int:

@@ -256,11 +256,12 @@ class VerificationReport:
         }
 
 
-def _combine(statuses) -> str:
-    statuses = list(statuses)
-    if any(s == "fail" for s in statuses):
+def _combine(statuses: list[str]) -> str:
+    """One verdict for a check's statuses: "fail" if any failed, else
+    "inconclusive-window" if any was or if there are none, else "pass"."""
+    if "fail" in statuses:
         return "fail"
-    if any(s == "inconclusive-window" for s in statuses):
+    if "inconclusive-window" in statuses or not statuses:
         return "inconclusive-window"
     return "pass"
 
@@ -345,24 +346,22 @@ def harmonic_space(key: SliceKey) -> list[SuperPolynomial]:
 
 
 def singular_vectors(
-    idx: MonomialIndex,
-    within: str = "H",
-    modulo: list[dict[int, int]] | None = None,
-    weights=None,
+    idx: MonomialIndex, within: str = "H", modulo: linalg.Echelon | None = None, weights=None
 ) -> list[dict[int, int]]:
     """Weight vectors annihilated by the positive root elements
     (``idx.positive``) on the slice.
 
-    ``modulo`` and the returned vectors are integer rows over idx.  within
-    "H" intersects with the kernel of the lowering operator; "A" does not.
-    The layer checks of ``verify_composition_series`` solve within "A".
-    "H" gives the singular vectors of the harmonic space itself, which the
-    planned check of H's irreducibility outside the chain window solves
-    (ROADMAP item 2); no verifier calls it yet.
-    With ``modulo`` the annihilation conditions are relaxed to "image lies
-    in the span of these rows" (quotient singular vectors; the span is used
-    as given, so from-below inputs keep the result from-below sound: every
-    reported vector genuinely maps into the provided span).
+    The returned vectors are integer rows over idx.  within "H" intersects
+    with the kernel of the lowering operator; "A" does not.  The layer
+    checks of ``verify_composition_series`` solve within "A".  "H" gives the
+    singular vectors of the harmonic space itself, which the planned check
+    of H's irreducibility outside the chain window solves (ROADMAP item 2);
+    no verifier calls it yet.  ``modulo``, the caller's echelon of a span of
+    rows over idx, relaxes the annihilation conditions to "image lies in the
+    span" (quotient singular vectors); None or an empty echelon means no
+    modulo.  The span is used as given and never modified, so from-below
+    inputs keep the result from-below sound: every reported vector genuinely
+    maps into the span.
 
     Every returned vector is exactly annihilated (resp. mapped into the
     span): operator images are computed without truncation.
@@ -370,13 +369,12 @@ def singular_vectors(
     A monomial's image is an integer row over codes from ``act_on_terms``.
     The positive operators keep the grading, so an image code of degree
     <= D outside the slice raises KeyError, checked once per weight group.
-    Positive images are taken modulo the span, echelonized once per call, by
-    ``Echelon.remainder`` with one common multiple of its pivot entries, so
-    the remainder stays linear in the image.  Each weight group of idx
-    (``idx.weight_codes``) stacks its images under rows keyed by (operator,
-    image code); its kernel is the canonical echelon basis over the group's
-    codes, so neither row labels nor the per-operator and common scale
-    factors affect the result.
+    Positive images are taken modulo the span by ``Echelon.remainder`` with
+    one common multiple of its pivot entries, so the remainder stays linear
+    in the image.  Each weight group of idx (``idx.weight_codes``) stacks
+    its images under rows keyed by (operator, image code); its kernel is the
+    canonical echelon basis over the group's codes, so neither row labels
+    nor the per-operator and common scale factors affect the result.
 
     ``weights``, a set of weight codes, solves only those groups: each group
     is solved on its own, so the result is the unrestricted one filtered to
@@ -390,7 +388,7 @@ def singular_vectors(
     # lowering operator must annihilate outright
     ops = list(idx.positive)
     num_pos = len(ops)
-    num_mod = num_pos if modulo else 0
+    num_mod = num_pos if modulo is not None and modulo.dim else 0
     if within == "H":
         ops.append(idx.delta_eta[0])
     elif within != "A":
@@ -401,9 +399,8 @@ def singular_vectors(
         if weights is None or w in weights:
             groups.setdefault(w, []).append(code)
 
-    if modulo and groups:
-        mod_ech = linalg.span(modulo)
-        pivots_lcm = lcm(*(row[q] for q, row in mod_ech.rows.items()))
+    if num_mod:
+        pivots_lcm = lcm(*(row[q] for q, row in modulo.rows.items()))
 
     out = []
     for w in sorted(groups):
@@ -414,7 +411,7 @@ def singular_vectors(
             for col, code in zip(stacked, cols):
                 image = act_on_terms(program, ((code, 1),))
                 if oi < num_mod:
-                    image = mod_ech.remainder(image, pivots_lcm)
+                    image = modulo.remainder(image, pivots_lcm)
                 for j, c in image.items():
                     col[rows.setdefault((oi, j), len(rows))] = c
         idx.check(j for oi, j in rows if oi < num_pos and j < top)
@@ -530,7 +527,7 @@ def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
         statuses.append("fail")
         _add_witnesses(rep, idx, linalg.intersect(first, second), meet_note)
     statuses += _fill_levels(rep, idx, _pivot_count(idx, pivots), level_dims)
-    rep.status = _combine(statuses) if statuses else "inconclusive-window"
+    rep.status = _combine(statuses)
 
 
 def _add_witnesses(rep, idx, meet, note) -> None:
@@ -634,7 +631,7 @@ def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
 
 
 def verify_direct_sum(
-    cfg: RepConfig, k: int, max_degree: int, margin: int = 4, seed: int | None = None
+    cfg: RepConfig, k: int, max_degree: int, margin: int = 4
 ) -> VerificationReport:
     """Windowed check that the slice A splits as H + V, H = ker Delta the
     exact harmonic side and V the raised side from below: the span of
@@ -653,10 +650,11 @@ def verify_direct_sum(
     Delta V counted first.  rank V is needed only when Delta V has rank
     below len(V); otherwise the meet is zero.  A nonzero meet's witnesses
     are the first two rows of its canonical basis, the combinations of V
-    that ``linalg.kernel_basis`` of Delta V gives.
+    that ``linalg.kernel_basis`` of Delta V gives.  Nothing is random: the
+    report's seed is None.
     """
     D = max_degree
-    rep = VerificationReport("direct-sum", cfg, k, D, margin, seed, "pass")
+    rep = VerificationReport("direct-sum", cfg, k, D, margin, None, "pass")
     idx = MonomialIndex(SliceKey(cfg, k, D))
     lower = idx.delta_eta[0]
     raised = eta_span_of_slice(idx)
@@ -680,7 +678,7 @@ def verify_direct_sum(
         lambda d, dim_a: dim_a - sum_ranks[d] + rank_low_raised,
         lambda d, dim_a, filled: {"dimA": dim_a, "dimH": dim_a - low_ranks[d], "dimSum": filled},
     )
-    rep.status = _combine(statuses) if statuses else "inconclusive-window"
+    rep.status = _combine(statuses)
     if not rep.dims:
         rep.notes.append("slice empty on every verified level")
     return rep
@@ -736,7 +734,7 @@ def _generates_layer(seed_row, top_rows, bottom_rows, idx):
 
 
 def verify_composition_series(
-    cfg: RepConfig, k: int, max_degree: int, margin: int = 4, seed: int | None = None
+    cfg: RepConfig, k: int, max_degree: int, margin: int = 4
 ) -> VerificationReport:
     """Check the claimed chain of submodules inside the harmonic slice.
 
@@ -754,10 +752,11 @@ def verify_composition_series(
     generates it (windowed sufficient criterion for layer irreducibility).
     Terms are integer rows over the slice index, printed through it; the
     eta term is exact (``eta_image``), only <x_m1^k> is from below.
+    Nothing is random: the report's seed is None.
     """
     D = max_degree
     m1, n, r = cfg.m1, cfg.n, cfg.r
-    rep = VerificationReport("composition-series", cfg, k, D, margin, seed, "pass")
+    rep = VerificationReport("composition-series", cfg, k, D, margin, None, "pass")
     if cfg.family != "A" or cfg.m_parity != "even":
         raise ValueError("composition series checks apply to even family A")
     if m1 == 0:
@@ -858,7 +857,7 @@ def verify_composition_series(
     # solved only on the weights where the layer is nonzero
     for (name_hi, _, ech_hi, rows_hi), (name_lo, lo_rows, ech_lo, _) in layers:
         live = {codes[p] for p, row in ech_hi.rows.items() if not ech_lo.contains(row)}
-        sing = singular_vectors(idx, "A", modulo=lo_rows, weights=live)
+        sing = singular_vectors(idx, "A", modulo=ech_lo, weights=live)
         layer_sing = [s for s in sing if ech_hi.contains(s) and not ech_lo.contains(s)]
         if not layer_sing:
             # a layer that is zero on the slice holds no singular vector to find
@@ -925,6 +924,7 @@ def verify_aprime_structure(
     else:
         split_case = False
     least = 0 if split_case else 1  # the split case seeds its extreme vector
+    check_int("seed", seed)
     check_int("num_seeds", num_seeds)
     if num_seeds < least:
         raise ValueError(f"num_seeds must be >= {least} here, got {num_seeds}")
@@ -959,7 +959,7 @@ def verify_aprime_structure(
                 rep, idx, _pivot_count(idx, reached),
                 lambda _, dim_a, got: {"seed": str(s), "dim_reached": got, "dimA": dim_a},
             )
-        rep.status = _combine(statuses) if statuses else "inconclusive-window"
+        rep.status = _combine(statuses)
         return rep
 
     # two-block split at k = m1 in the normal form

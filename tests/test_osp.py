@@ -466,6 +466,23 @@ def test_roots_are_all_without_the_cartan(parity, m1, n):
         assert (not any(root.eps_so + root.eps_sp)) == (e in cartan), str(e)
 
 
+def test_element_root_reads_every_term():
+    """A sum of root vectors with different roots, and the zero element,
+    have no root: a ValueError, not the first term's root or a
+    StopIteration."""
+    cfg = config_a(2, 1, 1)
+    mixed = unit(cfg, 1, 2) + unit(cfg, 2, 1)
+    with pytest.raises(ValueError, match=r"^E\(1,2\)\+E\(2,1\) is no root vector: .* 2 roots$"):
+        element_root(cfg, mixed)
+    zero = MatrixElement(cfg.gl_size, cfg.m, {})
+    with pytest.raises(ValueError, match=r"^0 is no root vector: its terms have 0 roots$"):
+        element_root(cfg, zero)
+    # every term of an osp element has the element's root
+    for e in osp_basis(cfg):
+        root = element_root(cfg, e)
+        assert all(element_root(cfg, unit(cfg, i, j)) == root for i, j in e.terms), str(e)
+
+
 # -- lowering/raising pair ----------------------------------------------
 
 

@@ -4,8 +4,10 @@ Expected dimensions are frozen from the brute-force oracles in oracles.py
 (independent enumeration + dense rational nullspace).
 """
 
+import inspect
 import json
 import random
+import re
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
@@ -463,6 +465,15 @@ def test_singular_vectors_are_weight_vectors_and_annihilated():
             assert op(s).is_zero()
 
 
+def test_an_empty_modulo_echelon_is_no_modulo():
+    """An empty echelon, as the series passes for its "0" term, relaxes no
+    condition: the same singular vectors as no modulo at all."""
+    idx = MonomialIndex(SliceKey(config_a(2, 1, 1), 2, 6))
+    for within in ("A", "H"):
+        want = singular_vectors(idx, within)
+        assert want and singular_vectors(idx, within, modulo=Echelon()) == want
+
+
 def test_aprime_highest_weight_vector():
     # normal form, k < m1 needs m1 >= 1; use m1=2, n=2, k=1: x_n^{m1-k} t1 t2
     cfg = config_aprime(2, 2, {1, 2})
@@ -496,16 +507,20 @@ def test_quotient_singular_vectors_match_dense_oracle(cfg, k, D, within):
     idx = MonomialIndex(key)
     mod_rows = eta_image(idx, 1) if cfg.family == "A" else widened_eta_rows(idx, 1)
     modulo = [idx.poly(row) for row in mod_rows]
-    rows = singular_vectors(idx, within, modulo=mod_rows)
+    mod_ech = span(mod_rows)
+    stored = {q: dict(row) for q, row in mod_ech.rows.items()}
+    rows = singular_vectors(idx, within, modulo=mod_ech)
     assert modulo and rows
-    assert singular_vectors(idx, within, modulo=mod_rows[::-1]) == rows
+    # the caller's echelon is used as given and left as it was
+    assert mod_ech.rows == stored
+    assert singular_vectors(idx, within, modulo=span(mod_rows[::-1])) == rows
     # a set of weight codes solves only those groups: the same rows, filtered
     codes, _ = idx.weight_codes
     some = set(sorted(set(codes.values()))[::2])
     assert some < set(codes.values())
     kept = [row for row in rows if codes[min(row)] in some]
-    assert singular_vectors(idx, within, modulo=mod_rows, weights=some) == kept
-    assert singular_vectors(idx, within, modulo=mod_rows, weights=set()) == []
+    assert singular_vectors(idx, within, modulo=mod_ech, weights=some) == kept
+    assert singular_vectors(idx, within, modulo=mod_ech, weights=set()) == []
     sing = [idx.poly(row) for row in rows]
 
     pos_ops = [rep_element(cfg, e) for e in osp_part(cfg, "positive")]
@@ -1182,7 +1197,7 @@ def test_row_paths_never_apply_a_polynomial_operator(monkeypatch):
     idx = MonomialIndex(key)
     raised = eta_span_of_slice(idx)
     assert singular_vectors(idx, "H")
-    assert singular_vectors(idx, "A", modulo=raised)
+    assert singular_vectors(idx, "A", modulo=span(raised))
     assert generate_submodule(idx, [idx.vec(SuperPolynomial.x(sig, 2) ** 2)])
     assert verify_direct_sum(cfg, 2, 8, 4).dims
     # the seeded closures, and the normalized two-block split
@@ -1756,7 +1771,9 @@ def test_witnesses_are_built_only_on_a_nonzero_meet(
     """The rank count finds a zero meet without building witnesses; a
     nonzero meet builds them once and names the golden's witnesses.  The
     direct sum builds them from ``kernel_basis`` of Delta V, which it calls
-    for nothing else; the A' two-block split from ``intersect``."""
+    for nothing else; the A' two-block split from ``intersect``.  That each
+    direct-sum witness lies in the meet is certified separately, from its
+    text, in test_report_sweep."""
     seen = []
     real = getattr(linalg, builder)
     monkeypatch.setattr(linalg, builder, lambda *args: seen.append(1) or real(*args))
@@ -1889,6 +1906,22 @@ def test_verifiers_reject_a_window_size_that_is_no_int(verify, cfg, k, D, option
     window = {"k": k, "D": D, "margin": 0, name: bad}
     with pytest.raises(ValueError, match=rf"^{name} must be an int, got {bad}$"):
         verify(cfg, window["k"], window["D"], margin=window["margin"], **options)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "abc", True])
+def test_aprime_rejects_a_seed_that_is_no_int(seed):
+    """random.Random(None) seeds from the operating system, so the report,
+    whose seed field would read null, could not be reproduced from it."""
+    with pytest.raises(ValueError, match=rf"^seed must be an int, got {re.escape(repr(seed))}$"):
+        verify_aprime_structure(config_aprime(1, 2, ()), 1, 6, margin=3, seed=seed)
+
+
+@pytest.mark.parametrize("verify", [verify_direct_sum, verify_composition_series])
+def test_deterministic_verifiers_take_no_seed(verify):
+    """Only the A' closures draw random seeds; the other two verifiers take
+    no seed and report none."""
+    assert "seed" not in inspect.signature(verify).parameters
+    assert verify(config_a(2, 1, 1), 2, 6, 2).seed is None
 
 
 @pytest.mark.parametrize("num_seeds", [1.5, True])
