@@ -17,11 +17,7 @@ in any order produce identical bases.  It also keeps a column index,
 has a nonzero non-pivot entry at c (only nonempty sets are kept, and no
 stored pivot is a key, since rows are fully reduced).  Inserting a row with
 pivot p back-reduces exactly the rows named by ``cols[p]``, so an insert
-never scans the stored rows that do not contain p.  ``filtration`` uses the
-opposite rule, "largest coordinate index wins", by running the same Echelon
-on negated indices.  Its rows sorted by pivot hold a basis of
-span . {index < b} as a prefix for every bound b at once
-(``restrict_to_zone``).
+never scans the stored rows that do not contain p.
 
 The forward kernel.  ``kernel_basis`` runs the step forward only, with no
 back-reduction, on images extended by one tag coordinate each: the tags of
@@ -33,11 +29,11 @@ and ``intersect``, which only the A' two-block split calls, the meet of two
 spans off the kernel of (a, b) -> a - b.
 
 The rank profile.  ``rank_profile`` runs the step forward only with the rule
-"largest coordinate index wins" and keeps only the pivots.  The pivot set of
-any echelon form is {max(v) : v in the span}, so the count of pivots below b
-is dim span . {index < b}, as ``filtration`` gives it, without the
-back-reduction.  The slice verifiers read each total-degree level of a span
-this way, since monomial indices sort by total degree first.
+"largest coordinate index wins", with no back-reduction.  A row it keeps has
+no entry above its pivot, so its rows with pivot below b are a basis of
+span . {index < b} for every bound b at once (``restrict_to_zone``), and
+their count is that dimension.  The slice verifiers read each total-degree
+level of a span this way, since monomial indices sort by total degree first.
 """
 
 from __future__ import annotations
@@ -273,24 +269,14 @@ def intersect(u_vectors: list[Vec], v_vectors: list[Vec]) -> list[Vec]:
     return combination_basis(u_vectors, kernel_basis(u_vectors + v_vectors))
 
 
-def filtration(vectors) -> list[Vec]:
-    """Echelon basis of span(vectors) with pivots on the largest index.
-
-    Rows come sorted by pivot (their largest index), so for every bound b the
-    rows with pivot < b are a basis of span . {v : support(v) < b}.  They are
-    the canonical reduced rows, whatever the order of vectors.
-    """
-    ech = span({-k: c for k, c in v.items()} for v in vectors)
-    return [{-k: c for k, c in ech.rows[p].items()} for p in sorted(ech.rows, reverse=True)]
-
-
-def rank_profile(*parts) -> tuple[list[int], list[int]]:
-    """The pivots of the parts joined, ascending, and the rank after each part.
+def rank_profile(*parts) -> tuple[list[Vec], list[int]]:
+    """Forward rows of the parts joined, sorted by pivot, and the rank after
+    each part.
 
     Forward elimination with the rule "largest index wins" and no
-    back-reduction: the pivots are {max(v) : v in the span}, those of
-    ``filtration``'s rows, so the pivots below a bound b count
-    span . {index < b}.  Neither depends on the order of the vectors.
+    back-reduction, so a row's pivot is max(row).  The pivots are
+    {max(v) : v in the span}, and the ranks count them; neither depends on
+    the order of the vectors, while the rows do.
     """
     rows: dict[int, Vec] = {}
     ranks = []
@@ -302,11 +288,12 @@ def rank_profile(*parts) -> tuple[list[int], list[int]]:
             if vec:
                 rows[p] = vec
         ranks.append(len(rows))
-    return sorted(rows), ranks
+    return [rows[p] for p in sorted(rows)], ranks
 
 
 def restrict_to_zone(rows: list[Vec], bound: int) -> list[Vec]:
-    """Basis of span . {index < bound}, read off filtration rows as a prefix."""
+    """Basis of span . {index < bound}: the prefix of ``rank_profile`` rows
+    whose pivot lies below bound."""
     return rows[: bisect_left(rows, bound, key=max)]
 
 

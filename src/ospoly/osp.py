@@ -307,12 +307,13 @@ def rep_element(cfg: RepConfig, elem: MatrixElement) -> SuperOperator:
     return SuperOperator(cfg.signature, atoms, elem.parity)
 
 
-def variable_k_weights(cfg: RepConfig) -> tuple[list[int], int]:
+def variable_k_weights(cfg: RepConfig) -> list[int]:
     """Per-bosonic-variable contribution to the integer grading each family
-    preserves, and the fermionic one: a swapped variable counts -1."""
+    preserves: a swapped variable counts -1, the others and every fermionic
+    variable +1."""
     swapped = _swapped(cfg)
     nb = cfg.signature.num_bosonic
-    return [(-1 if i in swapped else 1) for i in range(1, nb + 1)], 1
+    return [(-1 if i in swapped else 1) for i in range(1, nb + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ exponents, mask), so the pivot rule "smallest code" is "smallest monomial
 in graded-lex order", and the codes of degree <= d are exactly those below
 ``MonomialIndex.level_bound(d)``.  All linear algebra is exact over the
 rationals via fraction-free integer elimination; degree levels are read
-from filtrations and rank profiles, which pivot on the largest code.
+off the forward rows of ``linalg.rank_profile``, which pivot on the largest
+code.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def slice_codes(key: SliceKey, layout: CodeLayout) -> list[int]:
     bs = range(max(0, -k), (D - k) // 2 + 1)
     if not bs:
         return []
-    weights, _ = variable_k_weights(cfg)
+    weights = variable_k_weights(cfg)
     up = _part_codes([s for s, w in zip(layout.shifts, weights) if w > 0], k + bs[-1])
     down = _part_codes([s for s, w in zip(layout.shifts, weights) if w < 0], bs[-1])
     nf = layout.num_fermionic
@@ -518,15 +519,15 @@ def _check_direct_sum(rep, idx, first, second, meet_note, level_dims):
     rank(second) - rank(sum); only a nonzero meet runs ``intersect``, whose
     first two rows are genuine witnesses (both spans lie inside the true
     spaces), recorded with meet_note.  Each nonempty level d <= D - margin must
-    be filled; ``_fill_levels`` counts it off the whole-window pivots, as a
+    be filled; ``_fill_levels`` counts it off the whole-window rows, as a
     degree-d element may decompose through higher-degree pieces.  Sets rep.status.
     """
     statuses = []
-    pivots, (rank_second, rank_sum) = linalg.rank_profile(second, first)
+    rows, (rank_second, rank_sum) = linalg.rank_profile(second, first)
     if len(first) + rank_second > rank_sum:
         statuses.append("fail")
         _add_witnesses(rep, idx, linalg.intersect(first, second), meet_note)
-    statuses += _fill_levels(rep, idx, _pivot_count(idx, pivots), level_dims)
+    statuses += _fill_levels(rep, idx, _pivot_count(idx, rows), level_dims)
     rep.status = _combine(statuses)
 
 
@@ -538,11 +539,10 @@ def _add_witnesses(rep, idx, meet, note) -> None:
     rep.notes.append(note)
 
 
-def _pivot_count(idx, pivots):
-    """filled for ``_fill_levels`` from a span's ``rank_profile`` pivots,
-    ascending: its part on level d has one dimension per pivot below
-    ``idx.level_bound(d)``."""
-    return lambda d, _: bisect_left(pivots, idx.level_bound(d))
+def _pivot_count(idx, rows):
+    """filled for ``_fill_levels`` from a span's ``rank_profile`` rows: its
+    part on level d has one dimension per row below ``idx.level_bound(d)``."""
+    return lambda d, _: len(linalg.restrict_to_zone(rows, idx.level_bound(d)))
 
 
 def _fill_levels(rep, idx, filled, level_dims) -> list[str]:
@@ -574,16 +574,18 @@ def _q_is_regular(cfg: RepConfig) -> bool:
 
 def eta_image(idx: MonomialIndex, power: int) -> list[dict[int, int]]:
     """eta^power of the harmonic space H(k - 2*power), exactly on the window
-    idx, the slice (k, <= D), as filtration rows over idx.
+    idx, the slice (k, <= D), as a basis of integer rows over idx.
 
     Write eta as a degree-keeping part plus multiplication by q = eta(1).
     Where q is regular (``_q_is_regular``) eta^p f has degree deg f + 2p, and
     the window part of span(eta^p H(k - 2p)) is eta^p of H(k - 2p) on degree
     <= D - 2p (none when D < 2p).  H(k - 2p) is solved on the source
     slice's codes in idx's layout, with idx's compiled programs, and each
-    eta step maps code rows to code rows.  A final row with a monomial
-    outside idx raises KeyError.  Where q is nilpotent (A', and even m with
-    r = m1) eta can lower the degree of a combination: a ValueError.
+    eta step maps code rows to code rows; eta^p is injective there, so the
+    images of H's basis rows are a basis, returned as they are.  A final
+    row with a monomial outside idx raises KeyError.  Where q is nilpotent
+    (A', and even m with r = m1) eta can lower the degree of a combination:
+    a ValueError.
     """
     cfg, k, D = idx.cfg, idx.key.k, idx.key.max_degree
     if not _q_is_regular(cfg):
@@ -597,7 +599,7 @@ def eta_image(idx: MonomialIndex, power: int) -> list[dict[int, int]]:
         rows = [act_on_terms(program, row.items()) for row in rows]
     for row in rows:
         idx.check(row)
-    return linalg.filtration(rows)
+    return rows
 
 
 def eta_span_of_slice(idx: MonomialIndex) -> list[dict]:
@@ -662,12 +664,13 @@ def verify_direct_sum(
     cuts = [bisect_left(idx.codes, idx.level_bound(d)) for d in range(D - margin + 1)]
     images = [act_on_terms(lower, ((code, 1),)) for code in idx.codes[: cuts[-1]]]
     levels = [images[a:b] for a, b in zip([0] + cuts, cuts)]
-    _, (rank_low_raised, *sum_ranks) = linalg.rank_profile(low_raised, *levels)
-    _, low_ranks = linalg.rank_profile(*levels)
+    # only the ranks are read, so no call's rows outlive it
+    rank_low_raised, *sum_ranks = linalg.rank_profile(low_raised, *levels)[1]
+    low_ranks = linalg.rank_profile(*levels)[1]
     del images, levels  # a nonzero meet's witnesses need the memory
     statuses, dim_meet = [], 0
     if rank_low_raised < len(raised):  # else Delta is injective on V's rows
-        _, (rank_raised,) = linalg.rank_profile(raised)
+        (rank_raised,) = linalg.rank_profile(raised)[1]
         dim_meet = rank_raised - rank_low_raised
     if dim_meet:
         statuses.append("fail")
@@ -704,10 +707,10 @@ def _generates_layer(seed_row, top_rows, bottom_rows, idx):
     """Does <seed> + bottom cover top on the verified window levels?
 
     seed_row and bottom_rows are integer rows over idx; top_rows are top's
-    filtration rows on the verified window.  A row r of degree <= d lies in
-    span(lhs . {deg <= d}) exactly when it lies in span(lhs), so the first
-    row outside span(lhs) names the first failing level: the total degree
-    of its pivot monomial, the pivot code's top bits.
+    ``rank_profile`` rows on the verified window.  A row r of degree <= d
+    lies in span(lhs . {deg <= d}) exactly when it lies in span(lhs), so the
+    first row outside span(lhs) names the first failing level: the total
+    degree of its pivot monomial, the pivot code's top bits.
 
     lhs grows from bottom by each row the closure of seed adds, and full
     from bottom + top alike.  Top lies in lhs exactly when the two have one
@@ -784,14 +787,14 @@ def verify_composition_series(
             x_rows = generate_submodule(idx, [idx.vec(x_power)])
         chain.insert(0, ("<x%d^%d>" % (m1, k), x_rows))
 
-    # each term once as a span (membership) and once as its filtration rows
-    # on the verified window; a window row lies in the window part of a span
+    # each term once as a span (membership) and once as its forward rows on
+    # the verified window; a window row lies in the window part of a span
     # exactly when it lies in the span
     top_level = D - margin
     bound = idx.level_bound(top_level)
     terms = []
     for name, rows in [("H", _lowering_kernel(idx, idx.codes))] + chain + [("0", [])]:
-        window_rows = linalg.restrict_to_zone(linalg.filtration(rows), bound)
+        window_rows = linalg.restrict_to_zone(linalg.rank_profile(rows)[0], bound)
         terms.append((name, rows, linalg.span(rows), window_rows))
     # Delta, eta and the action keep weights, so each term's echelon rows are
     # weight vectors: a layer's singular vectors are solved only on the
@@ -887,8 +890,7 @@ def slice_is_exact(cfg: RepConfig, k: int, max_degree: int) -> bool:
     grading, so the graded piece is finite (total degree == k) and the
     action never leaves it; all windowed verdicts are then exact.
     """
-    weights, _ = variable_k_weights(cfg)
-    return all(w > 0 for w in weights) and max_degree >= k
+    return all(w > 0 for w in variable_k_weights(cfg)) and max_degree >= k
 
 
 def verify_aprime_structure(
@@ -904,9 +906,10 @@ def verify_aprime_structure(
     If some pair of swap indices lies fully inside or fully outside the swap
     set (or m is odd), seeded closures must reach the full verified slice.
     Otherwise the configuration is normalized to T = {1..n}; away from
-    k = m1 the same closure test applies (seeded by the known extreme
-    vector); at k = m1 the two generated blocks must meet trivially and sum
-    to the slice on each verified level.  num_seeds random slice monomials
+    k = m1 the same closure test applies, seeded by the known extreme
+    vector unless its degree exceeds D (then "inconclusive-window"); at
+    k = m1 the two generated blocks must meet trivially and sum to the
+    slice on each verified level.  num_seeds random slice monomials
     seed closures besides the extreme vector; a count that would build no
     seed is a ValueError.
     """
@@ -938,21 +941,27 @@ def verify_aprime_structure(
 
     if not split_case or k != work.m1:
         rng = random.Random(seed)
-        seeds = []
+        seeds, statuses = [], []
         if split_case:
             m1, n = work.m1, work.n
+            if n < 1:
+                raise ValueError("the extreme vector needs n >= 1")
             word = theta_word(sig, range(1, m1 + 1))
             extreme = (
                 SuperPolynomial.x(sig, n) ** (m1 - k)
                 if k < m1
                 else SuperPolynomial.x(sig, 2 * n) ** (k - m1)
             ) * word
-            seeds.append(extreme)
+            degree = extreme.max_degree()
+            if degree <= D:
+                seeds.append(extreme)
+            else:  # only a window of D >= its degree holds it
+                statuses.append("inconclusive-window")
+                rep.notes.append(f"extreme vector {extreme} has degree {degree} > D={D}: not seeded")
         pool = list(idx.codes)
         rng.shuffle(pool)
         for code in pool[:num_seeds]:
             seeds.append(SuperPolynomial.from_monomial(sig, idx.layout.unpack(code)))
-        statuses = []
         for s in seeds:
             reached, _ = linalg.rank_profile(generate_submodule(idx, [idx.vec(s)]))
             statuses += _fill_levels(

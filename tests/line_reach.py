@@ -9,6 +9,15 @@ src/ospoly only, and at the end of the test run prints, in the terminal
 summary, each statement none of whose lines ran, as ``file:line  source``.
 Docstrings and ``def``/``class`` lines do not count.  Only the standard
 library is used; tracing makes a run several times slower.
+
+Run as a script, it answers what the verifiers themselves run:
+
+    PYTHONPATH=src python tests/line_reach.py
+
+It starts the same recorder before ``ospoly`` is imported, runs every case
+of ``test_report_sweep.grid()`` and every rung of the three ladders of
+bench/ladders.py at seed 0 (read from that file, as test_bench_pins does),
+and prints the src/ospoly statements none of them executed.
 """
 
 import ast
@@ -120,3 +129,28 @@ def pytest_terminal_summary(terminalreporter, config):
     terminalreporter.write_sep("-", f"{len(lines)} src/ospoly statements no test executed")
     for line in lines:
         terminalreporter.write_line(line)
+
+
+def main():
+    recorder = LineRecorder(SRC)
+    recorder.start()
+    try:
+        import ospoly
+        from ospoly import slices
+        from test_bench_pins import ladders
+        from test_report_sweep import sweep
+
+        sweep()
+        for workload in ladders.LADDERS:
+            for check in ladders.build_checks(workload, ladders.DEFAULT_SEED, ospoly):
+                getattr(slices, check.verifier)(*check.args, **check.kwargs)
+    finally:
+        recorder.stop()
+    lines = recorder.report()
+    print(f"{len(lines)} src/ospoly statements the verifiers did not execute")
+    for line in lines:
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

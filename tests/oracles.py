@@ -10,11 +10,12 @@ example.  These call library code, so they check only what they add to it:
 ``weight_of`` (``rep_element``), ``k_degree`` (``variable_k_weights``),
 ``eta_polynomial`` (``delta_eta``), ``parse_poly`` (polynomial products),
 ``reference_closure`` (``rep_element``, ``Echelon``, ``MonomialIndex``),
-``scan_insert`` (``linalg.normalize``), ``reference_slice_monomials``
-(``variable_k_weights``), ``reference_weight_codes`` (``_weight_table``,
-``weight_code``), ``osp_part`` (``osp_basis``, ``element_root``) and
-``reference_direct_sum`` (``kernel_basis``, ``rank_profile``,
-``eta_span_of_slice``, ``_check_direct_sum``).
+``scan_insert`` (``linalg.normalize``), ``filtration`` (``linalg.span``),
+``reference_slice_monomials`` (``variable_k_weights``),
+``reference_weight_codes`` (``_weight_table``, ``weight_code``), ``osp_part``
+(``osp_basis``, ``element_root``) and ``reference_direct_sum``
+(``kernel_basis``, ``rank_profile``, ``eta_span_of_slice``,
+``_check_direct_sum``).
 """
 
 import re
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul
 
-from ospoly.linalg import Echelon, kernel_basis, normalize, rank_profile
+from ospoly.linalg import Echelon, kernel_basis, normalize, rank_profile, span
 from ospoly.osp import (
     EVEN,
     ODD,
@@ -271,6 +272,16 @@ def scan_insert(rows, vec):
     return vec
 
 
+def filtration(vectors):
+    """The reduced echelon basis of span(vectors) with pivots on the largest
+    index: ``linalg.span`` of the vectors with negated indices, sorted by
+    pivot.  For every bound b the rows with pivot < b are a basis of
+    span . {index < b}; they are the canonical reduced rows whatever the
+    order of vectors, the reference for ``linalg.rank_profile``'s rows."""
+    ech = span({-k: c for k, c in v.items()} for v in vectors)
+    return [{-k: c for k, c in ech.rows[p].items()} for p in sorted(ech.rows, reverse=True)]
+
+
 def reference_slice_monomials(key):
     """The tuple enumerator ``slices.slice_codes`` replaced, kept as its
     reference: all monomials with grading k and total degree <= D, as
@@ -281,7 +292,7 @@ def reference_slice_monomials(key):
     k - t + b >= 0, and the total degree is k + 2b <= D.
     """
     cfg, k, D = key.cfg, key.k, key.max_degree
-    weights, _ = variable_k_weights(cfg)
+    weights = variable_k_weights(cfg)
     groups = [[i for i, w in enumerate(weights) if w == sign] for sign in (1, -1)]
     nf = cfg.signature.num_fermionic
     out = []
@@ -379,10 +390,8 @@ def superbracket(u, v):
 def k_degree(cfg, mono) -> int:
     """Integer grading preserved by the action: fermionic count plus the
     unswapped bosonic degrees minus the swapped ones."""
-    weights, ferm = variable_k_weights(cfg)
-    return ferm * bin(mono.mask).count("1") + sum(
-        w * e for w, e in zip(weights, mono.bos)
-    )
+    weights = variable_k_weights(cfg)
+    return bin(mono.mask).count("1") + sum(w * e for w, e in zip(weights, mono.bos))
 
 
 def osp_part(cfg, part):
@@ -529,7 +538,7 @@ def reference_direct_sum(cfg, k, max_degree, margin=4):
     program = idx.delta_eta[0]
     combos = kernel_basis([act_on_terms(program, ((code, 1),)) for code in idx.codes])
     h_vecs = [{idx.codes[i]: c for i, c in combo.items()} for combo in combos]
-    h_pivots, _ = rank_profile(h_vecs)
+    h_pivots = [max(row) for row in rank_profile(h_vecs)[0]]
     _check_direct_sum(
         rep, idx, h_vecs, eta_span_of_slice(idx), "kernel meets the raised space",
         lambda d, dim_a, filled: {

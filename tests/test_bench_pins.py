@@ -86,6 +86,25 @@ def test_kernel_top_rung_work_is_pinned(monkeypatch):
     assert calls == 2848
 
 
+def test_series_ladder_work_is_pinned(monkeypatch):
+    """One pass over the series ladder makes 2,056 Echelon.insert calls:
+    each term's window rows come from one forward elimination
+    (``linalg.rank_profile``), and the eta term's rows, a basis as built,
+    are eliminated there only."""
+    calls = 0
+    real_insert = linalg.Echelon.insert
+
+    def counting_insert(self, vec):
+        nonlocal calls
+        calls += 1
+        return real_insert(self, vec)
+
+    monkeypatch.setattr(linalg.Echelon, "insert", counting_insert)
+    for rung in range(len(ladders.LADDERS["series"][1])):
+        replay("series", rung)
+    assert calls == 2056
+
+
 @pytest.mark.parametrize(
     "workload, rung",
     [(w, rung) for w in ("series", "kernel") for rung in range(len(ladders.LADDERS[w][1]))],

@@ -13,7 +13,6 @@ from ospoly.linalg import (
     Echelon,
     _eliminate,
     combination_basis,
-    filtration,
     intersect,
     kernel,
     kernel_basis,
@@ -24,7 +23,7 @@ from ospoly.linalg import (
     span,
     vec_from_fractions,
 )
-from oracles import dense_nullspace, scan_insert
+from oracles import dense_nullspace, filtration, scan_insert
 
 
 def test_normalize_content_and_sign():
@@ -258,8 +257,8 @@ def _meet_dim(first, second):
     """Grassmann's formula on the ranks rank_profile reads: first is
     independent, so dim(span first . span second) = len(first) + rank(second)
     - rank(second + first)."""
-    pivots, (rank_second, rank_sum) = rank_profile(second, first)
-    assert pivots == [max(row) for row in filtration(first + second)]
+    rows, (rank_second, rank_sum) = rank_profile(second, first)
+    assert list(map(max, rows)) == list(map(max, filtration(first + second)))
     return len(first) + rank_second - rank_sum
 
 
@@ -287,9 +286,9 @@ def test_rank_count_edge_cases():
 
 def test_rank_profile_after_each_part():
     parts = ([{0: 1}, {0: 2}], [], [{1: 1}, {0: 1, 1: 1}], [{2: 1}])
-    pivots, ranks = rank_profile(*parts)
+    rows, ranks = rank_profile(*parts)
     assert ranks == [1, 1, 2, 3]
-    assert pivots == [max(row) for row in filtration([v for part in parts for v in part])]
+    assert rows == [{0: 1}, {1: 1}, {2: 1}]
     assert rank_profile() == ([], [])
 
 
@@ -302,9 +301,24 @@ def test_rank_profile_is_the_pivot_set_of_the_filtration(vectors, data):
     cuts = sorted(data.draw(st.lists(st.integers(0, len(vectors)), max_size=3)))
     bounds = [0, *cuts, len(vectors)]
     parts = [vectors[a:b] for a, b in zip(bounds, bounds[1:])]
-    pivots, ranks = rank_profile(*parts)
-    assert pivots == [max(row) for row in filtration(vectors)]
+    rows, ranks = rank_profile(*parts)
+    assert list(map(max, rows)) == list(map(max, filtration(vectors)))
     assert ranks == [len(filtration(vectors[:b])) for b in bounds[1:]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_lists())
+def test_rank_profile_rows_below_every_bound_span_the_filtration_prefix(vectors):
+    """For every bound b, the forward rows with pivot < b span what the
+    reduced filtration's rows with pivot < b span, whatever the order of the
+    vectors; the rows are sorted by pivot, and a row's pivot is its largest
+    index."""
+    rows, _ = rank_profile(vectors)
+    assert [max(row) for row in rows] == sorted({max(row) for row in rows})
+    reference = filtration(vectors)
+    for b in range(2 + max((k for v in vectors for k in v), default=0)):
+        got, want = restrict_to_zone(rows, b), restrict_to_zone(reference, b)
+        assert span(got).basis() == span(want).basis(), b
 
 
 def test_kernel_vectors_annihilate():
@@ -336,7 +350,7 @@ def test_intersect():
 
 def test_restrict_to_zone():
     vecs = [{0: 1, 5: 1}, {1: 1, 5: 2}, {2: 1}]
-    inside = restrict_to_zone(filtration(vecs), 5)
+    inside = restrict_to_zone(rank_profile(vecs)[0], 5)
     ech = span(inside)
     assert ech.dim == 2
     assert ech.contains({2: 1})
@@ -351,7 +365,8 @@ def _rank(vecs, cols):
 
 
 def test_filtration_prefixes_match_dense_rank():
-    """dim span . {index < b} = rank(span) - rank of its columns >= b."""
+    """dim span . {index < b} = rank(span) - rank of its columns >= b, read
+    as the prefix of ``rank_profile``'s rows below b."""
     rng = random.Random(11)
     ncols = 8
     for _ in range(20):
@@ -360,7 +375,7 @@ def test_filtration_prefixes_match_dense_rank():
             for _ in range(rng.randint(1, 7))
         ]
         vecs = [v for v in vecs if any(v.values())]
-        rows = filtration(vecs)
+        rows, _ = rank_profile(vecs)
         whole = span(vecs)
         total = _rank(vecs, range(ncols))
         assert len(rows) == total

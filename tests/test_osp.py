@@ -24,7 +24,14 @@ from ospoly.osp import (
 )
 from ospoly.linalg import span, vec_from_fractions
 from ospoly.slices import MonomialIndex, SliceKey, slice_monomials
-from ospoly.superpoly import SuperMonomial, SuperPolynomial, compile_atoms, theta_word
+from ospoly.superpoly import (
+    CodeLayout,
+    SuperMonomial,
+    SuperPolynomial,
+    act_on_terms,
+    compile_atoms,
+    theta_word,
+)
 from oracles import (
     aprime_transport,
     eta_polynomial,
@@ -536,6 +543,33 @@ def test_kernel_invariance_smoke():
     assert d(f).is_zero()
     for g in osp_basis(cfg):
         assert d(rep_element(cfg, g)(f)).is_zero()
+
+
+def test_delta_and_eta_commute_with_every_osp_element():
+    """e X = X e for every ``osp_basis`` element e and X in {Delta, eta}, as
+    compiled programs on every monomial of degree <= 4: family A of both
+    parities, m1 0..2, n 0..2 and every r.  This is what makes H(k) and
+    eta^p H' submodules.  Each side chains at most four actions, so it takes
+    at most four derivatives, and an operator of that order that kills every
+    monomial of degree <= 4 is zero.  (A' is left out: its normal-form pair
+    does not commute with the action.)"""
+    checks = 0
+    for parity, m1, n in product(("even", "odd"), range(3), range(3)):
+        for r in range(m1 + 1):
+            cfg = config_a(m1, n, r, parity)
+            sig = cfg.signature
+            layout = CodeLayout(sig, 8)  # degree 4 plus two chains of two actions
+            pair = [compile_atoms(op.atoms, layout) for op in delta_eta(cfg)]
+            codes = [layout.pack(m) for m in low_degree_monomials(sig, 4)]
+            for e in osp_basis(cfg):
+                act = compile_atoms(rep_element(cfg, e).atoms, layout)
+                for x, code in product(pair, codes):
+                    source = ((code, 1),)
+                    ex = act_on_terms(act, act_on_terms(x, source).items())
+                    xe = act_on_terms(x, act_on_terms(act, source).items())
+                    assert ex == xe, (cfg.describe(), str(e), layout.unpack(code))
+                    checks += 1
+    assert checks == 278328
 
 
 def test_aprime_delta_requires_normal_form():

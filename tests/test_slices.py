@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from ospoly import linalg, slices, superpoly
-from ospoly.linalg import Echelon, filtration, restrict_to_zone, span, vec_from_fractions
+from ospoly.linalg import Echelon, rank_profile, restrict_to_zone, span, vec_from_fractions
 from ospoly.osp import (
     EVEN,
     Weight,
@@ -69,6 +69,7 @@ from oracles import (
     enumerate_slice,
     eta_polynomial,
     exponents,
+    filtration,
     k_degree,
     naive_apply,
     osp_part,
@@ -116,9 +117,8 @@ def index_monomials(idx):
 
 def oracle_slice(cfg, k, D):
     """enumerate_slice's (bos, word) pairs as monomials; t_i is bit i - 1."""
-    weights, fw = variable_k_weights(cfg)
     sig = cfg.signature
-    pairs = enumerate_slice(sig.num_bosonic, sig.num_fermionic, weights, fw, k, D)
+    pairs = enumerate_slice(sig.num_bosonic, sig.num_fermionic, variable_k_weights(cfg), 1, k, D)
     return [SuperMonomial(bos, sum(1 << (i - 1) for i in word)) for bos, word in pairs]
 
 
@@ -767,8 +767,8 @@ def test_closure_monotone_in_window():
         idx = MonomialIndex(key)
         gen = generate_submodule(idx, [idx.vec(x2)])
         dims.append(len(gen))
-        # verified dimension at degree <= 2, read through the filtration
-        rows = filtration(gen)
+        # verified dimension at degree <= 2, read through the rank profile
+        rows, _ = rank_profile(gen)
         low.append(len(restrict_to_zone(rows, idx.level_bound(2))))
     assert dims[0] <= dims[1] <= dims[2]
     assert low[0] <= low[1] <= low[2]
@@ -972,7 +972,7 @@ def test_weight_table_gives_monomial_weight(cfg, k, D):
     idx = MonomialIndex(SliceKey(cfg, k, D))
     table, nf = _weight_table(cfg), cfg.signature.num_fermionic
     codes, base = idx.weight_codes
-    swapped = [i for i, w in enumerate(variable_k_weights(cfg)[0]) if w < 0]
+    swapped = [i for i, w in enumerate(variable_k_weights(cfg)) if w < 0]
     monos = index_monomials(idx)
     assert any(m.bos[i] for m in monos for i in swapped)
     for m, code in zip(monos, codes.values()):
@@ -1156,7 +1156,7 @@ def test_an_in_window_image_outside_the_slice_raises_on_every_kept_path(monkeypa
     is one weight class, so the closure builds every image."""
     cfg = config_a(2, 1, 1)
     sig = cfg.signature
-    assert variable_k_weights(cfg)[0][:2] == [-1, 1]
+    assert variable_k_weights(cfg)[:2] == [-1, 1]
     breaking = SuperOperator(sig, [(1, ((MUL_X, 0), (DER_X, 1)))], 0)
     lower, _ = delta_eta(cfg)
     _stand_in_for_every_element(monkeypatch, breaking)
@@ -1259,7 +1259,7 @@ def test_direct_sum_eliminates_with_small_stored_rows(monkeypatch):
 )
 def test_direct_sum_with_a_zero_meet_builds_no_echelon(monkeypatch, cfg, k, D, margin):
     """A zero meet is found from pivot counts alone: the forward kernel and
-    the rank profile build no Echelon and cut no filtration."""
+    the rank profile build no Echelon and restrict no zone."""
     monkeypatch.setattr(linalg, "Echelon", None)
     monkeypatch.setattr(linalg, "restrict_to_zone", None)
     assert verify_direct_sum(cfg, k, D, margin).status != "fail"
@@ -1336,10 +1336,10 @@ def test_generates_layer_reports_the_degree_of_the_missed_row(monkeypatch):
     key = SliceKey(cfg, 1, 5)
     idx = MonomialIndex(key)
     x1, x2 = SuperPolynomial.x(sig, 1), SuperPolynomial.x(sig, 2)
-    top = filtration([idx.vec(x2 + x1 * x2**2)])
+    top, _ = rank_profile([idx.vec(x2 + x1 * x2**2)])
     seed = idx.vec(x2)
     assert _generates_layer(seed, top, [], idx) == (False, 3)
-    assert _generates_layer(seed, filtration([seed]), [], idx) == (True, -1)
+    assert _generates_layer(seed, rank_profile([seed])[0], [], idx) == (True, -1)
     # bottom alone covers top: no closure is built
     monkeypatch.setattr(slices, "generate_submodule", None)
     assert _generates_layer(seed, top, [seed, idx.vec(x1 * x2**2)], idx) == (True, -1)
@@ -1950,6 +1950,33 @@ def test_aprime_split_case_seeds_its_extreme_vector_alone():
 def test_aprime_split_needs_two_pairs():
     with pytest.raises(ValueError, match=r"the split generator needs n >= 2"):
         verify_aprime_structure(config_aprime(1, 1, {1}), 1, 4, margin=2)
+
+
+def test_aprime_split_leaves_out_an_extreme_vector_past_the_window():
+    """Below k = m1 the extreme vector x_n^(m1-k) t_1..t_m1 has degree
+    2 m1 - k: for A'(2,1,{1}) at k = -1 that is 5, past D = 4.  It is not
+    seeded, the verdict names D as its limit, and the random seeds still
+    run.  On D = 6 the same vector is seeded."""
+    cfg = config_aprime(2, 1, {1})
+    rep = verify_aprime_structure(cfg, -1, 4, margin=2)
+    assert rep.status == "inconclusive-window"
+    assert rep.notes == ["extreme vector 1 * x1^3 t1 t2 has degree 5 > D=4: not seeded"]
+    assert rep.dims and all(d["status"] == "pass" for d in rep.dims)
+    assert len({d["seed"] for d in rep.dims}) == 3 and not rep.witnesses
+    wider = verify_aprime_structure(cfg, -1, 6, margin=2)
+    assert "1 * x1^3 t1 t2" in {d["seed"] for d in wider.dims} and not wider.notes
+
+
+def test_aprime_split_extreme_vector_needs_a_pair():
+    """With n = 0 there is no x_n to build the extreme vector from; an empty
+    slice still reports as one, and k = m1 keeps its own guard."""
+    cfg = config_aprime(2, 0, ())
+    for k in (0, 1, 3, 4):
+        with pytest.raises(ValueError, match=r"^the extreme vector needs n >= 1$"):
+            verify_aprime_structure(cfg, k, 4, margin=2)
+    assert verify_aprime_structure(cfg, 5, 4, margin=2).notes == ["empty slice"]
+    with pytest.raises(ValueError, match=r"^the split generator needs n >= 2$"):
+        verify_aprime_structure(cfg, 2, 4, margin=2)
 
 
 def test_odd_aprime_windows_never_fail():
