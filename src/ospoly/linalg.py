@@ -112,22 +112,27 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec: Vec) -> Vec:
-        """The normalized remainder of vec modulo the span (full reduction)."""
-        return normalize(self.remainder(vec))
+        """The normalized remainder of vec modulo the span (full reduction);
+        vec is left as it is."""
+        return normalize(self.remainder(dict(vec)))
 
     def remainder(self, vec: Vec, scale: int | None = None) -> Vec:
-        """scale times the exact remainder of vec modulo the span.
+        """scale times the exact remainder of vec modulo the span, computed
+        in vec itself, which is returned: pass a vector no one else reads,
+        such as a fresh image, or a copy.
 
         scale must be a multiple of the pivot entry of every stored row whose
         pivot vec hits; it defaults to their lcm, 1 when every such entry is
         1.  No stored row holds another's pivot, so one pass clears every hit
-        pivot q: subtract vec[q] * (scale / row_q[q]) * row_q from
-        scale * vec.  For a fixed scale the result is linear in vec.  Zero
-        entries of vec are allowed and dropped.
+        pivot q: scale vec, then subtract (vec[q] / row_q[q]) * row_q, and
+        no subtraction changes another hit pivot's entry.  For a fixed scale
+        the result is linear in vec.  Zero entries of vec are allowed and
+        dropped.
         """
         rows = self.rows
         if 0 in vec.values():
-            vec = {j: c for j, c in vec.items() if c}
+            for j in [j for j, c in vec.items() if not c]:
+                del vec[j]
         hits = [j for j in vec if j in rows]
         if scale is None:
             scale = 1
@@ -135,20 +140,23 @@ class Echelon:
                 lead = rows[q][q]
                 if lead != 1:
                     scale = lcm(scale, lead)
-        out = dict(vec) if scale == 1 else {j: c * scale for j, c in vec.items()}
+        if scale != 1:
+            for j in vec:
+                vec[j] *= scale
         for q in hits:
             row = rows[q]
-            f = vec[q] * (scale // row[q])
+            f = vec[q] // row[q]
             for j, c in row.items():
-                s = out.get(j, 0) - f * c
+                s = vec.get(j, 0) - f * c
                 if s:
-                    out[j] = s
+                    vec[j] = s
                 else:
-                    del out[j]
-        return out
+                    del vec[j]
+        return vec
 
     def contains(self, vec: Vec) -> bool:
-        return not self.remainder(vec)
+        """Does vec lie in the span?  vec is left as it is."""
+        return not self.remainder(dict(vec))
 
     # No src caller; kept only while bench/tracer.py LAYERS names it (ROADMAP item 1).
     def reduce_fraction(self, vec) -> dict[int, Fraction]:

@@ -44,7 +44,10 @@ into the degree field.  The sign rule lives in ``compile_atoms``: t_q
 enters or leaves past the fermionic factors below it, so each fermionic
 action contributes the parity of the mask bits below q at that point, and
 the XOR of those masks gives the whole chain's sign as one parity of the
-source mask.  A program refuses (``ValueError``) a source whose degree plus
+source mask.  Mask test and sign depend on the source's mask alone, so the
+program applies both once per mask, at compile time: its table lists, per
+fermionic mask, the atoms that pass the test with their signed
+coefficients.  A program refuses (``ValueError``) a source whose degree plus
 the largest shift of its atoms would pass B, so no field ever wraps.
 
 Both choices are validated downstream by demanding that the matrix-unit
@@ -289,13 +292,14 @@ class CodeLayout:
 class ActionProgram(NamedTuple):
     """Integer atoms compiled for one ``CodeLayout`` (``compile_atoms``).
 
-    ops holds one (coefficient, check mask, check value, sign mask, reads,
-    delta) per atom that is not identically zero; a source code at or above
-    limit would let an image pass the layout's bound.
+    table[mask], for each fermionic mask of the layout, holds one (signed
+    coefficient, reads, delta) per atom that acts on a source with that
+    mask, in atom order; a source code at or above limit would let an image
+    pass the layout's bound.
     """
 
     layout: CodeLayout
-    ops: tuple
+    table: tuple
     limit: int
 
 
@@ -313,6 +317,10 @@ def compile_atoms(atoms, layout: CodeLayout) -> ActionProgram:
     bits below q at that point, i.e. of (source mask ^ toggled) & (bit - 1),
     so the chain's sign is the parity of source mask & (XOR of the
     bit - 1 masks), times a constant folded into the coefficient.
+
+    Check and sign read only the source mask, so each mask's table entry
+    keeps the atoms whose check it matches, each coefficient signed by the
+    parity of the mask under the atom's sign mask.
     """
     ops, rise = [], 0
     for a, chain in atoms:
@@ -341,8 +349,16 @@ def compile_atoms(atoms, layout: CodeLayout) -> ActionProgram:
             delta += sum(c << layout.shifts[v] for v, c in enumerate(change))
             ops.append((-a if flip else a, check_mask, check_value, sign_mask, tuple(reads), delta))
             rise = max(rise, shift)
+    table = tuple(
+        tuple(
+            (-a if (mask & sign_mask).bit_count() & 1 else a, reads, delta)
+            for a, check_mask, check_value, sign_mask, reads, delta in ops
+            if mask & check_mask == check_value
+        )
+        for mask in range(1 << layout.num_fermionic)
+    )
     limit = max(0, layout.bound - rise + 1) << layout.degree_shift
-    return ActionProgram(layout, tuple(ops), limit)
+    return ActionProgram(layout, table, limit)
 
 
 def act_on_terms(program: ActionProgram, terms) -> dict:
@@ -350,17 +366,17 @@ def act_on_terms(program: ActionProgram, terms) -> dict:
     sparse row {code: coefficient}; terms are (code, coefficient) pairs in
     the program's layout.
 
-    Each (term, op) pair adds a multiple of one image code: the op's check
-    must match the source mask, its sign is the parity of the masked source
-    bits, each read multiplies by an exponent (0 kills the term), and the
-    image is the source code plus the op's delta.  A source at or above the
-    program's limit raises ValueError before any field can wrap.  Which
-    image codes a caller keeps (a window, a slice) is the caller's test: the
-    degree sits in a code's top bits.  Coefficients may be ints or
-    Fractions; no zero entry is kept.
+    A term reads the table entry of its fermionic mask, the code's low
+    bits: each (signed coefficient, reads, delta) there adds a multiple of
+    one image code.  Each read multiplies by an exponent (0 kills the
+    term), and the image is the source code plus delta.  A source at or
+    above the program's limit raises ValueError before any field can wrap.
+    Which image codes a caller keeps (a window, a slice) is the caller's
+    test: the degree sits in a code's top bits.  Coefficients may be ints
+    or Fractions; no zero entry is kept.
     """
-    layout, ops, limit = program
-    fmask = layout.field_mask
+    layout, table, limit = program
+    fmask, low = layout.field_mask, len(table) - 1
     out: dict = {}
     for code, c in terms:
         if code >= limit:
@@ -368,10 +384,7 @@ def act_on_terms(program: ActionProgram, terms) -> dict:
                 f"monomial {layout.unpack(code)} too close to the code layout's "
                 f"degree bound {layout.bound} for this program"
             )
-        for a, check_mask, check_value, sign_mask, reads, delta in ops:
-            if code & check_mask != check_value:
-                continue
-            f = -a if (code & sign_mask).bit_count() & 1 else a
+        for f, reads, delta in table[code & low]:
             for shift, change in reads:
                 e = (code >> shift & fmask) + change
                 if not e:

@@ -102,7 +102,7 @@ def test_one_pass_reduce_matches_sequential_elimination(vecs, combo, noise):
 REMAINDER_SPANS = {
     # pivot entries 2, 3 and 1: the lcm path
     "non-unit": [{0: 2, 3: 1, 5: -1}, {1: 3, 3: 2}, {2: 1, 4: 1, 5: 2}],
-    # every pivot entry 1: the copy path
+    # every pivot entry 1: the unscaled path
     "unit": [{0: 1, 3: 2, 5: -1}, {1: 1, 4: -3}, {2: 1, 3: 1, 4: 1}],
 }
 
@@ -115,7 +115,9 @@ def test_remainder_insert_and_contains_agree_with_fractions(kind, zeros, extra):
     reduce_fraction gives, with scale the lcm of the hit pivot entries by
     default or a given multiple of every pivot entry, as singular_vectors
     passes it; contains reads zero off it and insert stores its normalized
-    form.  Vectors mix stored rows with noise and may hold explicit zeros."""
+    form.  Vectors mix stored rows with noise and may hold explicit zeros.
+    remainder works in the vector it is handed and returns it; insert,
+    contains and reduce leave theirs as it was."""
     ech = span(REMAINDER_SPANS[kind])
     leads = [row[q] for q, row in ech.rows.items()]
     assert (set(leads) == {1}) == (kind == "unit")
@@ -134,12 +136,16 @@ def test_remainder_insert_and_contains_agree_with_fractions(kind, zeros, extra):
         exact = ech.reduce_fraction(vec)
         hits = [ech.rows[q][q] for q in vec if vec[q] and q in ech.rows]
         scale = lcm(*hits) if extra is None else extra * lcm(*leads)
-        got = ech.remainder(vec, None if extra is None else scale)
-        assert got == {k: v * scale for k, v in exact.items()}
+        handed = dict(vec)
+        got = ech.remainder(handed, None if extra is None else scale)
+        assert got is handed and got == {k: v * scale for k, v in exact.items()}
         assert all(type(v) is int for v in got.values()) and 0 not in got.values()
+        before = dict(vec)
         assert ech.contains(vec) == (not exact)
+        assert ech.reduce(vec) == (vec_from_fractions(exact) if exact else {})
         fresh = span(REMAINDER_SPANS[kind])
         assert fresh.insert(vec) == (vec_from_fractions(exact) if exact else None)
+        assert vec == before
 
 
 def test_reduced_echelon_is_canonical_under_shuffle():

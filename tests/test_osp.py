@@ -25,6 +25,8 @@ from ospoly.osp import (
 from ospoly.linalg import span, vec_from_fractions
 from ospoly.slices import MonomialIndex, SliceKey, slice_monomials
 from ospoly.superpoly import (
+    DER_T,
+    MUL_T,
     CodeLayout,
     SuperMonomial,
     SuperPolynomial,
@@ -169,18 +171,62 @@ def test_operators_keep_int_coefficients():
     assert [c for c, _ in lower.atoms] == [c for c, _ in raise_.atoms] == [2, 1, 2]
 
 
+def _window_atoms_and_programs(cfg):
+    """(atoms, compiled program) per root element of a (k=1, D=2) window,
+    then per lowering and raising operator where they are defined."""
+    idx = MonomialIndex(SliceKey(cfg, 1, 2))
+    pairs = [(rep_element(cfg, e).atoms, program) for e, program, _ in idx.roots]
+    try:
+        pairs += [(op.atoms, program) for op, program in zip(delta_eta(cfg), idx.delta_eta)]
+    except ValueError:  # odd or non-normal-form Aprime
+        pass
+    return idx, pairs
+
+
 def test_window_programs_keep_int_coefficients():
-    """Every op of a window's root programs and of its compiled lowering and
-    raising operators has an int coefficient."""
+    """Every table entry of a window's root programs and of its compiled
+    lowering and raising operators has an int coefficient."""
     for cfg in _golden_grid():
-        idx = MonomialIndex(SliceKey(cfg, 1, 2))
-        programs = [program for _, program, _ in idx.roots]
-        try:
-            programs += idx.delta_eta
-        except ValueError:  # odd or non-normal-form Aprime
-            pass
-        for program in programs:
-            assert all(type(op[0]) is int for op in program.ops), cfg.describe()
+        _, pairs = _window_atoms_and_programs(cfg)
+        for _, program in pairs:
+            entries = [entry for atoms in program.table for entry in atoms]
+            assert all(type(f) is int for f, _, _ in entries), cfg.describe()
+
+
+def _chain_sign(chain, mask):
+    """The sign of a chain on a source with fermionic mask mask, or 0 when
+    it kills the source: walked rightmost first, t_q must be absent before
+    multiplying by it and present before its left derivative, and either
+    action passes the factors below q."""
+    sign = 1
+    for kind, i in reversed(chain):
+        if kind in (MUL_T, DER_T):
+            bit = 1 << i
+            if bool(mask & bit) != (kind == DER_T):
+                return 0
+            if (mask & (bit - 1)).bit_count() & 1:
+                sign = -sign
+            mask ^= bit
+    return sign
+
+
+def test_window_tables_hold_each_atom_checked_and_signed_per_mask():
+    """A program's table entry for a fermionic mask lists, in atom order,
+    the atoms whose fermionic actions all apply to a source with that mask,
+    each with its coefficient times the chain's sign there; each atom's
+    reads and delta are those it has compiled alone.  Checked on every root
+    program and the lowering and raising operators of the golden's range."""
+    for cfg in _golden_grid():
+        idx, pairs = _window_atoms_and_programs(cfg)
+        masks = range(1 << idx.layout.num_fermionic)
+        for atoms, program in pairs:
+            assert len(program.table) == len(masks)
+            alone = [compile_atoms([atom], idx.layout).table for atom in atoms]
+            for mask in masks:
+                entry = program.table[mask]
+                signs = [(a, _chain_sign(chain, mask)) for a, chain in atoms]
+                assert [f for f, _, _ in entry] == [a * sign for a, sign in signs if sign]
+                assert entry == sum((table[mask] for table in alone), ())
 
 
 def test_matrix_element_keeps_int_and_makes_fraction_of_other_coefficients():
@@ -372,7 +418,7 @@ def test_positive_is_the_lex_positive_roots(parity):
         for e, program, step in idx.roots:
             assert step == weight_code(element_root(cfg, e), base), (m1, n, str(e))
             want = compile_atoms(rep_element(cfg, e).atoms, idx.layout)
-            assert program.ops == want.ops, (m1, n, str(e))
+            assert program.table == want.table, (m1, n, str(e))
         assert idx.positive == tuple(p for e, p, _ in idx.roots if e in positive), (m1, n)
         flat = [element_root(cfg, e).eps_so + element_root(cfg, e).eps_sp for e in roots]
         assert len(set(flat)) == len(flat)

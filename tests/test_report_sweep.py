@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from ospoly import slices
 from ospoly.linalg import span
 from ospoly.osp import RepConfig, config_a, config_aprime, delta_eta
 from ospoly.slices import (
@@ -143,6 +144,43 @@ def test_every_failing_direct_sum_has_certified_witnesses(source):
             assert not w.is_zero() and w.max_degree() <= D, (case, text)
             assert naive_apply(lower, w).is_zero(), (case, text)
             assert raised.contains(idx.vec(w)), (case, text)
+
+
+def test_series_stability_is_tried_only_where_a_leak_can_occur(monkeypatch):
+    """The two arguments behind the series' stability check, on every term
+    the verifier builds over the sweep's series grid: under every root
+    element, no eta term leaks, and each <x_m1^k> term leaks first where it
+    does under the roots its closure reported as escaped alone."""
+    real_eta, real_closure = slices.eta_image, slices.generate_submodule
+    stable = slices._stable_under_action
+    seen = {"eta": 0, "x": 0, "restricted": 0, "leaks": 0}
+
+    def eta_term(idx, power):
+        rows = real_eta(idx, power)
+        assert stable(rows, span(rows), idx, idx.roots) is None, idx.key
+        seen["eta"] += 1
+        return rows
+
+    def x_term(idx, gens, on_row=None, escaped=None):
+        rows = real_closure(idx, gens, on_row, escaped)
+        if escaped is not None:
+            ech, tried = span(rows), [idx.roots[j] for j in sorted(escaped)]
+            leak = stable(rows, ech, idx, idx.roots)
+            assert stable(rows, ech, idx, tried) == leak, idx.key
+            seen["x"] += 1
+            seen["restricted"] += len(tried) < len(idx.roots)
+            seen["leaks"] += leak is not None
+        return rows
+
+    monkeypatch.setattr(slices, "eta_image", eta_term)
+    monkeypatch.setattr(slices, "generate_submodule", x_term)
+    for cfg, k, D in _a_windows():
+        try:
+            verify_composition_series(cfg, k, D, MARGIN)
+        except ValueError:
+            pass
+    # no closure skipped images under every root, and no term leaks
+    assert seen == {"eta": 102, "x": 54, "restricted": 54, "leaks": 0}
 
 
 if __name__ == "__main__":

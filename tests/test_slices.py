@@ -1105,6 +1105,32 @@ def test_closure_builds_no_image_into_a_full_weight_space(monkeypatch):
     assert len(built) < len(rows) * len(roots)
 
 
+@pytest.mark.parametrize(
+    "cfg, k, D", [(config_a(2, 1, 1), 2, 8), (config_a(3, 2, 2), 3, 6)], ids=["A211", "A322"]
+)
+def test_closure_reports_the_roots_whose_images_leave_the_window(monkeypatch, cfg, k, D):
+    """escaped receives the position in idx.roots of each root element of
+    which the closure built an image that left the window, and no other; the
+    closure of x_m1^k is the same with or without it."""
+    idx = MonomialIndex(SliceKey(cfg, k, D))
+    top = idx.level_bound(D)
+    position = {id(program): j for j, (_, program, _) in enumerate(idx.roots)}
+    left = set()
+
+    def recording(program, terms):
+        image = act_on_terms(program, terms)
+        if image and max(image) >= top:
+            left.add(position[id(program)])
+        return image
+
+    gens = [idx.vec(SuperPolynomial.x(cfg.signature, cfg.m1) ** k)]
+    want = generate_submodule(idx, gens)
+    monkeypatch.setattr(slices, "act_on_terms", recording)
+    escaped = set()
+    assert generate_submodule(idx, gens, escaped=escaped) == want
+    assert escaped == left and 0 < len(escaped) < len(idx.roots)
+
+
 def _compiled(idx, op):
     return compile_atoms(op.atoms, idx.layout)
 
@@ -1171,7 +1197,7 @@ def test_an_in_window_image_outside_the_slice_raises_on_every_kept_path(monkeypa
     with pytest.raises(KeyError, match=outside):
         generate_submodule(idx, [row])
     with pytest.raises(KeyError, match=outside):
-        slices._stable_under_action([row], span([row]), idx)
+        slices._stable_under_action([row], span([row]), idx, idx.roots)
     with pytest.raises(KeyError, match=outside):
         singular_vectors(idx, "A")
     with pytest.raises(KeyError, match=outside):
@@ -1375,9 +1401,9 @@ def test_layer_check_stops_early_with_the_whole_closure_answer(
     real_layer, real_closure = slices._generates_layer, slices.generate_submodule
     closures, answers = [], []
 
-    def counted_closure(*args):
+    def counted_closure(*args, **kwargs):
         closures.append(args)
-        return real_closure(*args)
+        return real_closure(*args, **kwargs)
 
     def checked_layer(seed_row, top_rows, bottom_rows, idx):
         before = len(closures)
@@ -1494,43 +1520,43 @@ def test_series_term_not_inside_the_next(monkeypatch):
     assert rep.dims[1]["status"] == "inconclusive-window"
 
 
-def test_series_stability_leak_fails_only_on_an_exact_slice(monkeypatch):
-    """A middle term that leaks under the action is a disproof only when the
-    slice is exact; otherwise the term is from below and the leak may be an
-    in-window combination the window missed."""
-    # span . window of eta H(k=0) holds the image of its member t1 t2 + x3 x6
-    # under E(4,2)-E(5,1) (test_eta_image_keeps_an_in_window_combination)
-    cfg = config_a(3, 1, 2)
-    assert not slice_is_exact(cfg, 2, 4)
-    assert verify_composition_series(cfg, 2, 4, margin=0).status == "pass"
+def test_series_stability_leak_is_inconclusive_and_tried_only_where_reported(monkeypatch):
+    """<x_m1^k> is the one term tried for action stability, and only under
+    the root elements its closure reports as escaped.  A leak is
+    inconclusive: the term is from below, and it exists only for r > 0,
+    where the slice is never exact.  The closure of x2^2 is stubbed by the
+    generator's line, which the action leaves, and the layer check is
+    stubbed; the eta term is real, so it is not inside the line either."""
+    cfg = config_a(2, 1, 1)
+    assert not slice_is_exact(cfg, 2, 6)
+    x2_squared = SuperPolynomial.x(cfg.signature, 2) ** 2
+    reported = []
 
-    # the H row t1, which the action leaves, stands in for eta^1 H(k=-1);
-    # the layer check is stubbed, and t1 is no singular vector, so its own
-    # layer over 0 is inconclusive as well
-    cfg = config_a(3, 1, 1)
-    assert not slice_is_exact(cfg, 1, 5)
-    t1 = SuperPolynomial.theta(cfg.signature, 1)
-    monkeypatch.setattr(slices, "eta_image", lambda idx, power: [idx.vec(t1)])
+    def line(idx, gens, on_row=None, escaped=None):
+        escaped.update(reported)
+        return [idx.vec(x2_squared)]
+
+    monkeypatch.setattr(slices, "generate_submodule", line)
     monkeypatch.setattr(slices, "_generates_layer", lambda *args: (True, -1))
-    rep = verify_composition_series(cfg, 1, 5, margin=2)
+    outside = "eta^1 H(k=0) not inside <x2^2> on the window"
+    rep = verify_composition_series(cfg, 2, 6, margin=2)
+    assert (rep.status, rep.notes) == ("inconclusive-window", [outside])
+
+    # report two roots that leave the line, the later one first
+    idx = MonomialIndex(SliceKey(cfg, 2, 6))
+    row = idx.vec(x2_squared)
+    leaks = [
+        j for j, (_, program, _) in enumerate(idx.roots)
+        if not span([row]).contains(act_on_terms(program, row.items()))
+    ]
+    reported += [leaks[1], leaks[0]]
+    rep = verify_composition_series(cfg, 2, 6, margin=2)
     assert rep.status == "inconclusive-window"
     assert rep.notes == [
-        "eta^1 H(k=-1): action of E(2,1)-E(4,5) leaves the span on "
-        "1 * t1 (term from below on the window D=5)",
-        "no singular vector found for layer eta^1 H(k=-1)/0",
+        outside,
+        f"<x2^2>: action of {idx.roots[leaks[0]][0]} leaves the span on 1 * x2^2 "
+        "(term from below on the window D=6)",
     ]
-    assert all(d["status"] == "pass" for d in rep.dims)
-
-    # exact slice: eta^1 H(k=0) replaced by the line of x1^2, which the
-    # action leaves; the layer check is stubbed so only the leak can fail
-    cfg = config_a(2, 2, 0)
-    assert slice_is_exact(cfg, 2, 6)
-    x1_squared = SuperPolynomial.x(cfg.signature, 1) ** 2
-    monkeypatch.setattr(slices, "eta_image", lambda idx, power: [idx.vec(x1_squared)])
-    rep = verify_composition_series(cfg, 2, 6, margin=2)
-    assert rep.status == "fail"
-    assert rep.notes == ["eta^1 H(k=0): action of E(2,1)-E(3,4) leaves the span on 1 * x1^2"]
-    assert all(d["status"] == "pass" for d in rep.dims)
 
 
 def test_series_zero_layer_is_inconclusive_not_fail(monkeypatch):
